@@ -8,10 +8,6 @@ from .core import (
     ParameterError,
     RngStream,
     TraceRecord,
-    axpy,
-    dot,
-    norm2,
-    sample_gaussian,
 )
 from .regularizers import (
     GroupStructure,

@@ -1,4 +1,4 @@
-"""Shared numeric primitives: dense vector ops, seeded random streams, trace records."""
+"""Shared numeric primitives: error types, seeded random streams, trace records."""
 
 from __future__ import annotations
 
@@ -50,31 +50,6 @@ def as_vector(values) -> Array:
     if arr.ndim != 1:
         raise DimensionError(f"expected a 1-d vector, got shape {arr.shape}")
     return arr
-
-
-def _require_same_length(a: Array, b: Array) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def dot(a, b) -> float:
-    """Inner product sum(a_i * b_i); lengths must agree."""
-    a, b = as_vector(a), as_vector(b)
-    _require_same_length(a, b)
-    return float(a @ b)
-
-
-def norm2(a) -> float:
-    """Euclidean norm sqrt(sum(a_i^2))."""
-    a = as_vector(a)
-    return float(np.sqrt(a @ a))
-
-
-def axpy(alpha: float, x, y) -> Array:
-    """alpha * x + y as a new vector; lengths must agree."""
-    x, y = as_vector(x), as_vector(y)
-    _require_same_length(x, y)
-    return alpha * x + y
 
 
 class RngStream:
@@ -137,11 +112,6 @@ class RngStream:
             raise ParameterError(f"upper must be >= 1, got {upper}")
         u = self.uniform(n)
         return np.minimum((u * upper).astype(np.int64), upper - 1)
-
-
-def sample_gaussian(rng: RngStream, n: int) -> Array:
-    """n standard normal draws from the stream (see RngStream.normal)."""
-    return rng.normal(n)
 
 
 @dataclass(frozen=True)

@@ -131,12 +131,12 @@ def run_job(cfg: RunConfig, solver: str, seed: int, out_dir: str) -> dict:
     else:
         sigma_sq = sv.pilot_sigma_sq(setup.oracle, np.zeros(setup.p), pilot_rng)
 
+    sreg = smoothed(setup.reg, mu=cfg.mu_override, N=cfg.N)
     started = time.perf_counter()
     if solver == "sg":
         x, trace = sv.run_sg(setup.oracle, setup.reg, setup.L, cfg.N, solver_rng,
                              setup.smooth_objective, trace_every=cfg.trace_every)
     elif solver == "ssg":
-        sreg = smoothed(setup.reg, mu=cfg.mu_override, N=cfg.N)
         x, trace = sv.run_ssg(setup.oracle, sreg, setup.L, cfg.N, solver_rng,
                               setup.smooth_objective, trace_every=cfg.trace_every)
     else:
@@ -154,7 +154,6 @@ def run_job(cfg: RunConfig, solver: str, seed: int, out_dir: str) -> dict:
     trace_path = out / trace_filename(solver, seed)
     write_trace_csv(trace_path, trace)
 
-    sreg_info = smoothed(setup.reg, mu=cfg.mu_override, N=cfg.N)
     sigma = float(np.sqrt(sigma_sq))
     final_objective = setup.smooth_objective(x) + rg.evaluate(setup.reg, x)
     return {
@@ -164,7 +163,7 @@ def run_job(cfg: RunConfig, solver: str, seed: int, out_dir: str) -> dict:
         "sigma_sq_pilot": float(sigma_sq),
         "theorem_bound": sv.theorem_bound(cfg.acsa_d, sigma, setup.L, cfg.N),
         "theorem_bound_smoothed": sv.theorem_bound_smoothed(
-            cfg.acsa_d, sigma, setup.L, sreg_info.A_norm, sreg_info.M, sreg_info.c, cfg.N
+            cfg.acsa_d, sigma, setup.L, sreg.A_norm, sreg.M, sreg.c, cfg.N
         ),
         "trace_file": str(trace_path),
     }

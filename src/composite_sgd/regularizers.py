@@ -32,7 +32,10 @@ class GroupStructure:
 
     Groups are stored as sorted 0-based index arrays. ``is_laminar`` is true
     when every pair of groups is either disjoint or nested, which is the case
-    admitting an exact single-pass prox.
+    admitting an exact single-pass prox; it is decided in O(total indices).
+    ``layers`` then splits the groups by nesting depth, deepest first; groups
+    of equal depth are disjoint. Each layer is ``(index, offsets, sizes,
+    weights)`` in flat block layout. ``layers`` is None for an overlapping family.
     """
 
     def __init__(self, groups, weights, p: int):
@@ -66,7 +69,7 @@ class GroupStructure:
         self.weights = weights
         self.sizes = np.array([g.size for g in cleaned], dtype=np.int64)
 
-        # Prox visit order: non-decreasing |g|, ties by smallest first index.
+        # Dual-ascent visit order: non-decreasing |g|, ties by smallest first index.
         firsts = np.array([g[0] for g in cleaned], dtype=np.int64)
         self.visit_order = np.lexsort((firsts, self.sizes))
 
@@ -77,20 +80,40 @@ class GroupStructure:
         np.cumsum(self.sizes[:-1], out=self.offsets[1:])
         self.rep_weights = np.repeat(weights, self.sizes)
 
-        self.is_laminar = self._check_laminar()
+        self.layers = self._depth_layers()
 
     def __len__(self) -> int:
         return len(self.groups)
 
-    def _check_laminar(self) -> bool:
-        n = len(self.groups)
-        mask = np.zeros((n, self.p), dtype=np.int64)
-        for k, g in enumerate(self.groups):
-            mask[k, g] = 1
-        inter = mask @ mask.T
-        pair_min = np.minimum.outer(self.sizes, self.sizes)
-        ok = (inter == 0) | (inter == pair_min)
-        return bool(ok.all())
+    @property
+    def is_laminar(self) -> bool:
+        return self.layers is not None
+
+    def _depth_layers(self):
+        # Visit groups largest first (stable, so identical groups nest in stored
+        # order) while ``owner`` maps each coordinate to the innermost group
+        # visited so far. A group is disjoint from or nested in every group
+        # before it exactly when all its coordinates have one owner: its parent,
+        # or -1 for a root. O(total indices) in all.
+        owner = np.full(self.p, -1, dtype=np.int64)
+        depth = np.full(len(self.groups) + 1, -1, dtype=np.int64)  # depth[-1]: no parent
+        for k in np.argsort(-self.sizes, kind="stable"):
+            parents = owner[self.groups[k]]
+            if np.any(parents != parents[0]):
+                return None
+            depth[k] = depth[parents[0]] + 1
+            owner[self.groups[k]] = k
+        # One stable sort by depth, deepest first: a scan per depth would be
+        # quadratic for long chains of identical groups.
+        depth = depth[:-1]
+        order = np.argsort(-depth, kind="stable")
+        layers = []
+        for members in np.split(order, np.cumsum(np.bincount(depth)[::-1])[:-1]):
+            sizes = self.sizes[members]
+            offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
+            index = np.concatenate([self.groups[k] for k in members])
+            layers.append((index, offsets, sizes, self.weights[members]))
+        return layers
 
     def block_norms(self, flat: Array) -> Array:
         """Per-group Euclidean norms of a flat block-layout vector."""
@@ -176,9 +199,11 @@ def soft_threshold(u: Array, thr: float) -> Array:
 def prox(reg: Regularizer, g, z, eta: float) -> Array:
     """Exact minimizer of <x, g> + (eta/2) ||x - z||^2 + lam * Omega(x).
 
-    l1 and laminar group structures are solved in closed form (a single
-    leaf-to-root pass of group shrinkage for trees); overlapping structures
-    fall back to dual block-coordinate ascent.
+    l1 and laminar group structures are solved in closed form: for a laminar
+    family the prox is the leaf-to-root composition of group shrinkages
+    (Jenatton, Mairal, Obozinski & Bach, JMLR 2011), applied as one vectorized
+    shrink per depth layer, deepest first. Overlapping structures fall back to
+    dual block-coordinate ascent.
     """
     if eta <= 0:
         raise ParameterError(f"eta must be > 0, got {eta}")
@@ -200,22 +225,22 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
 
 def _prox_laminar(st: GroupStructure, lam: float, u: Array, eta: float) -> Array:
     x = u.copy()
-    for k in st.visit_order:
-        idx = st.groups[k]
-        block = x[idx]
-        nrm = np.sqrt(block @ block)
-        thr = lam * st.weights[k] / eta
-        if nrm <= thr:
-            x[idx] = 0.0
-        else:
-            x[idx] = block * (1.0 - thr / nrm)
+    for index, offsets, sizes, weights in st.layers:
+        block = x[index]
+        nrm = np.sqrt(np.add.reduceat(block * block, offsets))
+        thr = lam * weights / eta
+        # Blocks with nrm <= thr become exact zeros; dividing only where
+        # nrm > thr >= 0 also keeps zero-norm blocks free of 0/0.
+        keep = nrm > thr
+        scale = 1.0 - np.divide(thr, nrm, out=np.ones_like(nrm), where=keep)
+        x[index] = block * np.repeat(scale, sizes)
     return x
 
 
 def _prox_dual_ascent(st: GroupStructure, lam: float, u: Array, eta: float) -> Array:
     # Maximize a^T A u - ||A^T a||^2 / (2 eta) over the product of unit balls
     # ||a_g|| <= 1; x = u - A^T a / eta recovers the primal. One block update per
-    # group per sweep, same deterministic order as the laminar pass.
+    # group per sweep, in the deterministic ``visit_order`` (smallest first).
     p = st.p
     s = np.zeros(p)  # running A^T a
     alphas = [np.zeros(g.size) for g in st.groups]

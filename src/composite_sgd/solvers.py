@@ -133,9 +133,10 @@ def _require_nonnegative(**kwargs):
 
 
 def _check_overflow(z: Array, x: Array, t: int) -> None:
-    if np.max(np.abs(z)) > OVERFLOW_LIMIT or np.max(np.abs(x)) > OVERFLOW_LIMIT:
+    # Written as "not <=" so that NaN, which fails every comparison, trips it.
+    if not (np.max(np.abs(z)) <= OVERFLOW_LIMIT and np.max(np.abs(x)) <= OVERFLOW_LIMIT):
         raise DivergenceError(
-            f"iterate exceeded {OVERFLOW_LIMIT:g} at iteration {t}; "
+            f"iterate is not finite or exceeded {OVERFLOW_LIMIT:g} at iteration {t}; "
             "is the Lipschitz constant set too small?",
             iteration=t,
         )
@@ -164,8 +165,11 @@ class _Tracer:
             self.record(t + 1, x)
 
 
-def _run_two_sequence(oracle, reg, L, N, rng, gamma_fn, sched: Schedule,
+def _run_two_sequence(oracle, step, reg, sched: Schedule, gamma_fn, rng,
                       smooth_objective, trace_every, reference_objective):
+    # The one recursion; ``step(y, g, z, eta)`` maps to z_{t+1} and ``reg`` is
+    # the exact penalty the traces add to smooth_objective.
+    N, L_eff = sched.N, sched.L_eff
     p = oracle.dim
     x = np.zeros(p)
     z = np.zeros(p)
@@ -175,11 +179,11 @@ def _run_two_sequence(oracle, reg, L, N, rng, gamma_fn, sched: Schedule,
         tracer.record(0, x)
     for t in range(N + 1):
         th = sched.theta(t)
-        eta = gamma_fn(t) * L
+        eta = gamma_fn(t) * L_eff
         y = (1.0 - th) * x + th * z
         g = oracle.sample(y, rng)
         try:
-            z = prox(reg, g, z, eta)
+            z = step(y, g, z, eta)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"prox failed at iteration {t}: {exc}", last_iterate=exc.last_iterate
@@ -203,7 +207,8 @@ def run_sg(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
     if L <= 0:
         raise ParameterError(f"L must be > 0, got {L}")
     sched = Schedule(N, L)
-    return _run_two_sequence(oracle, reg, L, N, rng, sched.gamma, sched,
+    step = lambda y, g, z, eta: prox(reg, g, z, eta)
+    return _run_two_sequence(oracle, step, reg, sched, sched.gamma, rng,
                              smooth_objective, trace_every, reference_objective)
 
 
@@ -216,7 +221,8 @@ def run_acsa(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
         raise ParameterError(f"L must be > 0, got {L}")
     sched = Schedule(N, L)  # theta_t only; gamma comes from params
     gamma_fn = lambda t: 2.0 * params.gamma_star / (L * (t + 1.0))
-    return _run_two_sequence(oracle, reg, L, N, rng, gamma_fn, sched,
+    step = lambda y, g, z, eta: prox(reg, g, z, eta)
+    return _run_two_sequence(oracle, step, reg, sched, gamma_fn, rng,
                              smooth_objective, trace_every, reference_objective)
 
 
@@ -234,24 +240,12 @@ def run_ssg(oracle: StochasticOracle, sreg: SmoothedRegularizer, L: float, N: in
         raise ParameterError(f"L must be >= 0, got {L}")
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    L_mu = lipschitz_mu(L, sreg)
-    sched = Schedule(N, L_mu)
-    p = oracle.dim
-    x = np.zeros(p)
-    z = np.zeros(p)
-    tracer = _Tracer(lambda v: smooth_objective(v) + evaluate(sreg.base, v),
-                     trace_every, reference_objective)
-    if trace_every > 0:
-        tracer.record(0, x)
-    for t in range(N + 1):
-        th = sched.theta(t)
-        eta = sched.gamma(t) * L_mu
-        y = (1.0 - th) * x + th * z
-        g = oracle.sample(y, rng)
+    sched = Schedule(N, lipschitz_mu(L, sreg))
+
+    def step(y, g, z, eta):  # h = 0: the prox step is closed-form
         if not sreg.inert:
             g = g + smoothed_gradient(sreg, y)
-        z = z - g / eta
-        x = (1.0 - th) * x + th * z
-        _check_overflow(z, x, t)
-        tracer.maybe_record(t, N, x)
-    return x, tracer.rows
+        return z - g / eta
+
+    return _run_two_sequence(oracle, step, sreg.base, sched, sched.gamma, rng,
+                             smooth_objective, trace_every, reference_objective)

@@ -3,8 +3,9 @@
 Everything here works from first principles on dense matrices and avoids the
 package's fast paths: the block-selection map is explicitly materialized, the
 prox reference maximizes the dual with projected gradient steps and certifies
-its accuracy through the duality gap, and gradients are checked against central
-finite differences.
+its accuracy through the duality gap, laminarity is decided from dense pairwise
+intersections, the laminar prox is applied one group at a time, and gradients
+are checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -93,6 +94,36 @@ def prox_objective(x, g, z, eta, lam, groups, weights):
     x = np.asarray(x, float)
     omega = sum(w * np.linalg.norm(x[np.asarray(idx)]) for idx, w in zip(groups, weights))
     return float(x @ g + 0.5 * eta * ((x - z) @ (x - z)) + lam * omega)
+
+
+def is_laminar_dense(groups, p: int) -> bool:
+    """Every pair of groups is disjoint or nested, decided on dense G x p masks:
+    the pairwise intersection sizes must be 0 or the smaller group's size."""
+    mask = np.zeros((len(groups), p), dtype=np.int64)
+    for k, g in enumerate(groups):
+        mask[k, g] = 1
+    sizes = mask.sum(axis=1)
+    inter = mask @ mask.T
+    pair_min = np.minimum.outer(sizes, sizes)
+    return bool(((inter == 0) | (inter == pair_min)).all())
+
+
+def prox_laminar_loop(u, lam, eta, groups, weights):
+    """Laminar prox as one group shrinkage at a time, smallest group first
+    (ties by first index), so every group is shrunk after all groups it contains."""
+    x = np.array(u, float)
+    sizes = np.array([len(g) for g in groups])
+    firsts = np.array([np.min(g) for g in groups])
+    for k in np.lexsort((firsts, sizes)):
+        idx = np.asarray(groups[k])
+        block = x[idx]
+        nrm = np.sqrt(block @ block)
+        thr = lam * weights[k] / eta
+        if nrm <= thr:
+            x[idx] = 0.0
+        else:
+            x[idx] = block * (1.0 - thr / nrm)
+    return x
 
 
 def random_laminar_structure(p: int, rng: RngStream):

@@ -23,7 +23,9 @@ from composite_sgd.regularizers import (
 )
 
 from _reference import (
+    is_laminar_dense,
     materialize_map,
+    prox_laminar_loop,
     prox_objective,
     prox_reference,
     random_laminar_structure,
@@ -118,6 +120,129 @@ class TestBuildHierarchical:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             build_hierarchical(-1)
+
+
+@st.composite
+def group_families(draw, laminar=False):
+    """(groups, weights, p): a random forest of nested groups over a shuffled
+    coordinate order, plus identical duplicates. Unless ``laminar``, it also
+    gets either a group that crosses one of its groups or arbitrary extra
+    groups. The stored order is shuffled."""
+    p = draw(st.integers(1 if laminar else 3, 10))
+    perm = np.array(draw(st.permutations(range(p))), dtype=np.int64)
+    groups = []
+
+    def nest(lo, hi):
+        groups.append(perm[lo:hi])
+        if hi - lo >= 2 and draw(st.booleans()):
+            mid = draw(st.integers(lo + 1, hi - 1))
+            for a, b in ((lo, mid), (mid, hi)):
+                if draw(st.booleans()):
+                    nest(a, b)
+
+    cuts = sorted(draw(st.sets(st.integers(1, p - 1)))) if p > 1 else []
+    for lo, hi in zip([0, *cuts], [*cuts, p]):
+        if draw(st.booleans()):
+            nest(lo, hi)
+    if not groups:
+        nest(0, p)
+    for k in draw(st.lists(st.integers(0, len(groups) - 1), max_size=2)):
+        groups.append(groups[k].copy())
+    if not laminar:
+        if draw(st.booleans()):
+            # a near miss: one coordinate of a group swapped for one outside it
+            crossable = [g for g in groups if 2 <= g.size < p]
+            if crossable:
+                g = draw(st.sampled_from(crossable))
+                outside = np.setdiff1d(np.arange(p), g).tolist()
+                groups.append(np.append(g[1:], draw(st.sampled_from(outside))))
+            else:
+                groups += [perm[:2], perm[1:3]]
+        else:
+            extras = draw(st.lists(st.sets(st.integers(0, p - 1), min_size=1),
+                                   min_size=1, max_size=2))
+            groups += [np.array(sorted(e), dtype=np.int64) for e in extras]
+    order = draw(st.permutations(range(len(groups))))
+    weights = draw(arrays(np.float64, len(groups), elements=st.floats(0.1, 3.0)))
+    return [groups[k] for k in order], weights, p
+
+
+def laminar_tolerance(u):
+    # the layered prox sums block norms in another order than the per-group loop
+    return 1e-13 * max(1.0, float(np.max(np.abs(u))))
+
+
+class TestDepthLayers:
+    @given(group_families())
+    def test_is_laminar_matches_dense_reference(self, family):
+        groups, weights, p = family
+        assert GroupStructure(groups, weights, p).is_laminar == is_laminar_dense(groups, p)
+
+    @given(group_families(laminar=True))
+    def test_layers_partition_groups_into_disjoint_depths(self, family):
+        groups, weights, p = family
+        layers = GroupStructure(groups, weights, p).layers
+        assert layers is not None
+        assert sum(len(offsets) for _, offsets, _, _ in layers) == len(groups)
+        for index, _, sizes, _ in layers:
+            assert np.unique(index).size == index.size == sizes.sum()
+
+    @given(group_families(laminar=True), st.data())
+    def test_prox_matches_loop_reference(self, family, data):
+        groups, weights, p = family
+        u = data.draw(arrays(np.float64, p, elements=st.floats(-50, 50)))
+        lam = data.draw(st.floats(0.01, 5.0))
+        eta = data.draw(st.floats(0.1, 10.0))
+        reg = group_norm(lam, GroupStructure(groups, weights, p))
+        out = prox(reg, np.zeros(p), u, eta)
+        ref = prox_laminar_loop(u, lam, eta, groups, weights)
+        assert np.allclose(out, ref, rtol=0.0, atol=laminar_tolerance(u))
+
+    def test_prox_matches_loop_reference_on_dyadic_tree(self):
+        st9 = build_hierarchical(9)
+        rng = RngStream(9)
+        for lam in (0.01, 0.05, 0.1):
+            u = 3.0 * rng.normal(2**9)
+            out = prox(group_norm(lam, st9), np.zeros(2**9), u, 0.7)
+            ref = prox_laminar_loop(u, lam, 0.7, st9.groups, st9.weights)
+            assert np.allclose(out, ref, rtol=0.0, atol=laminar_tolerance(u))
+
+    def test_depth_order_differs_from_size_order(self):
+        # {0,1,2} sits at depth 2 but is larger than {4,5} at depth 1: the size
+        # order shrinks {4,5} first, the depth order shrinks {0,1,2} first
+        groups = [np.arange(6), np.arange(4), np.arange(3), np.array([4, 5])]
+        weights = np.array([1.0, 0.7, 0.5, 0.9])
+        st6 = GroupStructure(groups, weights, 6)
+        layer_sets = [[set(map(int, index[o:o + n])) for o, n in zip(offsets, sizes)]
+                      for index, offsets, sizes, _ in st6.layers]
+        assert layer_sets == [[{0, 1, 2}], [{0, 1, 2, 3}, {4, 5}], [set(range(6))]]
+        rng = RngStream(12)
+        for _ in range(20):
+            u = 2.0 * rng.normal(6)
+            out = prox(group_norm(0.6, st6), np.zeros(6), u, 1.3)
+            ref = prox_laminar_loop(u, 0.6, 1.3, groups, weights)
+            assert np.allclose(out, ref, rtol=0.0, atol=laminar_tolerance(u))
+
+    @pytest.mark.parametrize("lam, weight", [(0.4, 1.0), (1e-200, 1e-200)])
+    def test_zero_norm_blocks_come_out_exactly_zero(self, lam, weight):
+        # with lam = w = 1e-200, lam * w / eta underflows to 0, so zero-norm
+        # blocks meet a zero threshold
+        st3 = build_hierarchical(3)
+        weights = np.full(len(st3), weight)
+        reg = group_norm(lam, GroupStructure(st3.groups, weights, 8))
+        u = np.array([0.0, 0.0, 1.5, -2.0, 0.0, 0.0, 0.0, 3.0])
+        with np.errstate(divide="raise", invalid="raise"):
+            out = prox(reg, np.zeros(8), u, 1.0)
+        assert np.all(out[[0, 1, 4, 5, 6]] == 0.0)
+        assert np.allclose(out, prox_laminar_loop(u, lam, 1.0, reg.structure.groups, weights),
+                           rtol=0.0, atol=laminar_tolerance(u))
+
+    def test_hierarchical_eleven_levels(self):
+        st11 = build_hierarchical(11)
+        assert st11.is_laminar
+        assert len(st11.layers) == 12
+        for index, _, _, _ in st11.layers:
+            assert np.array_equal(np.sort(index), np.arange(2**11))
 
 
 class TestEvaluate:

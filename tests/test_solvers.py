@@ -234,6 +234,21 @@ class TestRunAcsa:
         assert objective(x) < 1e-3
 
 
+@pytest.mark.parametrize("run", [
+    lambda oracle, reg, f: run_sg(oracle, reg, 1.0, 5, RngStream(0), f),
+    lambda oracle, reg, f: run_ssg(oracle, smoothed(reg, N=5), 1.0, 5, RngStream(0), f),
+    lambda oracle, reg, f: run_acsa(oracle, reg, 1.0, 5, AcsaParams(2.0, 0.0, 1.0),
+                                    RngStream(0), f),
+], ids=["sg", "ssg", "acsa"])
+def test_nan_oracle_trips_divergence_guard(run):
+    # NaN compares False with everything, so a "> limit" guard would let it pass
+    p = 3
+    oracle = ExactOracle(lambda x: np.full(p, np.nan), p)
+    with pytest.raises(DivergenceError) as err:
+        run(oracle, l1(0.1, p), lambda x: 0.5 * float(x @ x))
+    assert err.value.iteration == 0
+
+
 class TestPilotSigma:
     def test_exact_oracle_has_zero_variance(self):
         _, _, oracle = quadratic_problem(3)
