@@ -25,7 +25,6 @@ from .harness import (
     generate_dataset,
     merge_compare,
     read_trace_csv,
-    run_job,
     verify_bounds,
     write_summary,
 )

@@ -12,6 +12,8 @@ Array = np.ndarray
 
 _TWO_PI = 2.0 * math.pi
 _MAX_SEED = 2**64 - 1
+# Box-Muller pairs transformed per chunk in RngStream.normal.
+NORMAL_CHUNK_PAIRS = 2**16
 
 
 class DimensionError(ValueError):
@@ -68,6 +70,10 @@ class RngStream:
 
     An odd-sized request still consumes both uniforms of the final pair and
     discards the trailing sine normal.
+
+    The transform runs in fixed-size chunks of pairs. Philox ``random(a)``
+    followed by ``random(b)`` yields ``random(a + b)``, and the transform is
+    element-wise, so the chunked draws equal the one-shot transform bit for bit.
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
@@ -94,16 +100,19 @@ class RngStream:
         return self._gen.random(int(n))
 
     def normal(self, n: int) -> Array:
-        """n i.i.d. standard normal draws via Box-Muller."""
+        """n i.i.d. standard normal draws via Box-Muller, NORMAL_CHUNK_PAIRS
+        pairs at a time so the temporaries stay a few MB for any n."""
         if n < 1:
             raise ParameterError(f"n must be >= 1, got {n}")
         pairs = (int(n) + 1) // 2
-        u = self.uniform(2 * pairs)
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        angle = _TWO_PI * u[1::2]
         z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(angle)
-        z[1::2] = r * np.sin(angle)
+        for lo in range(0, pairs, NORMAL_CHUNK_PAIRS):
+            hi = min(lo + NORMAL_CHUNK_PAIRS, pairs)
+            u = self._gen.random(2 * (hi - lo))
+            r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+            angle = _TWO_PI * u[1::2]
+            np.multiply(r, np.cos(angle), out=z[2 * lo:2 * hi:2])
+            np.multiply(r, np.sin(angle), out=z[2 * lo + 1:2 * hi:2])
         return z[:n]
 
     def indices(self, n: int, upper: int) -> Array:

@@ -118,72 +118,96 @@ def read_trace_csv(path) -> tuple[list[str], list[list[str]]]:
         return header, [row for row in reader]
 
 
-def run_job(cfg: RunConfig, solver: str, seed: int, out_dir: str) -> dict:
-    """Execute one (solver, seed) job and write its trace; returns the summary."""
+def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[dict]:
+    """Build one seed's instance, pilot sigma^2 and smoothed penalty once, run
+    each of ``solvers`` on them and write its trace; returns the summaries in
+    ``solvers`` order."""
     setup = build_problem(cfg, seed)
-    solver_rng = RngStream(seed).split(STREAM_SOLVER)
     pilot_rng = RngStream(seed).split(STREAM_PILOT)
-
     if cfg.acsa_sigma_sq is not None:
         sigma_sq = cfg.acsa_sigma_sq
     elif cfg.batch_size is None:
         sigma_sq = 0.0  # exact oracle
     else:
         sigma_sq = sv.pilot_sigma_sq(setup.oracle, np.zeros(setup.p), pilot_rng)
-
-    sreg = smoothed(setup.reg, mu=cfg.mu_override, N=cfg.N)
-    started = time.perf_counter()
-    if solver == "sg":
-        x, trace = sv.run_sg(setup.oracle, setup.reg, setup.L, cfg.N, solver_rng,
-                             setup.smooth_objective, trace_every=cfg.trace_every)
-    elif solver == "ssg":
-        x, trace = sv.run_ssg(setup.oracle, sreg, setup.L, cfg.N, solver_rng,
-                              setup.smooth_objective, trace_every=cfg.trace_every)
-    else:
-        params = sv.resolve_acsa_params(
-            setup.oracle, setup.L, cfg.N, pilot_rng.split(0),
-            sigma_sq=sigma_sq, D=cfg.acsa_d,
-        )
-        x, trace = sv.run_acsa(setup.oracle, setup.reg, setup.L, cfg.N, params,
-                               solver_rng, setup.smooth_objective,
-                               trace_every=cfg.trace_every)
-    wall = time.perf_counter() - started
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / trace_filename(solver, seed)
-    write_trace_csv(trace_path, trace)
-
     sigma = float(np.sqrt(sigma_sq))
-    final_objective = setup.smooth_objective(x) + rg.evaluate(setup.reg, x)
-    return {
-        "config": cfg.echo(),
-        "final_objective": float(final_objective),
-        "wall_clock_seconds": wall,
+    sreg = smoothed(setup.reg, mu=cfg.mu_override, N=cfg.N)
+    bounds = {
         "sigma_sq_pilot": float(sigma_sq),
+        "theorem_bound_D": cfg.acsa_d,
         "theorem_bound": sv.theorem_bound(cfg.acsa_d, sigma, setup.L, cfg.N),
         "theorem_bound_smoothed": sv.theorem_bound_smoothed(
             cfg.acsa_d, sigma, setup.L, sreg.A_norm, sreg.M, sreg.c, cfg.N
         ),
-        "trace_file": str(trace_path),
     }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    summaries = []
+    for solver in solvers:
+        solver_rng = RngStream(seed).split(STREAM_SOLVER)
+        started = time.perf_counter()
+        if solver == "sg":
+            x, trace = sv.run_sg(setup.oracle, setup.reg, setup.L, cfg.N, solver_rng,
+                                 setup.smooth_objective, trace_every=cfg.trace_every)
+        elif solver == "ssg":
+            x, trace = sv.run_ssg(setup.oracle, sreg, setup.L, cfg.N, solver_rng,
+                                  setup.smooth_objective, trace_every=cfg.trace_every)
+        else:
+            params = sv.resolve_acsa_params(
+                setup.oracle, setup.L, cfg.N, pilot_rng.split(0),
+                sigma_sq=sigma_sq, D=cfg.acsa_d,
+            )
+            x, trace = sv.run_acsa(setup.oracle, setup.reg, setup.L, cfg.N, params,
+                                   solver_rng, setup.smooth_objective,
+                                   trace_every=cfg.trace_every)
+        wall = time.perf_counter() - started
+
+        trace_path = out / trace_filename(solver, seed)
+        write_trace_csv(trace_path, trace)
+        final_objective = setup.smooth_objective(x) + rg.evaluate(setup.reg, x)
+        summaries.append({
+            "config": cfg.echo(),
+            "final_objective": float(final_objective),
+            "wall_clock_seconds": wall,
+            **bounds,
+            "trace_file": str(trace_path),
+        })
+    return summaries
 
 
-def _job_worker(args):
-    cfg, solver, seed, out_dir = args
-    return run_job(cfg, solver, seed, out_dir)
+def _seed_worker(args):
+    return run_seed(*args)
 
 
 def execute_run(cfg: RunConfig, out_dir: str) -> list[dict]:
-    """All (solver, seed) jobs of a config, fanned out over a process pool when
-    more than one job is requested; summaries come back in job order."""
-    jobs = [(cfg, solver, seed, out_dir) for solver in cfg.solvers for seed in cfg.seeds]
+    """All (solver, seed) jobs of a config; summaries come back in job order
+    (solver-major), identical however the jobs are spread.
+
+    A unit of work is one seed's instance and a contiguous slice of the
+    solvers. Each seed's solvers are cut into ``k`` slices, enough to give
+    every worker a unit, so a run builds at most one instance per job and runs
+    ``min(jobs, workers)`` units at once; with one worker each seed is one unit
+    and all units run in this process."""
+    jobs = [(solver, seed) for solver in cfg.solvers for seed in cfg.seeds]
     workers = min(len(jobs), thread_cap())
-    if workers <= 1 or len(jobs) == 1:
-        summaries = [_job_worker(job) for job in jobs]
+    k = 1 if workers <= 1 else min(len(cfg.solvers), -(-workers // len(cfg.seeds)))
+    cuts = [len(cfg.solvers) * i // k for i in range(k + 1)]
+    units = [
+        (cfg, seed, cfg.solvers[lo:hi], out_dir)
+        for seed in cfg.seeds for lo, hi in zip(cuts, cuts[1:])
+    ]
+    if workers <= 1:
+        results = [_seed_worker(unit) for unit in units]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_job_worker, jobs))
+            results = list(pool.map(_seed_worker, units))
+    by_job = {
+        (solver, unit[1]): summary
+        for unit, summaries in zip(units, results)
+        for solver, summary in zip(unit[2], summaries)
+    }
+    summaries = [by_job[job] for job in jobs]
     write_summary(Path(out_dir) / "summary.json", summaries)
     return summaries
 

@@ -344,8 +344,8 @@ def save_dataset_csv(d: Dataset, path) -> None:
 
 
 def load_dataset_csv(path, kind: str) -> Dataset:
-    """Parse the format written by save_dataset_csv; logistic rows must have
-    unit norm and 0/1 labels."""
+    """Parse the format written by save_dataset_csv; every cell must be finite,
+    and logistic rows must have unit norm and 0/1 labels."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -355,6 +355,12 @@ def load_dataset_csv(path, kind: str) -> Dataset:
     if not rows:
         raise ParameterError("dataset CSV has no data rows")
     data = np.asarray(rows)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ParameterError(
+            f"dataset row {row + 1}, column {col + 1} is not finite: {data[row, col]!r}"
+        )
     y = data[:, 0]
     X = data[:, 1:]
     if kind == "logistic":

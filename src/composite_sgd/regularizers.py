@@ -49,8 +49,12 @@ class GroupStructure:
             )
         if len(groups) == 0:
             raise ParameterError("need at least one group")
-        if np.any(weights <= 0):
-            raise ParameterError("group weights must be strictly positive")
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+        if bad.size:
+            raise ParameterError(
+                f"group {bad[0]} has weight {weights[bad[0]]!r}; "
+                "group weights must be finite and strictly positive"
+            )
 
         cleaned = []
         for k, g in enumerate(groups):
@@ -350,6 +354,10 @@ def load_group_structure(path, p: Optional[int] = None) -> GroupStructure:
                 idx = np.array([int(t) - 1 for t in idx_part.split(",")], dtype=np.int64)
             except ValueError as exc:
                 raise ParameterError(f"line {lineno}: cannot parse {line!r}") from exc
+            if not (np.isfinite(w) and w > 0):
+                raise ParameterError(
+                    f"line {lineno}: weight {w!r} must be finite and strictly positive"
+                )
             groups.append(idx)
             weights.append(w)
     if not groups:

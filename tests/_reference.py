@@ -4,8 +4,9 @@ Everything here works from first principles on dense matrices and avoids the
 package's fast paths: the block-selection map is explicitly materialized, the
 prox reference maximizes the dual with projected gradient steps and certifies
 its accuracy through the duality gap, laminarity is decided from dense pairwise
-intersections, the laminar prox is applied one group at a time, and gradients
-are checked against central finite differences.
+intersections, the laminar prox is applied one group at a time, gradients are
+checked against central finite differences, and normal draws come from one
+whole-array Box-Muller transform.
 """
 
 from __future__ import annotations
@@ -154,3 +155,16 @@ def central_difference(f, x, step=1e-6):
         lo[j] -= step
         out[j] = (f(hi) - f(lo)) / (2.0 * step)
     return out
+
+
+def normal_one_shot(rng: RngStream, n: int) -> np.ndarray:
+    """n Box-Muller normals from one batch of uniforms: r from the even-index
+    uniforms, the angle from the odd ones, cosine normals at even positions."""
+    pairs = (n + 1) // 2
+    u = rng.uniform(2 * pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(angle)
+    z[1::2] = r * np.sin(angle)
+    return z[:n]

@@ -1,9 +1,12 @@
 import json
+import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from composite_sgd import harness
 from composite_sgd.cli import main
 from composite_sgd.config import (
     ConfigError,
@@ -157,10 +160,18 @@ class TestRunCommand:
 
         setup = build_problem(cfg, 3)
         sreg = smoothed(setup.reg, N=cfg.N)
-        assert summary["theorem_bound"] == theorem_bound(cfg.acsa_d, sigma, setup.L, cfg.N)
+        # both bounds are evaluated at the configured D, which the summary names
+        D = summary["theorem_bound_D"]
+        assert D == cfg.acsa_d
+        assert summary["theorem_bound"] == theorem_bound(D, sigma, setup.L, cfg.N)
         assert summary["theorem_bound_smoothed"] == theorem_bound_smoothed(
-            cfg.acsa_d, sigma, setup.L, sreg.A_norm, sreg.M, sreg.c, cfg.N
+            D, sigma, setup.L, sreg.A_norm, sreg.M, sreg.c, cfg.N
         )
+        text = SMALL_RUN + "acsa_d = 2.5\n"
+        main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["theorem_bound_D"] == 2.5
+        assert summary["theorem_bound"] == theorem_bound(2.5, sigma, setup.L, cfg.N)
 
     def test_full_batch_trace_monotone_after_warmup(self, tmp_path):
         text = SMALL_RUN.replace("batch_size = 5", "batch_size = full")
@@ -196,6 +207,67 @@ class TestRunCommand:
             _, rp = read_trace_csv(out_par / f"trace_sg_{seed}.csv")
             _, rs = read_trace_csv(out_ser / f"trace_sg_{seed}.csv")
             assert [r[2] for r in rp] == [r[2] for r in rs]
+
+    @pytest.mark.parametrize("seeds", [(7,), (7, 8)])
+    def test_outputs_identical_serial_and_pooled(self, tmp_path, monkeypatch, seeds):
+        # A recipe-shaped run: every solver on one hierarchical instance per seed.
+        text = f"""
+problem = linear-discrete
+regularizer = hierarchical
+solver = sg,ssg,acsa
+K = 60
+n = 3
+lambda = 0.1
+N = 80
+batch_size = 5
+seed = {",".join(str(s) for s in seeds)}
+trace_every = 20
+"""
+        cfg_path = write_cfg(tmp_path, text)
+        built_log = tmp_path / "built.txt"
+        real_build = harness.build_problem
+
+        def counted_build(cfg, seed):
+            # a file, so that builds in pool workers are counted too
+            with open(built_log, "a", encoding="utf-8") as fh:
+                fh.write(f"{seed}\n")
+            return real_build(cfg, seed)
+
+        monkeypatch.setattr(harness, "build_problem", counted_build)
+        inherits_patch = multiprocessing.get_start_method() == "fork"
+        outputs = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setenv("COMPOSITE_SGD_THREADS", str(threads))
+            built_log.write_text("")
+            out = tmp_path / f"out{threads}"
+            assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+
+            built = sorted(int(s) for s in built_log.read_text().split())
+            if threads == 1:
+                assert built == sorted(seeds)
+            elif inherits_patch:
+                # each seed's 3 solvers cut into min(3, ceil(threads / seeds)) units
+                units = min(3, -(-threads // len(seeds)))
+                assert built == sorted(seeds * units)
+                assert len(built) >= threads
+
+            traces = {}
+            for path in sorted(out.glob("trace_*.csv")):
+                header, rows = read_trace_csv(path)
+                traces[path.name] = [header] + [[r[0]] + r[2:] for r in rows]
+            runs = json.loads((out / "summary.json").read_text())["runs"]
+            for run in runs:
+                del run["wall_clock_seconds"]
+                run["trace_file"] = Path(run["trace_file"]).name
+            outputs[threads] = (traces, runs)
+
+        traces, runs = outputs[1]
+        assert len(traces) == 3 * len(seeds)
+        assert [r["trace_file"] for r in runs] == [
+            f"trace_{solver}_{seed}.csv" for solver in ("sg", "ssg", "acsa") for seed in seeds
+        ]
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, "problem = linear-discrete\n")

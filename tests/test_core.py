@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from composite_sgd.core import ParameterError, RngStream, TraceRecord
+from composite_sgd.core import NORMAL_CHUNK_PAIRS, ParameterError, RngStream, TraceRecord
+from composite_sgd.problems import gen_linear_dataset, ground_truth
+
+from _reference import normal_one_shot
+
+CHUNK = NORMAL_CHUNK_PAIRS
 
 
 class TestRngStream:
@@ -44,6 +49,21 @@ class TestRngStream:
         z = RngStream(3).normal(7)
         assert z.shape == (7,)
         assert np.all(np.isfinite(z))
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, CHUNK * 2 - 1, CHUNK * 2, CHUNK * 2 + 1, 2 * CHUNK * 2 + 3])
+    def test_chunked_normal_equals_one_shot_transform(self, n):
+        z = RngStream(41).split(1).normal(n)
+        assert z.shape == (n,)
+        assert z.tobytes() == normal_one_shot(RngStream(41).split(1), n).tobytes()
+
+    def test_linear_dataset_draws_equal_one_shot_transform(self):
+        d = gen_linear_dataset(2000, 64, RngStream(42))
+        ref = RngStream(42)
+        X = normal_one_shot(ref, 2000 * 64).reshape(2000, 64)
+        y = X @ ground_truth("linear", 64) + normal_one_shot(ref, 2000) / 10.0
+        assert d.X.tobytes() == X.tobytes()
+        assert d.y.tobytes() == y.tobytes()
 
     def test_indices_with_replacement(self):
         idx = RngStream(11).indices(1000, 13)

@@ -294,6 +294,14 @@ class TestDatasetCsv:
             load_dataset_csv(path, "logistic")
         assert "norm" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_non_finite_cell_rejected_naming_row(self, tmp_path, cell, kind):
+        path = tmp_path / "data.csv"
+        path.write_text(f"y,x1,x2\n1,1,0\n0,0,{cell}\n")
+        with pytest.raises(ParameterError, match="row 2, column 3"):
+            load_dataset_csv(path, kind)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n")

@@ -87,6 +87,18 @@ class TestGroupStructure:
         text = path.read_text()
         assert "1: 1" in text.splitlines()[0]
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ParameterError, match="group 1 .*finite"):
+            GroupStructure([np.array([0]), np.array([1])], np.array([1.0, weight]), 2)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0", "-1"])
+    def test_load_rejects_bad_weight_naming_line(self, tmp_path, weight):
+        path = tmp_path / "groups.txt"
+        path.write_text(f"1: 1,2\n\n{weight}: 2,3\n")
+        with pytest.raises(ParameterError, match="line 3"):
+            load_group_structure(path)
+
     def test_load_infers_p(self, tmp_path):
         path = tmp_path / "groups.txt"
         path.write_text("1.5: 1,2\n2: 3\n")
