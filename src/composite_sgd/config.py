@@ -31,6 +31,11 @@ class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
+        self.message = message
+
+    def __reduce__(self):
+        # Rebuild from both arguments so the error survives a process pool.
+        return type(self), (self.key, self.message)
 
 
 def parse_kv(text: str) -> dict[str, str]:

@@ -46,6 +46,10 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
 
+    def __reduce__(self):
+        # Rebuild from both arguments so the error survives a process pool.
+        return type(self), (self.args[0], self.iteration)
+
 
 def as_vector(values) -> Array:
     arr = np.asarray(values, dtype=np.float64)

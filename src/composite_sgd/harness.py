@@ -19,7 +19,7 @@ from . import problems as pb
 from . import regularizers as rg
 from . import solvers as sv
 from .config import BoundsConfig, ConfigError, GenDataConfig, RunConfig
-from .core import RngStream, TraceRecord
+from .core import ParameterError, RngStream, TraceRecord
 from .smoothing import smoothed
 
 THREADS_ENV = "COMPOSITE_SGD_THREADS"
@@ -58,7 +58,10 @@ def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
     else:
         if not Path(cfg.structure_file).is_file():
             raise ConfigError("structure_file", f"file not found: {cfg.structure_file}")
-        structure = rg.load_group_structure(cfg.structure_file, p=cfg.p)
+        try:
+            structure = rg.load_group_structure(cfg.structure_file, p=cfg.p)
+        except ParameterError as exc:
+            raise ConfigError("structure_file", str(exc)) from exc
         reg = rg.group_norm(cfg.lam, structure)
 
     if cfg.problem == "linear-discrete":

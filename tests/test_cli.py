@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from composite_sgd.config import (
     parse_bounds_config,
     parse_run_config,
 )
+from composite_sgd.core import DivergenceError
 from composite_sgd.harness import read_trace_csv
 from composite_sgd.solvers import theorem_bound, theorem_bound_smoothed
 
@@ -334,6 +336,49 @@ lipschitz_override = 1e-9
         cfg_path = write_cfg(tmp_path, text)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
         assert "iteration" in capsys.readouterr().err
+
+    def test_pooled_divergence_exits_3_naming_iteration(self, tmp_path, capsys, monkeypatch):
+        # the worker's DivergenceError must cross the process pool intact
+        text = """
+problem = linear-discrete
+regularizer = l1
+solver = sg,acsa
+K = 20
+p = 4
+lambda = 0.0
+N = 50
+batch_size = full
+seed = 1
+acsa_sigma_sq = 0
+lipschitz_override = 1e-9
+"""
+        monkeypatch.setenv("COMPOSITE_SGD_THREADS", "2")
+        cfg_path = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: ") and "at iteration" in err
+
+    def test_structure_file_error_exits_2(self, tmp_path, capsys):
+        (tmp_path / "groups.txt").write_text("nan: 2,3\n")
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
+        text += f"structure_file = {tmp_path / 'groups.txt'}\n"
+        cfg_path = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: structure_file: line 1:")
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ConfigError("seed", "must be an integer"),
+            DivergenceError("iterate exceeded the guard at iteration 7", iteration=7),
+        ],
+        ids=["config", "divergence"],
+    )
+    def test_errors_survive_pickle(self, exc):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
 
 
 class TestShippedRecipes:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from composite_sgd.core import DimensionError, ParameterError, RngStream
+from composite_sgd.core import ConvergenceError, DimensionError, ParameterError, RngStream
 from composite_sgd.regularizers import (
     GroupStructure,
     LinearMapA,
@@ -25,6 +25,7 @@ from composite_sgd.regularizers import (
 from _reference import (
     is_laminar_dense,
     materialize_map,
+    prox_dual_ascent_loop,
     prox_laminar_loop,
     prox_objective,
     prox_reference,
@@ -179,8 +180,9 @@ def group_families(draw, laminar=False):
     return [groups[k] for k in order], weights, p
 
 
-def laminar_tolerance(u):
-    # the layered prox sums block norms in another order than the per-group loop
+def loop_tolerance(u):
+    # the layered and residual-form proxes sum in another order than the
+    # per-group loops of _reference.py
     return 1e-13 * max(1.0, float(np.max(np.abs(u))))
 
 
@@ -208,7 +210,7 @@ class TestDepthLayers:
         reg = group_norm(lam, GroupStructure(groups, weights, p))
         out = prox(reg, np.zeros(p), u, eta)
         ref = prox_laminar_loop(u, lam, eta, groups, weights)
-        assert np.allclose(out, ref, rtol=0.0, atol=laminar_tolerance(u))
+        assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
 
     def test_prox_matches_loop_reference_on_dyadic_tree(self):
         st9 = build_hierarchical(9)
@@ -217,7 +219,7 @@ class TestDepthLayers:
             u = 3.0 * rng.normal(2**9)
             out = prox(group_norm(lam, st9), np.zeros(2**9), u, 0.7)
             ref = prox_laminar_loop(u, lam, 0.7, st9.groups, st9.weights)
-            assert np.allclose(out, ref, rtol=0.0, atol=laminar_tolerance(u))
+            assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
 
     def test_depth_order_differs_from_size_order(self):
         # {0,1,2} sits at depth 2 but is larger than {4,5} at depth 1: the size
@@ -233,7 +235,7 @@ class TestDepthLayers:
             u = 2.0 * rng.normal(6)
             out = prox(group_norm(0.6, st6), np.zeros(6), u, 1.3)
             ref = prox_laminar_loop(u, 0.6, 1.3, groups, weights)
-            assert np.allclose(out, ref, rtol=0.0, atol=laminar_tolerance(u))
+            assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
 
     @pytest.mark.parametrize("lam, weight", [(0.4, 1.0), (1e-200, 1e-200)])
     def test_zero_norm_blocks_come_out_exactly_zero(self, lam, weight):
@@ -247,7 +249,7 @@ class TestDepthLayers:
             out = prox(reg, np.zeros(8), u, 1.0)
         assert np.all(out[[0, 1, 4, 5, 6]] == 0.0)
         assert np.allclose(out, prox_laminar_loop(u, lam, 1.0, reg.structure.groups, weights),
-                           rtol=0.0, atol=laminar_tolerance(u))
+                           rtol=0.0, atol=loop_tolerance(u))
 
     def test_hierarchical_eleven_levels(self):
         st11 = build_hierarchical(11)
@@ -255,6 +257,75 @@ class TestDepthLayers:
         assert len(st11.layers) == 12
         for index, _, _, _ in st11.layers:
             assert np.array_equal(np.sort(index), np.arange(2**11))
+
+
+@st.composite
+def overlapping_instances(draw):
+    """(groups, weights, p, lam, eta, u): up to 10 random groups of 1-10
+    coordinates over p <= 40, weights in [0.1, 3], lam over three decades,
+    eta over six and |u| over three."""
+    p = draw(st.integers(3, 40))
+    groups = draw(st.lists(
+        st.sets(st.integers(0, p - 1), min_size=1, max_size=min(p, 10)),
+        min_size=2, max_size=10,
+    ))
+    groups = [np.array(sorted(g), dtype=np.int64) for g in groups]
+    weights = draw(arrays(np.float64, len(groups), elements=st.floats(0.1, 3.0)))
+    lam = 10.0 ** draw(st.floats(-2.0, 1.0))
+    eta = 10.0 ** draw(st.floats(-2.0, 4.0))
+    scale = 10.0 ** draw(st.floats(-1.0, 2.0))
+    u = scale * draw(arrays(np.float64, p, elements=st.floats(-1.0, 1.0)))
+    return groups, weights, p, lam, eta, u
+
+
+def dual_ascent_outcome(solve):
+    """(iterate, raised): the returned iterate, or the one ConvergenceError carries."""
+    try:
+        return solve(), False
+    except ConvergenceError as exc:
+        return exc.last_iterate, True
+
+
+class TestDualAscentResidualForm:
+    @given(overlapping_instances())
+    def test_matches_reference_loop_and_certificate(self, instance):
+        groups, weights, p, lam, eta, u = instance
+        gs = GroupStructure(groups, weights, p)
+        assume(not gs.is_laminar)
+        u_in = u.copy()
+        out, raised = dual_ascent_outcome(lambda: _prox_dual_ascent(gs, lam, u, eta))
+        ref, ref_raised = dual_ascent_outcome(
+            lambda: prox_dual_ascent_loop(u, lam, eta, gs.groups, gs.weights))
+        assert raised == ref_raised
+        assert np.array_equal(u, u_in) and not np.shares_memory(out, u)
+        assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
+        if raised:
+            return
+        # The certified reference lies within sqrt(2 gap / eta) of the prox. The
+        # gap is a difference of sums of the prox objective's two terms, so its
+        # rounding floor scales with them. The ascent stops on an iterate change
+        # of 1e-10, not on accuracy.
+        scale = max(1.0, float(np.max(np.abs(u))))
+        gap_tol = 1e-12 * (eta * scale**2 + lam * float(weights.sum()) * scale)
+        cert, gap = prox_reference(np.zeros(p), u, eta, lam, gs.groups, gs.weights, p,
+                                   gap_tol=gap_tol)
+        assert gap <= gap_tol
+        radius = np.sqrt(2.0 * max(gap, 0.0) / eta)
+        assert np.linalg.norm(out - cert) <= radius + 1e-6 * scale
+
+    def test_iterate_does_not_alias_input(self, monkeypatch):
+        from composite_sgd import regularizers as rg
+
+        gs = crossing_structure()
+        u = np.array([1.0, -2.0, 0.5])
+        out = _prox_dual_ascent(gs, 0.4, u, 1.0)
+        assert not np.shares_memory(out, u)
+        monkeypatch.setattr(rg, "DUAL_ASCENT_SWEEP_FACTOR", 0)
+        with pytest.raises(ConvergenceError) as err:
+            _prox_dual_ascent(gs, 0.4, u, 1.0)
+        assert np.array_equal(err.value.last_iterate, u)
+        assert not np.shares_memory(err.value.last_iterate, u)
+        assert np.array_equal(u, [1.0, -2.0, 0.5])
 
 
 class TestEvaluate:
