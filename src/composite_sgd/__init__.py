@@ -11,13 +11,11 @@ from .core import (
 )
 from .regularizers import (
     GroupStructure,
-    LinearMapA,
     Regularizer,
     build_hierarchical,
     evaluate,
     group_norm,
     l1,
-    linear_map,
     load_group_structure,
     operator_norm,
     prox,

@@ -67,10 +67,10 @@ def cmd_compare(args) -> int:
 
     configs = [(p, parse_run_config(p.read_text(encoding="utf-8"))) for p in config_paths]
     first_path, first = configs[0]
-    labels = ("problem", "regularizer", "K", "p", "n", "lambda",
-              "lipschitz_convention", "lipschitz_override", "seed")
+    first_key = first.instance_key()
     for path, cfg in configs[1:]:
-        for label, a, b in zip(labels, first.instance_key(), cfg.instance_key()):
+        for label, b in cfg.instance_key().items():
+            a = first_key[label]
             if a != b:
                 raise ConfigError(
                     label,

@@ -132,13 +132,21 @@ class RunConfig:
             "structure_file": self.structure_file,
         }
 
-    def instance_key(self) -> tuple:
-        """The fields that pin the problem instance; compare requires these equal."""
-        return (
-            self.problem, self.regularizer, self.K, self.p, self.n, self.lam,
-            self.lipschitz_convention, self.lipschitz_override, self.seeds,
-            self.structure_file,
-        )
+    def instance_key(self) -> dict:
+        """The fields that pin the problem instance, by config key; compare
+        requires these equal."""
+        return {
+            "problem": self.problem,
+            "regularizer": self.regularizer,
+            "K": self.K,
+            "p": self.p,
+            "n": self.n,
+            "lambda": self.lam,
+            "lipschitz_convention": self.lipschitz_convention,
+            "lipschitz_override": self.lipschitz_override,
+            "seed": self.seeds,
+            "structure_file": self.structure_file,
+        }
 
 
 def parse_run_config(text: str) -> RunConfig:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -134,4 +133,3 @@ class TraceRecord:
     iteration: int
     elapsed_seconds: float
     objective: float
-    gap: Optional[float] = None

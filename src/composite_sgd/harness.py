@@ -35,7 +35,10 @@ STREAM_PILOT = 3
 def thread_cap() -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(THREADS_ENV, f"expected an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -99,19 +102,14 @@ def trace_filename(solver: str, seed: int) -> str:
 
 
 def write_trace_csv(path, rows: List[TraceRecord]) -> None:
-    """Header iteration,elapsed_seconds,objective[,gap]; 17 significant digits, LF."""
-    with_gap = any(r.gap is not None for r in rows)
+    """Header iteration,elapsed_seconds,objective; 17 significant digits, LF."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["iteration", "elapsed_seconds", "objective"]
-        if with_gap:
-            header.append("gap")
-        writer.writerow(header)
+        writer.writerow(["iteration", "elapsed_seconds", "objective"])
         for r in rows:
-            row = [str(r.iteration), f"{r.elapsed_seconds:.17g}", f"{r.objective:.17g}"]
-            if with_gap:
-                row.append("" if r.gap is None else f"{r.gap:.17g}")
-            writer.writerow(row)
+            writer.writerow(
+                [str(r.iteration), f"{r.elapsed_seconds:.17g}", f"{r.objective:.17g}"]
+            )
 
 
 def read_trace_csv(path) -> tuple[list[str], list[list[str]]]:

@@ -1,5 +1,6 @@
 """Nonsmooth penalties lam * Omega(beta): the l1 norm and weighted group norms,
-their exact proximal maps, and the induced block-selection linear map."""
+their exact proximal maps, and the norm of the block-selection map A that the
+smoothing module applies through a structure's flat block layout."""
 
 from __future__ import annotations
 
@@ -82,8 +83,9 @@ class GroupStructure:
         self.visit_groups = [cleaned[k] for k in order]
         self.visit_weights = weights[order]
 
-        # Flat block layout in stored group order, shared by the linear map and
-        # the smoothing code: one slice of length |g| per group.
+        # Flat block layout in stored group order, one slice of length |g| per
+        # group: A x = lam * rep_weights * x[flat_index] in smoothing, and the
+        # penalty's block norms in evaluate.
         self.flat_index = np.concatenate(cleaned)
         self.offsets = np.zeros(len(cleaned), dtype=np.int64)
         np.cumsum(self.sizes[:-1], out=self.offsets[1:])
@@ -174,10 +176,6 @@ class Regularizer:
             raise DimensionError(
                 f"structure dimension {self.structure.p} != p {self.p}"
             )
-
-    @property
-    def kind(self) -> str:
-        return "l1" if self.structure is None else "group"
 
 
 def l1(lam: float, p: int) -> Regularizer:
@@ -282,61 +280,18 @@ def _prox_dual_ascent(st: GroupStructure, lam: float, u: Array, eta: float) -> A
     )
 
 
-class LinearMapA:
-    """The block-selection map beta -> stacked (lam * w_g * beta_g) over groups.
-
-    Rows are ordered by group (stored order), then by coordinate within each
-    group; only apply/adjoint are provided, the matrix is never materialized.
-    """
-
-    def __init__(self, lam: float, structure: GroupStructure):
-        if lam < 0:
-            raise ParameterError(f"lambda must be >= 0, got {lam}")
-        self.lam = lam
-        self.structure = structure
-
-    @property
-    def rows(self) -> int:
-        return int(self.structure.sizes.sum())
-
-    def apply(self, beta) -> Array:
-        beta = as_vector(beta)
-        st = self.structure
-        if beta.shape[0] != st.p:
-            raise DimensionError(f"beta has length {beta.shape[0]}, expected {st.p}")
-        return self.lam * st.rep_weights * beta[st.flat_index]
-
-    def adjoint(self, v) -> Array:
-        v = as_vector(v)
-        st = self.structure
-        if v.shape[0] != self.rows:
-            raise DimensionError(f"v has length {v.shape[0]}, expected {self.rows}")
-        return np.bincount(
-            st.flat_index, weights=self.lam * st.rep_weights * v, minlength=st.p
-        )
-
-    @property
-    def operator_norm(self) -> float:
-        # A^T A is diagonal with entries lam^2 * sum_{g containing j} w_g^2, so the
-        # spectral norm is the square root of the largest diagonal entry.
-        st = self.structure
-        col_sq = np.bincount(
-            st.flat_index, weights=st.rep_weights**2, minlength=st.p
-        )
-        return float(self.lam * np.sqrt(col_sq.max()))
-
-
-def linear_map(reg: Regularizer) -> LinearMapA:
-    """The map whose dual-ball maximization reproduces lam * Omega."""
-    st = reg.structure if reg.structure is not None else singleton_structure(reg.p)
-    return LinearMapA(reg.lam, st)
-
-
 def operator_norm(reg: Regularizer) -> float:
-    """Spectral norm of the induced linear map (lam for plain l1)."""
+    """Spectral norm of the map A behind the smoothing (lam for plain l1).
+
+    For a group norm A x = (lam * w_g * x_g)_g, so A^T A is diagonal with
+    entries lam^2 * sum_{g containing j} w_g^2 and the norm is lam times the
+    square root of the largest of those sums.
+    """
     if reg.structure is None:
         return float(reg.lam)
-    return LinearMapA(reg.lam, reg.structure).operator_norm
+    st = reg.structure
+    col_sq = np.bincount(st.flat_index, weights=st.rep_weights**2, minlength=st.p)
+    return float(reg.lam * np.sqrt(col_sq.max()))
 
 
 def save_group_structure(st: GroupStructure, path) -> None:

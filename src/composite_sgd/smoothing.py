@@ -6,6 +6,11 @@ strongly convex term (mu/2) ||v||^2 inside the max yields a value h_mu(x) with
     h_mu(x) <= lam * Omega(x) <= h_mu(x) + mu * M,   M = max_{v in Q} (1/2)||v||^2,
 
 whose gradient A^T v_mu(x) is Lipschitz with constant ||A||^2 / (c mu), c = 1.
+
+A is never built: for l1 it is lam * I, and for a group norm it maps x to
+(lam * w_g * x_g)_g in the structure's flat block layout, so A x is
+``lam * rep_weights * x[flat_index]`` and A^T v scatters back with
+``np.bincount`` over ``flat_index``.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, ParameterError, as_vector
-from .regularizers import LinearMapA, Regularizer, linear_map, operator_norm
+from .core import Array, DimensionError, ParameterError, as_vector
+from .regularizers import Regularizer, operator_norm
 
 # Substitute for mu when the penalty vanishes (lam = 0) and the schedule would
 # otherwise divide by it; the smoothing is flagged inert and bypassed.
@@ -29,11 +34,15 @@ class SmoothedRegularizer:
     A_norm: float
     M: float
     c: float = 1.0
-    inert: bool = False
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
+
+    @property
+    def inert(self) -> bool:
+        """True when A = 0, so the smoothed penalty and its gradient vanish."""
+        return self.A_norm == 0.0
 
 
 def mu_schedule(A_norm: float, N: int) -> tuple[float, bool]:
@@ -51,20 +60,34 @@ def smoothed(reg: Regularizer, mu: float | None = None, N: int | None = None) ->
     if mu is None:
         if N is None:
             raise ParameterError("pass either mu or the iteration count N")
-        mu, inert = mu_schedule(a_norm, N)
-    else:
-        if mu <= 0:
-            raise ParameterError(f"mu must be > 0, got {mu}")
-        inert = a_norm == 0.0
+        mu, _ = mu_schedule(a_norm, N)
     if reg.structure is None:
         m_const = reg.p / 2.0
     else:
         m_const = len(reg.structure) / 2.0
-    return SmoothedRegularizer(reg, float(mu), a_norm, m_const, 1.0, inert)
+    return SmoothedRegularizer(reg, float(mu), a_norm, m_const, 1.0)
 
 
-def _map(s: SmoothedRegularizer) -> LinearMapA:
-    return linear_map(s.base)
+def _apply(s: SmoothedRegularizer, x) -> Array:
+    # A x, after checking that x is a vector of length p.
+    x = as_vector(x)
+    reg = s.base
+    if x.shape[0] != reg.p:
+        raise DimensionError(f"x has length {x.shape[0]}, expected {reg.p}")
+    if reg.structure is None:
+        return reg.lam * x
+    st = reg.structure
+    return reg.lam * st.rep_weights * x[st.flat_index]
+
+
+def _project(s: SmoothedRegularizer, ax: Array) -> Array:
+    # v_mu: A x / mu projected onto Q, one unit ball per coordinate (l1) or group.
+    t = ax / s.mu
+    st = s.base.structure
+    if st is None:
+        return np.clip(t, -1.0, 1.0)
+    factor = 1.0 / np.maximum(st.block_norms(t), 1.0)
+    return t * np.repeat(factor, st.sizes)
 
 
 def maximizer(s: SmoothedRegularizer, x) -> Array:
@@ -73,47 +96,30 @@ def maximizer(s: SmoothedRegularizer, x) -> Array:
     l1: per-coordinate clamp of lam * x / mu to [-1, 1]. Group norm: per-group
     projection of lam * w_g * x_g / mu onto the unit ball.
     """
-    x = as_vector(x)
-    if s.mu <= 0:
-        raise ParameterError(f"mu must be > 0, got {s.mu}")
-    reg = s.base
-    if reg.structure is None:
-        return np.clip(reg.lam * x / s.mu, -1.0, 1.0)
-    st = reg.structure
-    t = _map(s).apply(x) / s.mu
-    norms = st.block_norms(t)
-    factor = 1.0 / np.maximum(norms, 1.0)
-    return t * np.repeat(factor, st.sizes)
+    return _project(s, _apply(s, x))
 
 
 def smoothed_value(s: SmoothedRegularizer, x) -> float:
     """h_mu(x) = v^T A x - (mu/2) ||v||^2 at the maximizing v."""
-    x = as_vector(x)
-    v = maximizer(s, x)
-    reg = s.base
-    if reg.structure is None:
-        ax = reg.lam * x
-    else:
-        ax = _map(s).apply(x)
+    ax = _apply(s, x)
+    v = _project(s, ax)
     return float(v @ ax - 0.5 * s.mu * (v @ v))
 
 
 def smoothed_gradient(s: SmoothedRegularizer, x) -> Array:
     """Gradient A^T v_mu(x); for l1 this is lam * clamp(lam * x / mu, -1, 1)."""
-    x = as_vector(x)
     v = maximizer(s, x)
     reg = s.base
     if reg.structure is None:
         return reg.lam * v
-    return _map(s).adjoint(v)
+    st = reg.structure
+    return np.bincount(st.flat_index, weights=reg.lam * st.rep_weights * v, minlength=st.p)
 
 
 def lipschitz_mu(L: float, s: SmoothedRegularizer) -> float:
     """Gradient Lipschitz constant of the smoothed composite: L + ||A||^2 / (c mu)."""
     if L < 0:
         raise ParameterError(f"L must be >= 0, got {L}")
-    if s.mu <= 0:
-        raise ParameterError(f"mu must be > 0, got {s.mu}")
     if s.inert:
         return float(L)
     return float(L + s.A_norm**2 / (s.c * s.mu))

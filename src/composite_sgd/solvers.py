@@ -145,20 +145,15 @@ def _check_overflow(z: Array, x: Array, t: int) -> None:
 class _Tracer:
     """Collects (iteration, elapsed, exact objective) rows on a fixed stride."""
 
-    def __init__(self, objective: Callable[[Array], float], every: int,
-                 reference: Optional[float]):
+    def __init__(self, objective: Callable[[Array], float], every: int):
         self.objective = objective
         self.every = every
-        self.reference = reference
         self.rows: List[TraceRecord] = []
         self.start = time.perf_counter()
 
     def record(self, iteration: int, x: Array) -> None:
         value = float(self.objective(x))
-        gap = None if self.reference is None else value - self.reference
-        self.rows.append(
-            TraceRecord(iteration, time.perf_counter() - self.start, value, gap)
-        )
+        self.rows.append(TraceRecord(iteration, time.perf_counter() - self.start, value))
 
     def maybe_record(self, t: int, N: int, x: Array) -> None:
         if self.every > 0 and ((t + 1) % self.every == 0 or t == N):
@@ -166,15 +161,14 @@ class _Tracer:
 
 
 def _run_two_sequence(oracle, step, reg, sched: Schedule, gamma_fn, rng,
-                      smooth_objective, trace_every, reference_objective):
+                      smooth_objective, trace_every):
     # The one recursion; ``step(y, g, z, eta)`` maps to z_{t+1} and ``reg`` is
     # the exact penalty the traces add to smooth_objective.
     N, L_eff = sched.N, sched.L_eff
     p = oracle.dim
     x = np.zeros(p)
     z = np.zeros(p)
-    tracer = _Tracer(lambda v: smooth_objective(v) + evaluate(reg, v),
-                     trace_every, reference_objective)
+    tracer = _Tracer(lambda v: smooth_objective(v) + evaluate(reg, v), trace_every)
     if trace_every > 0:
         tracer.record(0, x)
     for t in range(N + 1):
@@ -196,8 +190,7 @@ def _run_two_sequence(oracle, step, reg, sched: Schedule, gamma_fn, rng,
 
 def run_sg(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
            rng: RngStream, smooth_objective: Callable[[Array], float],
-           trace_every: int = 1,
-           reference_objective: Optional[float] = None) -> Tuple[Array, List[TraceRecord]]:
+           trace_every: int = 1) -> Tuple[Array, List[TraceRecord]]:
     """Stochastic proximal loop with the accelerated two-sequence schedule.
 
     Runs iterations t = 0..N from x_0 = z_0 = 0 and returns x_{N+1} together
@@ -209,13 +202,13 @@ def run_sg(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
     sched = Schedule(N, L)
     step = lambda y, g, z, eta: prox(reg, g, z, eta)
     return _run_two_sequence(oracle, step, reg, sched, sched.gamma, rng,
-                             smooth_objective, trace_every, reference_objective)
+                             smooth_objective, trace_every)
 
 
 def run_acsa(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
              params: AcsaParams, rng: RngStream,
-             smooth_objective: Callable[[Array], float], trace_every: int = 1,
-             reference_objective: Optional[float] = None) -> Tuple[Array, List[TraceRecord]]:
+             smooth_objective: Callable[[Array], float],
+             trace_every: int = 1) -> Tuple[Array, List[TraceRecord]]:
     """Baseline: the sg loop with step sizes gamma_t = 2 gamma* / (L (t+1))."""
     if L <= 0:
         raise ParameterError(f"L must be > 0, got {L}")
@@ -223,13 +216,12 @@ def run_acsa(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
     gamma_fn = lambda t: 2.0 * params.gamma_star / (L * (t + 1.0))
     step = lambda y, g, z, eta: prox(reg, g, z, eta)
     return _run_two_sequence(oracle, step, reg, sched, gamma_fn, rng,
-                             smooth_objective, trace_every, reference_objective)
+                             smooth_objective, trace_every)
 
 
 def run_ssg(oracle: StochasticOracle, sreg: SmoothedRegularizer, L: float, N: int,
             rng: RngStream, smooth_objective: Callable[[Array], float],
-            trace_every: int = 1,
-            reference_objective: Optional[float] = None) -> Tuple[Array, List[TraceRecord]]:
+            trace_every: int = 1) -> Tuple[Array, List[TraceRecord]]:
     """Smoothed variant: closed-form steps against G + A^T v_mu, traced on the
     original (non-smoothed) objective.
 
@@ -248,4 +240,4 @@ def run_ssg(oracle: StochasticOracle, sreg: SmoothedRegularizer, L: float, N: in
         return z - g / eta
 
     return _run_two_sequence(oracle, step, sreg.base, sched, sched.gamma, rng,
-                             smooth_objective, trace_every, reference_objective)
+                             smooth_objective, trace_every)

@@ -310,6 +310,12 @@ mu_override = 0.01
         assert summary["config"]["mu_override"] == 0.01
         assert np.isfinite(summary["final_objective"])
 
+    def test_non_integer_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COMPOSITE_SGD_THREADS", "two")
+        cfg_path = write_cfg(tmp_path, SMALL_RUN)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: COMPOSITE_SGD_THREADS:")
+
     def test_custom_structure_missing_file_exits_2(self, tmp_path, capsys):
         text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
         text += "structure_file = /nonexistent/groups.txt\n"
@@ -435,6 +441,16 @@ class TestCompareCommand:
         b = (tmp_path / "b.cfg").read_text().replace("seed = 3", "seed = 4")
         (tmp_path / "b.cfg").write_text(b)
         assert main(["compare", str(tmp_path)]) == 2
+
+    def test_mismatched_structure_file_rejected(self, tmp_path, capsys):
+        (tmp_path / "g1.txt").write_text("1: 1,2\n1: 3,4\n")
+        (tmp_path / "g2.txt").write_text("2: 1,2,3\n1: 4\n")
+        custom = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
+        (tmp_path / "a.cfg").write_text(custom + f"structure_file = {tmp_path / 'g1.txt'}\n")
+        b = custom.replace("solver = sg", "solver = ssg")
+        (tmp_path / "b.cfg").write_text(b + f"structure_file = {tmp_path / 'g2.txt'}\n")
+        assert main(["compare", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: structure_file: mismatch")
 
     def test_differing_trace_grids_inner_join(self, tmp_path):
         # solvers may trace on different strides; the merge keeps shared iterations

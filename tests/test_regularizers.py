@@ -7,12 +7,10 @@ from hypothesis.extra.numpy import arrays
 from composite_sgd.core import ConvergenceError, DimensionError, ParameterError, RngStream
 from composite_sgd.regularizers import (
     GroupStructure,
-    LinearMapA,
     build_hierarchical,
     evaluate,
     group_norm,
     l1,
-    linear_map,
     load_group_structure,
     operator_norm,
     prox,
@@ -559,16 +557,6 @@ class TestSoftThreshold:
 
 
 class TestLinearMap:
-    def test_apply_adjoint_match_materialized(self):
-        rng = RngStream(3)
-        st = build_hierarchical(3)
-        amap = LinearMapA(0.3, st)
-        A = materialize_map(0.3, st.groups, st.weights, st.p)
-        x = rng.normal(8)
-        v = rng.normal(A.shape[0])
-        assert np.allclose(amap.apply(x), A @ x, atol=1e-12)
-        assert np.allclose(amap.adjoint(v), A.T @ v, atol=1e-12)
-
     def test_entries(self):
         st = GroupStructure([np.array([0, 1])], np.array([2.0]), 2)
         A = materialize_map(0.5, st.groups, st.weights, 2)

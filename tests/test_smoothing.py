@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from composite_sgd.core import ParameterError, RngStream
+from composite_sgd.core import DimensionError, ParameterError, RngStream
 from composite_sgd.regularizers import (
     GroupStructure,
     build_hierarchical,
@@ -19,7 +19,7 @@ from composite_sgd.smoothing import (
     smoothed_value,
 )
 
-from _reference import central_difference
+from _reference import central_difference, materialize_map
 
 
 def group_pair():
@@ -146,6 +146,51 @@ class TestSmoothedGradient:
             y = 3.0 * rng.normal(8)
             lhs = np.linalg.norm(smoothed_gradient(s, x) - smoothed_gradient(s, y))
             assert lhs <= constant * np.linalg.norm(x - y) + 1e-10
+
+
+def random_overlapping_structure(p=12, count=8, seed=5):
+    gen = np.random.default_rng(seed)
+    groups = [gen.choice(p, size=gen.integers(2, 6), replace=False) for _ in range(count)]
+    st = GroupStructure(groups, gen.uniform(0.5, 2.0, count), p)
+    assert not st.is_laminar
+    return st
+
+
+class TestDualMap:
+    """The smoothing against the dense matrix A of the block-selection map."""
+
+    @pytest.mark.parametrize(
+        "structure", [lambda: build_hierarchical(3), random_overlapping_structure],
+        ids=["hierarchical", "overlapping"],
+    )
+    def test_gradient_is_adjoint_of_projected_maximizer(self, structure):
+        st = structure()
+        lam, mu = 0.3, 0.05
+        s = smoothed(group_norm(lam, st), mu=mu)
+        A = materialize_map(lam, st.groups, st.weights, st.p)
+        bounds = np.cumsum([0] + [len(g) for g in st.groups])
+        rng = RngStream(3)
+        for _ in range(20):
+            x = 3.0 * rng.normal(st.p)
+            t = A @ x / mu
+            projected = np.concatenate([
+                t[lo:hi] / max(1.0, np.linalg.norm(t[lo:hi]))
+                for lo, hi in zip(bounds, bounds[1:])
+            ])
+            v = maximizer(s, x)
+            assert np.max(np.abs(v - projected)) <= 1e-12
+            assert np.max(np.abs(smoothed_gradient(s, x) - A.T @ v)) <= 1e-12
+
+
+@pytest.mark.parametrize("fn", [maximizer, smoothed_value, smoothed_gradient])
+@pytest.mark.parametrize(
+    "reg", [l1(0.1, 4), group_norm(0.1, build_hierarchical(2))], ids=["l1", "group"]
+)
+def test_wrong_length_raises(fn, reg):
+    s = smoothed(reg, mu=1.0)
+    for bad in (np.ones(3), np.ones(7)):
+        with pytest.raises(DimensionError):
+            fn(s, bad)
 
 
 class TestConstants:
