@@ -32,8 +32,6 @@ from .smoothing import (
     smoothed_value,
 )
 from .solvers import (
-    AcsaParams,
-    Schedule,
     pilot_sigma_sq,
     resolve_acsa_params,
     run_acsa,

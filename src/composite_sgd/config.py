@@ -6,6 +6,7 @@ errors. ``solver`` and ``seed`` accept comma-separated lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,6 +76,8 @@ def _get_float(pairs, key, minimum=None, strict=False):
         value = float(pairs[key])
     except ValueError:
         raise ConfigError(key, f"expected a number, got {pairs[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {pairs[key]!r}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
         op = ">" if strict else ">="
         raise ConfigError(key, f"must be {op} {minimum}, got {value}")

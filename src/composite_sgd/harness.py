@@ -120,9 +120,9 @@ def read_trace_csv(path) -> tuple[list[str], list[list[str]]]:
 
 
 def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[dict]:
-    """Build one seed's instance, pilot sigma^2 and smoothed penalty once, run
-    each of ``solvers`` on them and write its trace; returns the summaries in
-    ``solvers`` order."""
+    """Build one seed's instance, pilot sigma^2, acsa's gamma* and smoothed
+    penalty once, run each of ``solvers`` on them and write its trace; returns
+    the summaries in ``solvers`` order."""
     setup = build_problem(cfg, seed)
     pilot_rng = RngStream(seed).split(STREAM_PILOT)
     if cfg.acsa_sigma_sq is not None:
@@ -132,6 +132,8 @@ def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[dict]:
     else:
         sigma_sq = sv.pilot_sigma_sq(setup.oracle, np.zeros(setup.p), pilot_rng)
     sigma = float(np.sqrt(sigma_sq))
+    gamma_star = sv.resolve_acsa_params(setup.oracle, setup.L, cfg.N, pilot_rng,
+                                        sigma_sq=sigma_sq, D=cfg.acsa_d)
     sreg = smoothed(setup.reg, mu=cfg.mu_override, N=cfg.N)
     bounds = {
         "sigma_sq_pilot": float(sigma_sq),
@@ -155,11 +157,7 @@ def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[dict]:
             x, trace = sv.run_ssg(setup.oracle, sreg, setup.L, cfg.N, solver_rng,
                                   setup.smooth_objective, trace_every=cfg.trace_every)
         else:
-            params = sv.resolve_acsa_params(
-                setup.oracle, setup.L, cfg.N, pilot_rng.split(0),
-                sigma_sq=sigma_sq, D=cfg.acsa_d,
-            )
-            x, trace = sv.run_acsa(setup.oracle, setup.reg, setup.L, cfg.N, params,
+            x, trace = sv.run_acsa(setup.oracle, setup.reg, setup.L, cfg.N, gamma_star,
                                    solver_rng, setup.smooth_objective,
                                    trace_every=cfg.trace_every)
         wall = time.perf_counter() - started
@@ -255,8 +253,6 @@ class BoundsReport:
 def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
     """Run R seeded repetitions on an instance with a known optimum and compare
     the seed-mean final gap against the matching convergence bound."""
-    lam = cfg.lam if cfg.lam is not None else 0.0
-
     if cfg.problem == "quadratic":
         target = np.zeros(cfg.p)
         target[0] = cfg.D
@@ -268,8 +264,8 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
         D = cfg.D
     else:
         data_rng = RngStream(cfg.seed).split(STREAM_DATA)
-        dataset, x_star = pb.ortho_lasso_instance(cfg.p, lam, data_rng)
-        reg = rg.l1(lam, cfg.p)
+        dataset, x_star = pb.ortho_lasso_instance(cfg.p, cfg.lam, data_rng)
+        reg = rg.l1(cfg.lam, cfg.p)
         L = pb.lipschitz_linear(dataset, "scaled")
         objective = lambda x: pb.exact_objective_linear(dataset, x)
         grad = lambda x: pb.exact_gradient_linear(dataset, x)
@@ -278,26 +274,24 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
     phi = lambda x: objective(x) + rg.evaluate(reg, x)
     phi_star = phi(x_star)
 
-    gaps = []
-    for r in range(cfg.R):
-        rng = RngStream(cfg.seed + r).split(STREAM_SOLVER)
-        oracle = pb.ExactOracle(grad, cfg.p)
-        if cfg.sigma > 0:
-            oracle = pb.GaussianNoiseOracle(oracle, cfg.sigma)
-        if cfg.solver == "sg":
-            x, _ = sv.run_sg(oracle, reg, L, cfg.N, rng, objective, trace_every=0)
-        else:
-            sreg = smoothed(reg, N=cfg.N)
-            x, _ = sv.run_ssg(oracle, sreg, L, cfg.N, rng, objective, trace_every=0)
-        gaps.append(phi(x) - phi_star)
-
-    mean_gap = float(np.mean(gaps))
-    if cfg.solver == "ssg" and lam > 0:
+    oracle = pb.ExactOracle(grad, cfg.p)
+    if cfg.sigma > 0:
+        oracle = pb.GaussianNoiseOracle(oracle, cfg.sigma)
+    if cfg.solver == "sg":
+        run = lambda rng: sv.run_sg(oracle, reg, L, cfg.N, rng, objective, trace_every=0)
+        bound = sv.theorem_bound(D, cfg.sigma, L, cfg.N)
+    else:
+        # With no penalty ||A|| = 0 and this is exactly theorem_bound.
         sreg = smoothed(reg, N=cfg.N)
+        run = lambda rng: sv.run_ssg(oracle, sreg, L, cfg.N, rng, objective, trace_every=0)
         bound = sv.theorem_bound_smoothed(D, cfg.sigma, L, sreg.A_norm, sreg.M,
                                           sreg.c, cfg.N)
-    else:
-        bound = sv.theorem_bound(D, cfg.sigma, L, cfg.N)
+
+    gaps = []
+    for r in range(cfg.R):
+        x, _ = run(RngStream(cfg.seed + r).split(STREAM_SOLVER))
+        gaps.append(phi(x) - phi_star)
+    mean_gap = float(np.mean(gaps))
 
     return BoundsReport(
         mean_gap=mean_gap,

@@ -285,13 +285,15 @@ def lipschitz_linear(d: Dataset, convention: str = "scaled") -> float:
     """Largest eigenvalue of X^T X by power iteration.
 
     ``scaled`` divides by K, giving the true gradient Lipschitz constant of the
-    averaged loss; ``paper`` returns the raw eigenvalue.
+    averaged loss; ``paper`` returns the raw eigenvalue. A wide design (K < p)
+    iterates on the K x K matrix X X^T instead, which has the same largest
+    eigenvalue, so the matrix formed is min(K, p) on a side.
     """
     if convention not in ("paper", "scaled"):
         raise ParameterError(f"unknown convention {convention!r}")
-    M = d.X.T @ d.X
+    M = d.X @ d.X.T if d.K < d.p else d.X.T @ d.X
     start = RngStream(_POWER_SEED)
-    b = start.normal(d.p)
+    b = start.normal(M.shape[0])
     b /= np.linalg.norm(b)
     lam = 0.0
     for _ in range(POWER_ITERATION_MAX):

@@ -23,7 +23,7 @@ from .core import Array, DimensionError, ParameterError, as_vector
 from .regularizers import Regularizer, operator_norm
 
 # Substitute for mu when the penalty vanishes (lam = 0) and the schedule would
-# otherwise divide by it; the smoothing is flagged inert and bypassed.
+# otherwise divide by it. A = 0 then, so L_mu = L and the smoothed gradient is 0.
 MU_FLOOR = 1e-12
 
 
@@ -39,19 +39,14 @@ class SmoothedRegularizer:
         if self.mu <= 0:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
 
-    @property
-    def inert(self) -> bool:
-        """True when A = 0, so the smoothed penalty and its gradient vanish."""
-        return self.A_norm == 0.0
 
-
-def mu_schedule(A_norm: float, N: int) -> tuple[float, bool]:
-    """Horizon schedule mu = ||A|| / (N + 2); (MU_FLOOR, inert) when ||A|| = 0."""
+def mu_schedule(A_norm: float, N: int) -> float:
+    """Horizon schedule mu = ||A|| / (N + 2); MU_FLOOR when ||A|| = 0."""
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
     if A_norm == 0.0:
-        return MU_FLOOR, True
-    return A_norm / (N + 2), False
+        return MU_FLOOR
+    return A_norm / (N + 2)
 
 
 def smoothed(reg: Regularizer, mu: float | None = None, N: int | None = None) -> SmoothedRegularizer:
@@ -60,7 +55,7 @@ def smoothed(reg: Regularizer, mu: float | None = None, N: int | None = None) ->
     if mu is None:
         if N is None:
             raise ParameterError("pass either mu or the iteration count N")
-        mu, _ = mu_schedule(a_norm, N)
+        mu = mu_schedule(a_norm, N)
     if reg.structure is None:
         m_const = reg.p / 2.0
     else:
@@ -120,6 +115,4 @@ def lipschitz_mu(L: float, s: SmoothedRegularizer) -> float:
     """Gradient Lipschitz constant of the smoothed composite: L + ||A||^2 / (c mu)."""
     if L < 0:
         raise ParameterError(f"L must be >= 0, got {L}")
-    if s.inert:
-        return float(L)
     return float(L + s.A_norm**2 / (s.c * s.mu))

@@ -3,21 +3,24 @@
 Three variants share one accelerated two-sequence recursion driven by a
 stochastic gradient oracle G with E G(x, .) = grad f(x):
 
-    y_t     = (1 - theta_t) x_t + theta_t z_t
-    z_{t+1} = argmin_x { <x, d_t> + (gamma_t L_eff / 2) ||x - z_t||^2 + h(x) }
+    y_t     = (1 - theta_t) x_t + theta_t z_t,      theta_t = 2 / (2 + t)
+    z_{t+1} = argmin_x { <x, d_t> + (eta(t) / 2) ||x - z_t||^2 + h(x) }
     x_{t+1} = (1 - theta_t) x_t + theta_t z_{t+1}
 
-``sg``   takes d_t = G(y_t), h = the penalty, and solves the prox exactly.
+They differ only in the step map and in the prox weight eta(t) = gamma_t L_eff:
+
+``sg``   takes d_t = G(y_t), h = the penalty, solves the prox exactly, and uses
+         eta(t) = gamma_t L with gamma_t = (2/(t+2)) (N^{3/2}/L + 2).
 ``ssg``  replaces the penalty by its smoothed form: d_t = G(y_t) + A^T v_mu(y_t),
-         h = 0, so the prox step is the closed-form z_t - d_t / (gamma_t L_mu).
-``acsa`` is the sg loop with the baseline step sizes gamma_t = 2 gamma* / (L (t+1)).
+         h = 0, so the prox step is the closed-form z_t - d_t / eta(t); eta(t)
+         is sg's with L replaced by L_mu = L + ||A||^2 / (c mu).
+``acsa`` is the sg step map with the baseline weight eta(t) = 2 gamma* / (L (t+1)) L.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -39,39 +42,6 @@ class StochasticOracle(Protocol):
     def sample(self, x: Array, rng: RngStream) -> Array: ...
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Step-size sequences theta_t = 2/(2+t), gamma_t = (2/(t+2)) (N^{3/2}/L_eff + 2).
-
-    They satisfy gamma_t > theta_t and the telescoping inequality
-    (1 - theta_{t+1}) / (theta_{t+1} gamma_{t+1}) <= 1 / (theta_t gamma_t).
-    """
-
-    N: int
-    L_eff: float
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ParameterError(f"N must be >= 1, got {self.N}")
-        if self.L_eff <= 0:
-            raise ParameterError(f"L_eff must be > 0, got {self.L_eff}")
-
-    def theta(self, t: int) -> float:
-        return 2.0 / (2.0 + t)
-
-    def gamma(self, t: int) -> float:
-        return (2.0 / (t + 2.0)) * (self.N**1.5 / self.L_eff + 2.0)
-
-
-@dataclass(frozen=True)
-class AcsaParams:
-    """Baseline step-size scale gamma* = max(2L, sqrt(2 sigma^2 N(N+1)(N+2) / (3 D^2)))."""
-
-    gamma_star: float
-    sigma_sq: float
-    D: float
-
-
 def pilot_sigma_sq(oracle: StochasticOracle, x0: Array, rng: RngStream,
                    draws: int = ACSA_PILOT_DRAWS) -> float:
     """Unbiased estimate of E ||G(x0) - grad f(x0)||^2 from repeated draws."""
@@ -84,8 +54,10 @@ def pilot_sigma_sq(oracle: StochasticOracle, x0: Array, rng: RngStream,
 
 def resolve_acsa_params(oracle: StochasticOracle, L: float, N: int, rng: RngStream,
                         sigma_sq: Optional[float] = None, D: float = 1.0,
-                        pilot_draws: int = ACSA_PILOT_DRAWS) -> AcsaParams:
-    """Fill in gamma*; sigma^2 defaults to a pilot estimate at the origin.
+                        pilot_draws: int = ACSA_PILOT_DRAWS) -> float:
+    """The baseline step-size scale
+    gamma* = max(2L, sqrt(2 sigma^2 N(N+1)(N+2) / (3 D^2))), which ``run_acsa``
+    takes; sigma^2 defaults to a pilot estimate at the origin.
 
     Pass a dedicated substream for ``rng`` so the pilot draws do not shift the
     solver's own sample sequence.
@@ -96,11 +68,10 @@ def resolve_acsa_params(oracle: StochasticOracle, L: float, N: int, rng: RngStre
         sigma_sq = pilot_sigma_sq(oracle, np.zeros(oracle.dim), rng, pilot_draws)
     if sigma_sq < 0:
         raise ParameterError(f"sigma_sq must be >= 0, got {sigma_sq}")
-    gamma_star = max(
+    return max(
         2.0 * L,
         math.sqrt(2.0 * sigma_sq * N * (N + 1) * (N + 2) / (3.0 * D * D)),
     )
-    return AcsaParams(gamma_star, float(sigma_sq), float(D))
 
 
 def theorem_bound(D: float, sigma: float, L: float, N: int) -> float:
@@ -142,50 +113,52 @@ def _check_overflow(z: Array, x: Array, t: int) -> None:
         )
 
 
-class _Tracer:
-    """Collects (iteration, elapsed, exact objective) rows on a fixed stride."""
-
-    def __init__(self, objective: Callable[[Array], float], every: int):
-        self.objective = objective
-        self.every = every
-        self.rows: List[TraceRecord] = []
-        self.start = time.perf_counter()
-
-    def record(self, iteration: int, x: Array) -> None:
-        value = float(self.objective(x))
-        self.rows.append(TraceRecord(iteration, time.perf_counter() - self.start, value))
-
-    def maybe_record(self, t: int, N: int, x: Array) -> None:
-        if self.every > 0 and ((t + 1) % self.every == 0 or t == N):
-            self.record(t + 1, x)
+def _require_horizon(N: int, L_eff: float) -> None:
+    if N < 1:
+        raise ParameterError(f"N must be >= 1, got {N}")
+    if L_eff <= 0:
+        raise ParameterError(f"the Lipschitz constant must be > 0, got {L_eff}")
 
 
-def _run_two_sequence(oracle, step, reg, sched: Schedule, gamma_fn, rng,
-                      smooth_objective, trace_every):
-    # The one recursion; ``step(y, g, z, eta)`` maps to z_{t+1} and ``reg`` is
-    # the exact penalty the traces add to smooth_objective.
-    N, L_eff = sched.N, sched.L_eff
-    p = oracle.dim
-    x = np.zeros(p)
-    z = np.zeros(p)
-    tracer = _Tracer(lambda v: smooth_objective(v) + evaluate(reg, v), trace_every)
+def _horizon_eta(N: int, L_eff: float) -> Callable[[int], float]:
+    # eta(t) = gamma_t L_eff with gamma_t = (2/(t+2)) (N^{3/2}/L_eff + 2), which
+    # satisfies gamma_t > theta_t and the telescoping inequality
+    # (1 - theta_{t+1}) / (theta_{t+1} gamma_{t+1}) <= 1 / (theta_t gamma_t).
+    _require_horizon(N, L_eff)
+    scale = N**1.5 / L_eff + 2.0
+    return lambda t: (2.0 / (t + 2.0)) * scale * L_eff
+
+
+def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_every):
+    # The one recursion; ``step(y, g, z, eta(t))`` maps to z_{t+1}. Every
+    # ``trace_every`` iterations (and after the last) a row records the exact
+    # objective smooth_objective + the penalty ``reg`` at x.
+    x = np.zeros(oracle.dim)
+    z = np.zeros(oracle.dim)
+    rows: List[TraceRecord] = []
+    start = time.perf_counter()
+
+    def record(iteration, x):
+        value = float(smooth_objective(x) + evaluate(reg, x))
+        rows.append(TraceRecord(iteration, time.perf_counter() - start, value))
+
     if trace_every > 0:
-        tracer.record(0, x)
+        record(0, x)
     for t in range(N + 1):
-        th = sched.theta(t)
-        eta = gamma_fn(t) * L_eff
+        th = 2.0 / (2.0 + t)
         y = (1.0 - th) * x + th * z
         g = oracle.sample(y, rng)
         try:
-            z = step(y, g, z, eta)
+            z = step(y, g, z, eta(t))
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"prox failed at iteration {t}: {exc}", last_iterate=exc.last_iterate
             ) from exc
         x = (1.0 - th) * x + th * z
         _check_overflow(z, x, t)
-        tracer.maybe_record(t, N, x)
-    return x, tracer.rows
+        if trace_every > 0 and ((t + 1) % trace_every == 0 or t == N):
+            record(t + 1, x)
+    return x, rows
 
 
 def run_sg(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
@@ -197,25 +170,21 @@ def run_sg(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
     with trace rows of the exact objective smooth_objective + penalty, sampled
     every ``trace_every`` iterations (0 disables tracing).
     """
-    if L <= 0:
-        raise ParameterError(f"L must be > 0, got {L}")
-    sched = Schedule(N, L)
     step = lambda y, g, z, eta: prox(reg, g, z, eta)
-    return _run_two_sequence(oracle, step, reg, sched, sched.gamma, rng,
+    return _run_two_sequence(oracle, step, _horizon_eta(N, L), N, reg, rng,
                              smooth_objective, trace_every)
 
 
 def run_acsa(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
-             params: AcsaParams, rng: RngStream,
+             gamma_star: float, rng: RngStream,
              smooth_objective: Callable[[Array], float],
              trace_every: int = 1) -> Tuple[Array, List[TraceRecord]]:
-    """Baseline: the sg loop with step sizes gamma_t = 2 gamma* / (L (t+1))."""
-    if L <= 0:
-        raise ParameterError(f"L must be > 0, got {L}")
-    sched = Schedule(N, L)  # theta_t only; gamma comes from params
-    gamma_fn = lambda t: 2.0 * params.gamma_star / (L * (t + 1.0))
+    """Baseline: the sg loop with step sizes gamma_t = 2 gamma* / (L (t+1)),
+    where ``gamma_star`` is gamma* from ``resolve_acsa_params``."""
+    _require_horizon(N, L)
+    eta = lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L
     step = lambda y, g, z, eta: prox(reg, g, z, eta)
-    return _run_two_sequence(oracle, step, reg, sched, gamma_fn, rng,
+    return _run_two_sequence(oracle, step, eta, N, reg, rng,
                              smooth_objective, trace_every)
 
 
@@ -225,19 +194,11 @@ def run_ssg(oracle: StochasticOracle, sreg: SmoothedRegularizer, L: float, N: in
     """Smoothed variant: closed-form steps against G + A^T v_mu, traced on the
     original (non-smoothed) objective.
 
-    The effective Lipschitz constant is L_mu = L + ||A||^2 / (c mu); when the
-    penalty is absent (inert smoothing) the loop reduces to sg with h = 0.
+    The effective Lipschitz constant is L_mu = L + ||A||^2 / (c mu). A zero
+    penalty (A = 0) needs no special case: L_mu = L and A^T v_mu = 0.
     """
-    if L < 0:
-        raise ParameterError(f"L must be >= 0, got {L}")
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
-    sched = Schedule(N, lipschitz_mu(L, sreg))
-
     def step(y, g, z, eta):  # h = 0: the prox step is closed-form
-        if not sreg.inert:
-            g = g + smoothed_gradient(sreg, y)
-        return z - g / eta
+        return z - (g + smoothed_gradient(sreg, y)) / eta
 
-    return _run_two_sequence(oracle, step, sreg.base, sched, sched.gamma, rng,
-                             smooth_objective, trace_every)
+    return _run_two_sequence(oracle, step, _horizon_eta(N, lipschitz_mu(L, sreg)), N,
+                             sreg.base, rng, smooth_objective, trace_every)

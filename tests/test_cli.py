@@ -499,6 +499,27 @@ class TestVerifyBoundsCommand:
         assert main(["verify-bounds", str(cfg)]) == 2
 
 
+QUADRATIC_BOUNDS = "problem = quadratic\nsolver = sg\np = 8\nN = 98\nR = 3\n"
+ORTHO_BOUNDS = "problem = ortho-lasso\nsolver = sg\np = 8\nN = 98\nR = 1\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, base, key", [
+    pytest.param("run", SMALL_RUN, key, id=f"run-{key}")
+    for key in ("lambda", "mu_override", "acsa_sigma_sq", "acsa_d", "lipschitz_override")
+] + [
+    pytest.param("verify-bounds", QUADRATIC_BOUNDS, "sigma", id="bounds-sigma"),
+    pytest.param("verify-bounds", ORTHO_BOUNDS, "lambda", id="bounds-lambda"),
+    pytest.param("verify-bounds", QUADRATIC_BOUNDS, "D", id="bounds-D"),
+])
+def test_non_finite_float_exits_2_naming_key(tmp_path, capsys, command, base, key, value):
+    lines = [line for line in base.splitlines() if not line.startswith(f"{key} =")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    argv = [command, str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(argv) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
 class TestGenDataCommand:
     def test_writes_loadable_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, "problem = logistic\nK = 12\np = 5\nseed = 2\n")

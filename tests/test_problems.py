@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,10 +213,25 @@ class TestLipschitz:
         assert np.isclose(lipschitz_linear(d, "scaled"), 4.5, rtol=1e-7)
 
     def test_matches_dense_eigensolver(self):
-        X = RngStream(23).normal(1000).reshape(100, 10)
-        d = Dataset(X, np.zeros(100), "linear")
-        top = float(np.linalg.eigvalsh(X.T @ X).max())
-        assert np.isclose(lipschitz_linear(d, "paper"), top, rtol=1e-6)
+        # tall designs iterate on X^T X, wide ones on X X^T
+        for K, p in ((100, 10), (10, 100)):
+            X = RngStream(23).normal(K * p).reshape(K, p)
+            d = Dataset(X, np.zeros(K), "linear")
+            top = float(np.linalg.eigvalsh(X.T @ X).max())
+            assert np.isclose(lipschitz_linear(d, "paper"), top, rtol=1e-6)
+
+    def test_wide_design_allocates_no_p_by_p_gram(self):
+        # a 2 x 3000 design is 48 KB; its X^T X would be 72 MB
+        X = RngStream(28).normal(2 * 3000).reshape(2, 3000)
+        d = Dataset(X, np.zeros(2), "linear")
+        tracemalloc.start()
+        try:
+            value = lipschitz_linear(d, "paper")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.isclose(value, float(np.linalg.eigvalsh(X @ X.T).max()), rtol=1e-6)
 
     def test_unknown_convention(self):
         d = Dataset(np.eye(2), np.zeros(2), "linear")

@@ -199,20 +199,25 @@ class TestConstants:
         assert np.isclose(lipschitz_mu(1.0, s), 1.2)
 
     def test_inert_smoothing_keeps_base_constant(self):
-        s = smoothed(l1(0.0, 4), N=100)
-        assert s.inert
-        assert lipschitz_mu(1.0, s) == 1.0
+        # A = 0: mu falls back to MU_FLOOR, L_mu = L exactly and the gradient is 0
+        for reg in (l1(0.0, 4), group_norm(0.0, build_hierarchical(2))):
+            s = smoothed(reg, N=100)
+            assert s.A_norm == 0.0 and s.mu == MU_FLOOR
+            assert lipschitz_mu(1.0, s) == 1.0
+            x = np.linspace(-3.0, 3.0, reg.p)
+            assert np.array_equal(smoothed_gradient(s, x), np.zeros(reg.p))
+            assert smoothed_value(s, x) == 0.0
 
     def test_schedule_substitution_chain(self):
-        mu, inert = mu_schedule(0.1, 98)
-        assert mu == 0.001 and not inert
+        mu = mu_schedule(0.1, 98)
+        assert mu == 0.001
         s = smoothed(l1(0.1, 4), mu=mu)
         assert np.isclose(lipschitz_mu(1.0, s), 11.0)
 
     def test_mu_schedule_values(self):
-        assert mu_schedule(0.1, 98) == (0.001, False)
-        assert mu_schedule(0.0, 98) == (MU_FLOOR, True)
-        assert mu_schedule(1.0, 0) == (0.5, False)
+        assert mu_schedule(0.1, 98) == 0.001
+        assert mu_schedule(0.0, 98) == MU_FLOOR
+        assert mu_schedule(1.0, 0) == 0.5
 
     def test_m_constant(self):
         assert smoothed(l1(0.1, 10), mu=1.0).M == 5.0

@@ -20,8 +20,6 @@ from composite_sgd.regularizers import evaluate, l1
 from composite_sgd.smoothing import smoothed
 from composite_sgd import solvers
 from composite_sgd.solvers import (
-    AcsaParams,
-    Schedule,
     pilot_sigma_sq,
     resolve_acsa_params,
     run_acsa,
@@ -45,19 +43,65 @@ def quadratic_problem(p, distance=1.0):
     return a, objective, oracle
 
 
+class QueryRecorder:
+    """Exact gradient oracle that records every query point y_t."""
+
+    def __init__(self, grad, dim):
+        self.grad = grad
+        self.dim = dim
+        self.queries = []
+
+    def sample(self, x, rng):
+        self.queries.append(x.copy())
+        return self.grad(x)
+
+
 class TestSchedule:
+    """theta_t = 2/(2+t) and each solver's prox weight eta(t), seen through
+    the run_* entry points."""
+
     def test_theta_sequence(self):
-        sched = Schedule(4, 1.0)
-        assert [sched.theta(t) for t in range(5)] == [1.0, 2 / 3, 0.5, 0.4, 1 / 3]
+        # A reference recursion with theta_t = 2/(2+t), against each solver's
+        # query points y_t and result, bit for bit. With no penalty every step
+        # reduces to z - g / eta(t).
+        a = np.array([1.0, -2.0, 0.5])
+        N, L, gamma_star = 4, 2.0, 5.0
+        horizon = lambda t: (2.0 / (t + 2.0)) * (N**1.5 / L + 2.0) * L
+        baseline = lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L
+        reg = l1(0.0, 3)
+        runs = {
+            "sg": (horizon, lambda o: run_sg(o, reg, L, N, RngStream(0), None,
+                                             trace_every=0)),
+            "ssg": (horizon, lambda o: run_ssg(o, smoothed(reg, N=N), L, N, RngStream(0),
+                                               None, trace_every=0)),
+            "acsa": (baseline, lambda o: run_acsa(o, reg, L, N, gamma_star, RngStream(0),
+                                                  None, trace_every=0)),
+        }
+        for name, (eta, run) in runs.items():
+            x, z, ys = np.zeros(3), np.zeros(3), []
+            for t in range(N + 1):
+                th = 2.0 / (2.0 + t)
+                y = (1.0 - th) * x + th * z
+                ys.append(y)
+                z = z - (y - a) / eta(t)
+                x = (1.0 - th) * x + th * z
+            oracle = QueryRecorder(lambda v: v - a, 3)
+            x_run, _ = run(oracle)
+            assert np.array_equal(x_run, x), name
+            assert len(oracle.queries) == N + 1, name
+            assert all(np.array_equal(q, y) for q, y in zip(oracle.queries, ys)), name
 
     def test_gamma_zero(self):
-        # N^{3/2} = 8 at N = 4, so gamma_0 = (2/2)(8/1 + 2) = 10
-        assert Schedule(4, 1.0).gamma(0) == 10.0
+        # N^{3/2} = 8 at N = 4, so gamma_0 = (2/2)(8/1 + 2) = 10. theta_0 = 1
+        # makes y_0 = 0 and x_1 = z_1 = -g(0) / 10, and y_1 = z_1.
+        a = np.array([3.0, -1.0])
+        oracle = QueryRecorder(lambda v: v - a, 2)
+        run_sg(oracle, l1(0.0, 2), 1.0, 4, RngStream(0), None, trace_every=0)
+        assert np.array_equal(oracle.queries[1], a / 10.0)
 
     def test_inequalities_hold(self):
         for N in (1, 10, 100, 10_000):
             for L_eff in (1e-3, 1.0, 1e3):
-                sched = Schedule(N, L_eff)
                 t = np.arange(N + 1, dtype=np.float64)
                 theta = 2.0 / (2.0 + t)
                 gamma = (2.0 / (t + 2.0)) * (N**1.5 / L_eff + 2.0)
@@ -67,10 +111,17 @@ class TestSchedule:
                 assert np.all(lhs <= rhs + 1e-12)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            Schedule(0, 1.0)
-        with pytest.raises(ParameterError):
-            Schedule(5, 0.0)
+        # N >= 1 and L_eff > 0 are checked by every entry point; for ssg,
+        # L = 0 with no penalty gives L_mu = 0
+        _, objective, oracle = quadratic_problem(2)
+        reg = l1(0.0, 2)
+        for N, L in ((0, 1.0), (5, 0.0), (5, -1.0)):
+            with pytest.raises(ParameterError):
+                run_sg(oracle, reg, L, N, RngStream(0), objective)
+            with pytest.raises(ParameterError):
+                run_ssg(oracle, smoothed(reg, N=N), L, N, RngStream(0), objective)
+            with pytest.raises(ParameterError):
+                run_acsa(oracle, reg, L, N, 2.0, RngStream(0), objective)
 
 
 class TestRunSg:
@@ -149,6 +200,7 @@ class TestRunSg:
 
 class TestRunSsg:
     def test_inert_smoothing_equals_sg_without_penalty(self):
+        # A = 0: L_mu = L and the smoothed gradient is zero, so the step is sg's
         data = gen_linear_dataset(50, 6, RngStream(21).split(1))
         objective = lambda b: exact_objective_linear(data, b)
         oracle = MinibatchLinearOracle(data, 5)
@@ -156,7 +208,7 @@ class TestRunSsg:
         x_sg, _ = run_sg(oracle, reg0, 2.0, 80, RngStream(4), objective, trace_every=0)
         x_ssg, _ = run_ssg(oracle, smoothed(reg0, N=80), 2.0, 80, RngStream(4),
                            objective, trace_every=0)
-        assert np.allclose(x_sg, x_ssg, atol=1e-12, rtol=0.0)
+        assert np.array_equal(x_sg, x_ssg)
 
     def test_one_dimensional_lasso_meets_smoothed_bound(self):
         # f(x) = (x - b)^2 / 2 with l1 penalty: optimum soft-thresholds b
@@ -191,13 +243,12 @@ class TestRunSsg:
 class TestRunAcsa:
     def test_gamma_star_exact_branch(self):
         _, _, oracle = quadratic_problem(2)
-        params = resolve_acsa_params(oracle, 3.0, 10, RngStream(0), sigma_sq=0.0)
-        assert params.gamma_star == 6.0
+        assert resolve_acsa_params(oracle, 3.0, 10, RngStream(0), sigma_sq=0.0) == 6.0
 
     def test_gamma_star_variance_branch(self):
         _, _, oracle = quadratic_problem(2)
-        params = resolve_acsa_params(oracle, 1.0, 10, RngStream(0), sigma_sq=1.0, D=1.0)
-        assert np.isclose(params.gamma_star, np.sqrt(880.0))
+        gamma_star = resolve_acsa_params(oracle, 1.0, 10, RngStream(0), sigma_sq=1.0, D=1.0)
+        assert np.isclose(gamma_star, np.sqrt(880.0))
 
     def test_shares_sample_sequence_with_sg(self):
         data = gen_linear_dataset(40, 4, RngStream(7).split(1))
@@ -219,8 +270,7 @@ class TestRunAcsa:
         rec_sg = RecordingOracle()
         run_sg(rec_sg, l1(0.1, 4), 1.0, 30, RngStream(6), objective, trace_every=0)
         rec_acsa = RecordingOracle()
-        params = AcsaParams(gamma_star=2.0, sigma_sq=0.0, D=1.0)
-        run_acsa(rec_acsa, l1(0.1, 4), 1.0, 30, params, RngStream(6), objective,
+        run_acsa(rec_acsa, l1(0.1, 4), 1.0, 30, 2.0, RngStream(6), objective,
                  trace_every=0)
         assert len(rec_sg.draws) == len(rec_acsa.draws)
         for a, b in zip(rec_sg.draws, rec_acsa.draws):
@@ -228,8 +278,8 @@ class TestRunAcsa:
 
     def test_converges_on_quadratic(self):
         _, objective, oracle = quadratic_problem(4)
-        params = resolve_acsa_params(oracle, 1.0, 400, RngStream(1), sigma_sq=0.0)
-        x, _ = run_acsa(oracle, l1(0.0, 4), 1.0, 400, params, RngStream(2),
+        gamma_star = resolve_acsa_params(oracle, 1.0, 400, RngStream(1), sigma_sq=0.0)
+        x, _ = run_acsa(oracle, l1(0.0, 4), 1.0, 400, gamma_star, RngStream(2),
                         objective, trace_every=0)
         assert objective(x) < 1e-3
 
@@ -237,8 +287,7 @@ class TestRunAcsa:
 @pytest.mark.parametrize("run", [
     lambda oracle, reg, f: run_sg(oracle, reg, 1.0, 5, RngStream(0), f),
     lambda oracle, reg, f: run_ssg(oracle, smoothed(reg, N=5), 1.0, 5, RngStream(0), f),
-    lambda oracle, reg, f: run_acsa(oracle, reg, 1.0, 5, AcsaParams(2.0, 0.0, 1.0),
-                                    RngStream(0), f),
+    lambda oracle, reg, f: run_acsa(oracle, reg, 1.0, 5, 2.0, RngStream(0), f),
 ], ids=["sg", "ssg", "acsa"])
 def test_nan_oracle_trips_divergence_guard(run):
     # NaN compares False with everything, so a "> limit" guard would let it pass
