@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from composite_sgd import regularizers
 from composite_sgd.core import ConvergenceError, RngStream
 
 
@@ -129,12 +128,12 @@ def prox_laminar_loop(u, lam, eta, groups, weights):
     return x
 
 
-def prox_dual_ascent_loop(u, lam, eta, groups, weights):
+def prox_dual_ascent_loop(u, lam, eta, groups, weights, tol=1e-15, max_sweeps=100_000):
     """Overlapping prox by dual block-coordinate ascent over unit-ball duals a_g,
     keeping s = sum_g lam * w_g * a_g. Groups are visited smallest first (ties
-    by first index); the sweep stops once the iterate moves less than
-    ``DUAL_ASCENT_TOL``, or raises ``ConvergenceError`` with the last iterate
-    after ``DUAL_ASCENT_SWEEP_FACTOR * |groups| * len(u)`` sweeps."""
+    by first index); the sweep stops once the iterate moves less than ``tol``,
+    or raises ``ConvergenceError`` with the last iterate after ``max_sweeps``
+    sweeps."""
     u = np.asarray(u, float)
     groups = [np.asarray(g) for g in groups]
     sizes = np.array([g.size for g in groups])
@@ -143,7 +142,6 @@ def prox_dual_ascent_loop(u, lam, eta, groups, weights):
     s = np.zeros(u.size)
     alphas = [np.zeros(g.size) for g in groups]
     x = u.copy()
-    max_sweeps = regularizers.DUAL_ASCENT_SWEEP_FACTOR * len(groups) * u.size
     for _ in range(max_sweeps):
         x_prev = x
         for k in order:
@@ -157,7 +155,7 @@ def prox_dual_ascent_loop(u, lam, eta, groups, weights):
             alphas[k] = target
             s[idx] += c * target
         x = u - s / eta
-        if np.max(np.abs(x - x_prev)) < regularizers.DUAL_ASCENT_TOL:
+        if np.max(np.abs(x - x_prev)) < tol:
             return x
     raise ConvergenceError("reference dual ascent did not converge", last_iterate=x)
 

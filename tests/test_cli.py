@@ -289,6 +289,22 @@ trace_every = 20
         assert main(["run", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "trace_sg_3.csv").is_file()
 
+    def test_prox_budget_exhaustion_exits_1_naming_gap(self, tmp_path, capsys, monkeypatch):
+        # an overlapping prox out of dual iterations ends a serial run with exit
+        # 1, naming the solver iteration, the dual iterations and the gap
+        from composite_sgd import regularizers
+
+        monkeypatch.setattr(regularizers, "DUAL_MAX_ITER", 0)
+        monkeypatch.setenv("COMPOSITE_SGD_THREADS", "1")
+        (tmp_path / "groups.txt").write_text("1: 1,2\n1.5: 2,3\n1: 4\n")
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
+        text += f"structure_file = {tmp_path / 'groups.txt'}\n"
+        cfg_path = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: prox failed at iteration 0: ")
+        assert "dual gap" in err and "after 0 dual iterations" in err
+
     def test_hierarchical_ssg_with_mu_override(self, tmp_path):
         text = """
 problem = linear-discrete
