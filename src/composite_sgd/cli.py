@@ -2,8 +2,9 @@
 
 Subcommands: ``run <config>`` executes solver jobs and writes traces plus a
 summary, ``compare <dir>`` runs sibling configs on a shared instance and merges
-their traces, ``verify-bounds <config>`` checks the convergence bounds on a
-closed-form instance, ``gen-data <config>`` writes a dataset CSV.
+the traces those runs return, ``verify-bounds <config>`` checks the convergence
+bounds on a closed-form instance, ``gen-data <config>`` writes the dataset a
+``run`` of the same problem, K, p and seed uses.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from .config import (
     parse_run_config,
 )
 from .core import ConvergenceError, DivergenceError
-from .harness import (
-    execute_run,
-    generate_dataset,
-    merge_compare,
-    read_trace_csv,
-    verify_bounds,
-    write_summary,
-)
+from .harness import execute_run, generate_dataset, merge_compare, verify_bounds
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -50,7 +44,7 @@ def _default_out(config_path: str) -> Path:
 def cmd_run(args) -> int:
     cfg = parse_run_config(_read(args.config))
     out_dir = Path(args.out) if args.out else _default_out(args.config)
-    summaries = execute_run(cfg, str(out_dir))
+    summaries, _ = execute_run(cfg, str(out_dir))
     for s in summaries:
         print(f"{s['trace_file']}: final objective {s['final_objective']:.17g}")
     print(f"wrote {out_dir / 'summary.json'}")
@@ -77,20 +71,13 @@ def cmd_compare(args) -> int:
                     f"mismatch between {first_path.name} ({a!r}) and {path.name} ({b!r})",
                 )
 
-    from .core import TraceRecord
-
-    job_traces: dict[str, list[TraceRecord]] = {}
-    finals: dict[str, float] = {}
+    job_traces = {}
+    finals = {}
     for path, cfg in configs:
-        out_dir = directory / f"{path.stem}_out"
-        summaries = execute_run(cfg, str(out_dir))
-        for s in summaries:
-            trace_path = Path(s["trace_file"])
-            name = f"{path.stem}_{trace_path.stem.removeprefix('trace_')}"
-            header, rows = read_trace_csv(trace_path)
-            job_traces[name] = [
-                TraceRecord(int(r[0]), float(r[1]), float(r[2])) for r in rows
-            ]
+        summaries, traces = execute_run(cfg, str(directory / f"{path.stem}_out"))
+        for s, trace in zip(summaries, traces):
+            name = f"{path.stem}_{Path(s['trace_file']).stem.removeprefix('trace_')}"
+            job_traces[name] = trace
             finals[name] = s["final_objective"]
 
     header, table = merge_compare(job_traces)
@@ -110,10 +97,9 @@ def cmd_compare(args) -> int:
 def cmd_verify_bounds(args) -> int:
     cfg = parse_bounds_config(_read(args.config))
     report = verify_bounds(cfg)
-    d = report.detail
     print(
-        f"verify-bounds: problem={d['problem']} solver={d['solver']} "
-        f"R={d['R']} N={d['N']} sigma={d['sigma']:g} D={d['D']:.17g} L={d['L']:.17g}"
+        f"verify-bounds: problem={cfg.problem} solver={cfg.solver} R={cfg.R} "
+        f"N={cfg.N} sigma={cfg.sigma:g} D={report.D:.17g} L={report.L:.17g}"
     )
     print(f"mean_final_gap={report.mean_gap:.17g}")
     print(f"bound={report.bound:.17g}")

@@ -7,7 +7,7 @@ errors. ``solver`` and ``seed`` accept comma-separated lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 PROBLEMS = ("linear-discrete", "linear-continuous", "logistic")
@@ -16,12 +16,6 @@ SOLVERS = ("sg", "ssg", "acsa")
 CONVENTIONS = ("paper", "scaled")
 BOUND_PROBLEMS = ("quadratic", "ortho-lasso")
 
-_RUN_KEYS = {
-    "problem", "regularizer", "solver", "K", "p", "n", "lambda", "N",
-    "batch_size", "seed", "trace_every", "lipschitz_convention",
-    "mu_override", "acsa_sigma_sq", "acsa_d", "lipschitz_override",
-    "structure_file",
-}
 _BOUNDS_KEYS = {"problem", "solver", "p", "N", "sigma", "lambda", "R", "seed", "D"}
 _GENDATA_KEYS = {"problem", "K", "p", "seed"}
 
@@ -115,41 +109,32 @@ class RunConfig:
     structure_file: Optional[str] = None
 
     def echo(self) -> dict:
-        return {
-            "problem": self.problem,
-            "regularizer": self.regularizer,
-            "solver": ",".join(self.solvers),
-            "K": self.K,
-            "p": self.p,
-            "n": self.n,
-            "lambda": self.lam,
-            "N": self.N,
+        """Every field by its config key, in field order, as summary.json
+        records it."""
+        shown = {
+            "solvers": ",".join(self.solvers),
+            "seeds": ",".join(str(s) for s in self.seeds),
             "batch_size": "full" if self.batch_size is None else self.batch_size,
-            "seed": ",".join(str(s) for s in self.seeds),
-            "trace_every": self.trace_every,
-            "lipschitz_convention": self.lipschitz_convention,
-            "mu_override": self.mu_override,
-            "acsa_sigma_sq": self.acsa_sigma_sq,
-            "acsa_d": self.acsa_d,
-            "lipschitz_override": self.lipschitz_override,
-            "structure_file": self.structure_file,
+        }
+        return {
+            _KEY_OF_FIELD.get(f.name, f.name): shown.get(f.name, getattr(self, f.name))
+            for f in fields(self)
         }
 
     def instance_key(self) -> dict:
         """The fields that pin the problem instance, by config key; compare
         requires these equal."""
-        return {
-            "problem": self.problem,
-            "regularizer": self.regularizer,
-            "K": self.K,
-            "p": self.p,
-            "n": self.n,
-            "lambda": self.lam,
-            "lipschitz_convention": self.lipschitz_convention,
-            "lipschitz_override": self.lipschitz_override,
-            "seed": self.seeds,
-            "structure_file": self.structure_file,
-        }
+        echo = self.echo()
+        return {key: echo[key] for key in _INSTANCE_KEYS}
+
+
+# The config keys whose RunConfig field has another name.
+_KEY_OF_FIELD = {"lam": "lambda", "solvers": "solver", "seeds": "seed"}
+_RUN_KEYS = {_KEY_OF_FIELD.get(f.name, f.name) for f in fields(RunConfig)}
+_INSTANCE_KEYS = (
+    "problem", "regularizer", "K", "p", "n", "lambda", "lipschitz_convention",
+    "lipschitz_override", "seed", "structure_file",
+)
 
 
 def parse_run_config(text: str) -> RunConfig:

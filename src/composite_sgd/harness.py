@@ -1,6 +1,10 @@
 """Experiment harness: executes run configurations, writes convergence-trace
-CSVs and summary JSON, merges runs for comparison, and checks the convergence
-bounds on instances with closed-form optima."""
+CSVs and summary JSON, merges runs for comparison, checks the convergence
+bounds on instances with closed-form optima, and writes a seed's dataset.
+
+``run`` and ``verify-bounds`` build a ``ProblemSetup`` and hand it to one
+solver dispatch, ``solve``; ``run`` and ``gen-data`` draw a seed's dataset
+through one generator choice, ``seed_dataset``."""
 
 from __future__ import annotations
 
@@ -48,12 +52,18 @@ class ProblemSetup:
     smooth_objective: Callable
     reg: rg.Regularizer
     L: float
-    p: int
+
+
+def seed_dataset(problem: str, K: int, p: int, seed: int) -> pb.Dataset:
+    """The finite dataset of ``problem`` (linear-discrete or logistic) for
+    ``seed``, drawn from the seed's data substream."""
+    rng = RngStream(seed).split(STREAM_DATA)
+    if problem == "linear-discrete":
+        return pb.gen_linear_dataset(K, p, rng)
+    return pb.gen_logistic_dataset(K, p, rng)
 
 
 def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
-    data_rng = RngStream(seed).split(STREAM_DATA)
-
     if cfg.regularizer == "l1":
         reg = rg.l1(cfg.lam, cfg.p)
     elif cfg.regularizer == "hierarchical":
@@ -68,7 +78,7 @@ def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
         reg = rg.group_norm(cfg.lam, structure)
 
     if cfg.problem == "linear-discrete":
-        dataset = pb.gen_linear_dataset(cfg.K, cfg.p, data_rng)
+        dataset = seed_dataset(cfg.problem, cfg.K, cfg.p, seed)
         L = cfg.lipschitz_override
         if L is None:
             L = pb.lipschitz_linear(dataset, cfg.lipschitz_convention)
@@ -86,7 +96,7 @@ def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
         else:
             oracle = pb.ContinuousLinearOracle(beta_hat, cfg.batch_size)
     else:  # logistic
-        dataset = pb.gen_logistic_dataset(cfg.K, cfg.p, data_rng)
+        dataset = seed_dataset(cfg.problem, cfg.K, cfg.p, seed)
         L = cfg.lipschitz_override if cfg.lipschitz_override is not None else 1.0
         objective = lambda b: pb.exact_objective_logistic(dataset, b)
         if cfg.batch_size is None:
@@ -94,7 +104,7 @@ def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
         else:
             oracle = pb.MinibatchLogisticOracle(dataset, cfg.batch_size)
 
-    return ProblemSetup(oracle, objective, reg, float(L), cfg.p)
+    return ProblemSetup(oracle, objective, reg, float(L))
 
 
 def trace_filename(solver: str, seed: int) -> str:
@@ -119,10 +129,24 @@ def read_trace_csv(path) -> tuple[list[str], list[list[str]]]:
         return header, [row for row in reader]
 
 
-def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[dict]:
+def solve(solver: str, setup: ProblemSetup, sreg, gamma_star, N: int, rng: RngStream,
+          trace_every: int):
+    """Run ``solver`` for N iterations on ``setup``: ssg on the smoothed penalty
+    ``sreg``, acsa with step scale ``gamma_star``. Returns (x, trace)."""
+    if solver == "sg":
+        return sv.run_sg(setup.oracle, setup.reg, setup.L, N, rng, setup.smooth_objective,
+                         trace_every=trace_every)
+    if solver == "ssg":
+        return sv.run_ssg(setup.oracle, sreg, setup.L, N, rng, setup.smooth_objective,
+                          trace_every=trace_every)
+    return sv.run_acsa(setup.oracle, setup.reg, setup.L, N, gamma_star, rng,
+                       setup.smooth_objective, trace_every=trace_every)
+
+
+def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[tuple[dict, list]]:
     """Build one seed's instance, pilot sigma^2, acsa's gamma* and smoothed
     penalty once, run each of ``solvers`` on them and write its trace; returns
-    the summaries in ``solvers`` order."""
+    (summary, trace rows) per solver, in ``solvers`` order."""
     setup = build_problem(cfg, seed)
     pilot_rng = RngStream(seed).split(STREAM_PILOT)
     if cfg.acsa_sigma_sq is not None:
@@ -130,7 +154,7 @@ def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[dict]:
     elif cfg.batch_size is None:
         sigma_sq = 0.0  # exact oracle
     else:
-        sigma_sq = sv.pilot_sigma_sq(setup.oracle, np.zeros(setup.p), pilot_rng)
+        sigma_sq = sv.pilot_sigma_sq(setup.oracle, np.zeros(setup.oracle.dim), pilot_rng)
     sigma = float(np.sqrt(sigma_sq))
     gamma_star = sv.resolve_acsa_params(setup.oracle, setup.L, cfg.N, pilot_rng,
                                         sigma_sq=sigma_sq, D=cfg.acsa_d)
@@ -146,42 +170,34 @@ def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    summaries = []
+    results = []
     for solver in solvers:
         solver_rng = RngStream(seed).split(STREAM_SOLVER)
         started = time.perf_counter()
-        if solver == "sg":
-            x, trace = sv.run_sg(setup.oracle, setup.reg, setup.L, cfg.N, solver_rng,
-                                 setup.smooth_objective, trace_every=cfg.trace_every)
-        elif solver == "ssg":
-            x, trace = sv.run_ssg(setup.oracle, sreg, setup.L, cfg.N, solver_rng,
-                                  setup.smooth_objective, trace_every=cfg.trace_every)
-        else:
-            x, trace = sv.run_acsa(setup.oracle, setup.reg, setup.L, cfg.N, gamma_star,
-                                   solver_rng, setup.smooth_objective,
-                                   trace_every=cfg.trace_every)
+        x, trace = solve(solver, setup, sreg, gamma_star, cfg.N, solver_rng, cfg.trace_every)
         wall = time.perf_counter() - started
 
         trace_path = out / trace_filename(solver, seed)
         write_trace_csv(trace_path, trace)
         final_objective = setup.smooth_objective(x) + rg.evaluate(setup.reg, x)
-        summaries.append({
+        results.append(({
             "config": cfg.echo(),
             "final_objective": float(final_objective),
             "wall_clock_seconds": wall,
             **bounds,
             "trace_file": str(trace_path),
-        })
-    return summaries
+        }, trace))
+    return results
 
 
 def _seed_worker(args):
     return run_seed(*args)
 
 
-def execute_run(cfg: RunConfig, out_dir: str) -> list[dict]:
-    """All (solver, seed) jobs of a config; summaries come back in job order
-    (solver-major), identical however the jobs are spread.
+def execute_run(cfg: RunConfig, out_dir: str) -> tuple[list[dict], list[list[TraceRecord]]]:
+    """All (solver, seed) jobs of a config; the summaries and the trace rows
+    come back in job order (solver-major), identical however the jobs are
+    spread.
 
     A unit of work is one seed's instance and a contiguous slice of the
     solvers. Each seed's solvers are cut into ``k`` slices, enough to give
@@ -202,13 +218,13 @@ def execute_run(cfg: RunConfig, out_dir: str) -> list[dict]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_seed_worker, units))
     by_job = {
-        (solver, unit[1]): summary
-        for unit, summaries in zip(units, results)
-        for solver, summary in zip(unit[2], summaries)
+        (solver, unit[1]): result
+        for unit, unit_results in zip(units, results)
+        for solver, result in zip(unit[2], unit_results)
     }
-    summaries = [by_job[job] for job in jobs]
+    summaries = [by_job[job][0] for job in jobs]
     write_summary(Path(out_dir) / "summary.json", summaries)
-    return summaries
+    return summaries, [by_job[job][1] for job in jobs]
 
 
 def write_summary(path, summaries: list[dict]) -> None:
@@ -245,9 +261,9 @@ def merge_compare(job_traces: dict[str, list[TraceRecord]]) -> tuple[list[str], 
 class BoundsReport:
     mean_gap: float
     bound: float
-    gaps: list[float]
+    D: float
+    L: float
     passed: bool
-    detail: dict
 
 
 def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
@@ -277,37 +293,25 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
     oracle = pb.ExactOracle(grad, cfg.p)
     if cfg.sigma > 0:
         oracle = pb.GaussianNoiseOracle(oracle, cfg.sigma)
-    if cfg.solver == "sg":
-        run = lambda rng: sv.run_sg(oracle, reg, L, cfg.N, rng, objective, trace_every=0)
-        bound = sv.theorem_bound(D, cfg.sigma, L, cfg.N)
-    else:
-        # With no penalty ||A|| = 0 and this is exactly theorem_bound.
-        sreg = smoothed(reg, N=cfg.N)
-        run = lambda rng: sv.run_ssg(oracle, sreg, L, cfg.N, rng, objective, trace_every=0)
-        bound = sv.theorem_bound_smoothed(D, cfg.sigma, L, sreg.A_norm, sreg.M,
-                                          sreg.c, cfg.N)
-
+    setup = ProblemSetup(oracle, objective, reg, L)
+    sreg = smoothed(reg, N=cfg.N)
     gaps = []
     for r in range(cfg.R):
-        x, _ = run(RngStream(cfg.seed + r).split(STREAM_SOLVER))
+        rng = RngStream(cfg.seed + r).split(STREAM_SOLVER)
+        x, _ = solve(cfg.solver, setup, sreg, None, cfg.N, rng, trace_every=0)
         gaps.append(phi(x) - phi_star)
     mean_gap = float(np.mean(gaps))
 
-    return BoundsReport(
-        mean_gap=mean_gap,
-        bound=float(bound),
-        gaps=[float(g) for g in gaps],
-        passed=mean_gap <= bound,
-        detail={"D": D, "L": L, "sigma": cfg.sigma, "N": cfg.N,
-                "solver": cfg.solver, "problem": cfg.problem, "R": cfg.R},
-    )
+    if cfg.solver == "sg":
+        bound = sv.theorem_bound(D, cfg.sigma, L, cfg.N)
+    else:
+        # With no penalty ||A|| = 0 and this is exactly theorem_bound.
+        bound = sv.theorem_bound_smoothed(D, cfg.sigma, L, sreg.A_norm, sreg.M, sreg.c, cfg.N)
+    return BoundsReport(mean_gap=mean_gap, bound=float(bound), D=D, L=L,
+                        passed=mean_gap <= bound)
 
 
 def generate_dataset(cfg: GenDataConfig, out_path) -> pb.Dataset:
-    rng = RngStream(cfg.seed).split(STREAM_DATA)
-    if cfg.problem == "linear-discrete":
-        dataset = pb.gen_linear_dataset(cfg.K, cfg.p, rng)
-    else:
-        dataset = pb.gen_logistic_dataset(cfg.K, cfg.p, rng)
+    dataset = seed_dataset(cfg.problem, cfg.K, cfg.p, cfg.seed)
     pb.save_dataset_csv(dataset, out_path)
     return dataset

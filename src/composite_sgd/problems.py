@@ -344,34 +344,3 @@ def save_dataset_csv(d: Dataset, path) -> None:
                 [f"{d.y[i]:.17g}"] + [f"{v:.17g}" for v in d.X[i]]
             )
 
-
-def load_dataset_csv(path, kind: str) -> Dataset:
-    """Parse the format written by save_dataset_csv; every cell must be finite,
-    and logistic rows must have unit norm and 0/1 labels."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "y":
-            raise ParameterError("dataset CSV must start with header y,x1,...")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ParameterError("dataset CSV has no data rows")
-    data = np.asarray(rows)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ParameterError(
-            f"dataset row {row + 1}, column {col + 1} is not finite: {data[row, col]!r}"
-        )
-    y = data[:, 0]
-    X = data[:, 1:]
-    if kind == "logistic":
-        norms = np.linalg.norm(X, axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > LOGISTIC_ROW_NORM_TOL)
-        if bad.size:
-            raise ParameterError(
-                f"logistic row {bad[0] + 1} has norm {norms[bad[0]]!r}, expected 1"
-            )
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise ParameterError("logistic labels must be 0 or 1")
-    return Dataset(X, y, kind)

@@ -53,8 +53,7 @@ def pilot_sigma_sq(oracle: StochasticOracle, x0: Array, rng: RngStream,
 
 
 def resolve_acsa_params(oracle: StochasticOracle, L: float, N: int, rng: RngStream,
-                        sigma_sq: Optional[float] = None, D: float = 1.0,
-                        pilot_draws: int = ACSA_PILOT_DRAWS) -> float:
+                        sigma_sq: Optional[float] = None, D: float = 1.0) -> float:
     """The baseline step-size scale
     gamma* = max(2L, sqrt(2 sigma^2 N(N+1)(N+2) / (3 D^2))), which ``run_acsa``
     takes; sigma^2 defaults to a pilot estimate at the origin.
@@ -65,7 +64,7 @@ def resolve_acsa_params(oracle: StochasticOracle, L: float, N: int, rng: RngStre
     if D <= 0:
         raise ParameterError(f"D must be > 0, got {D}")
     if sigma_sq is None:
-        sigma_sq = pilot_sigma_sq(oracle, np.zeros(oracle.dim), rng, pilot_draws)
+        sigma_sq = pilot_sigma_sq(oracle, np.zeros(oracle.dim), rng)
     if sigma_sq < 0:
         raise ParameterError(f"sigma_sq must be >= 0, got {sigma_sq}")
     return max(

@@ -6,11 +6,14 @@ prox reference maximizes the dual with projected gradient steps and certifies
 its accuracy through the duality gap, laminarity is decided from dense pairwise
 intersections, the laminar prox is applied one group at a time, the overlapping
 prox is dual block-coordinate ascent on the unscaled duals, gradients are
-checked against central finite differences, and normal draws come from one
-whole-array Box-Muller transform.
+checked against central finite differences, normal draws come from one
+whole-array Box-Muller transform, and dataset CSVs are read back with ``csv``
+and ``float``.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -201,3 +204,11 @@ def normal_one_shot(rng: RngStream, n: int) -> np.ndarray:
     z[0::2] = r * np.cos(angle)
     z[1::2] = r * np.sin(angle)
     return z[:n]
+
+
+def read_dataset_csv(path):
+    """Header, X and y of a dataset CSV, parsed with ``csv`` and ``float``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    data = np.array([[float(v) for v in row] for row in rows])
+    return header, data[:, 1:], data[:, 0]

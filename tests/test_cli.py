@@ -14,9 +14,12 @@ from composite_sgd.config import (
     parse_bounds_config,
     parse_run_config,
 )
-from composite_sgd.core import DivergenceError
+from composite_sgd.core import DivergenceError, RngStream
 from composite_sgd.harness import read_trace_csv
+from composite_sgd.problems import lipschitz_linear, ortho_lasso_instance
 from composite_sgd.solvers import theorem_bound, theorem_bound_smoothed
+
+from _reference import read_dataset_csv
 
 SMALL_RUN = """
 problem = linear-discrete
@@ -174,6 +177,26 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["theorem_bound_D"] == 2.5
         assert summary["theorem_bound"] == theorem_bound(2.5, sigma, setup.L, cfg.N)
+
+    def test_summary_config_echoes_every_key_in_order(self, tmp_path):
+        (tmp_path / "groups.txt").write_text("1: 1,2\n1.5: 2,3,4\n")
+        structure = str(tmp_path / "groups.txt")
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom").replace(
+            "solver = sg", "solver = ssg,sg").replace("seed = 3", "seed = 3,4")
+        text += (f"structure_file = {structure}\nlipschitz_convention = paper\n"
+                 "mu_override = 0.5\nacsa_sigma_sq = 0.25\nacsa_d = 2\n"
+                 "lipschitz_override = 400\n")
+        out = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+        expected = {
+            "problem": "linear-discrete", "regularizer": "custom", "solver": "ssg,sg",
+            "K": 40, "p": 4, "n": None, "lambda": 0.1, "N": 150, "batch_size": 5,
+            "seed": "3,4", "trace_every": 25, "lipschitz_convention": "paper",
+            "mu_override": 0.5, "acsa_sigma_sq": 0.25, "acsa_d": 2.0,
+            "lipschitz_override": 400.0, "structure_file": structure,
+        }
+        for run in json.loads((out / "summary.json").read_text())["runs"]:
+            assert list(run["config"].items()) == list(expected.items())
 
     def test_full_batch_trace_monotone_after_warmup(self, tmp_path):
         text = SMALL_RUN.replace("batch_size = 5", "batch_size = full")
@@ -441,6 +464,23 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "final objective" in out
 
+    def test_objective_cells_equal_trace_csv_text(self, tmp_path):
+        self._write_pair(tmp_path)
+        b = (tmp_path / "b.cfg").read_text().replace("trace_every = 50", "trace_every = 30")
+        (tmp_path / "b.cfg").write_text(b.replace("seed = 3", "seed = 3,4"))
+        a = (tmp_path / "a.cfg").read_text().replace("solver = sg", "solver = sg,acsa")
+        (tmp_path / "a.cfg").write_text(a.replace("seed = 3", "seed = 3,4"))
+        assert main(["compare", str(tmp_path)]) == 0
+        header, rows = read_trace_csv(tmp_path / "compare.csv")
+        jobs = [col.removeprefix("objective_") for col in header if col.startswith("objective_")]
+        assert jobs == ["a_sg_3", "a_sg_4", "a_acsa_3", "a_acsa_4", "b_ssg_3", "b_ssg_4"]
+        for job in jobs:
+            stem, solver, seed = job.split("_")
+            _, trace = read_trace_csv(tmp_path / f"{stem}_out" / f"trace_{solver}_{seed}.csv")
+            objective = {r[0]: r[2] for r in trace}
+            column = header.index(f"objective_{job}")
+            assert [r[column] for r in rows] == [objective[r[0]] for r in rows]
+
     def test_single_config_rejected(self, tmp_path):
         (tmp_path / "a.cfg").write_text(SMALL_RUN)
         assert main(["compare", str(tmp_path)]) == 2
@@ -510,6 +550,22 @@ class TestVerifyBoundsCommand:
         out = capsys.readouterr().out
         assert f"bound={theorem_bound(1.0, 0.0, 1.0, 98):.17g}" in out
 
+    def test_header_line_names_the_instance(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "problem = quadratic\nsolver = ssg\np = 6\nN = 98\n"
+                                  "sigma = 0.5\nD = 2.5\nR = 2\n")
+        main(["verify-bounds", str(cfg)])
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "verify-bounds: problem=quadratic solver=ssg R=2 N=98 sigma=0.5 D=2.5 L=1"
+        )
+        cfg = write_cfg(tmp_path, "problem = ortho-lasso\nsolver = sg\np = 8\nN = 50\n"
+                                  "lambda = 0.1\nR = 1\nseed = 5\n")
+        main(["verify-bounds", str(cfg)])
+        dataset, x_star = ortho_lasso_instance(8, 0.1, RngStream(5).split(harness.STREAM_DATA))
+        D, L = np.linalg.norm(x_star), lipschitz_linear(dataset, "scaled")
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"verify-bounds: problem=ortho-lasso solver=sg R=1 N=50 sigma=0 D={D:.17g} L={L:.17g}"
+        )
+
     def test_unsupported_instance_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "problem = logistic\nsolver = sg\np = 4\nN = 10\n")
         assert main(["verify-bounds", str(cfg)]) == 2
@@ -541,10 +597,22 @@ class TestGenDataCommand:
         cfg = write_cfg(tmp_path, "problem = logistic\nK = 12\np = 5\nseed = 2\n")
         out = tmp_path / "data_out"
         assert main(["gen-data", str(cfg), "--out", str(out)]) == 0
-        from composite_sgd.problems import load_dataset_csv
+        header, X, y = read_dataset_csv(out / "dataset.csv")
+        assert header == ["y", "x1", "x2", "x3", "x4", "x5"]
+        assert X.shape == (12, 5)
+        assert np.allclose(np.linalg.norm(X, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert set(y) <= {0.0, 1.0}
 
-        d = load_dataset_csv(out / "dataset.csv", "logistic")
-        assert d.K == 12 and d.p == 5
+    @pytest.mark.parametrize("problem", ["linear-discrete", "logistic"])
+    def test_writes_the_dataset_run_draws(self, tmp_path, problem):
+        body = f"problem = {problem}\nK = 12\np = 4\nseed = 5\n"
+        out = tmp_path / "data_out"
+        assert main(["gen-data", str(write_cfg(tmp_path, body)), "--out", str(out)]) == 0
+        _, X, y = read_dataset_csv(out / "dataset.csv")
+        run = parse_run_config(body + "regularizer = l1\nsolver = sg\nlambda = 0.1\n"
+                                      "N = 10\nbatch_size = 3\n")
+        dataset = harness.build_problem(run, 5).oracle.dataset
+        assert np.array_equal(X, dataset.X) and np.array_equal(y, dataset.y)
 
     def test_continuous_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "problem = linear-continuous\nK = 5\np = 4\nseed = 0\n")

@@ -532,6 +532,24 @@ class TestProx:
         assert gap <= 0.5 * eta * radius**2
         assert np.linalg.norm(out - ref) <= 2.0 * radius
 
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="degenerate optimum: the gap falls only polynomially and "
+                              "the 1e5-iteration budget runs out (4e5 suffice)")
+    def test_degenerate_duplicated_group_instance_returns(self):
+        # Not strictly complementary at the optimum, with {12, 22} listed twice:
+        # the gap ends at 3.9e-16 against a 2.4e-16 target after 1e5 iterations.
+        groups = [
+            [12, 22],
+            [0, 4, 5, 8, 13, 16, 18, 23, 27, 28, 29, 32],
+            [j for j in range(33) if j not in (4, 6, 18, 26, 32)],
+            [22, 28],
+            [0, 2, 7, 8, 9, 12, 14, 17, 19, 20, 21, 22, 24, 25, 26, 28, 31, 32],
+            [12, 22],
+        ]
+        st = GroupStructure([np.array(g) for g in groups], np.full(6, 0.1), 33)
+        out = prox(group_norm(1.0, st), np.zeros(33), np.full(33, 0.1), 1.0)
+        assert np.all(np.isfinite(out))
+
     def test_dual_ascent_output_is_optimal(self):
         # non-laminar structures take the iterative path; check the objective
         # against the certified reference and the iterate against block
