@@ -212,8 +212,13 @@ class MinibatchLinearOracle:
         self.dim = dataset.p
 
     def sample(self, x: Array, rng: RngStream) -> Array:
+        # minibatch_gradient_linear's expression without its checks:
+        # rng.indices draws S in range, so only x needs one.
+        if x.shape != (self.dim,):
+            raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         S = rng.indices(self.batch, self.dataset.K)
-        return minibatch_gradient_linear(self.dataset, x, S)
+        XS = self.dataset.X[S]
+        return XS.T @ (XS @ x - self.dataset.y[S]) / self.batch
 
 
 class MinibatchLogisticOracle:
@@ -229,8 +234,13 @@ class MinibatchLogisticOracle:
         self.dim = dataset.p
 
     def sample(self, x: Array, rng: RngStream) -> Array:
+        # minibatch_gradient_logistic's expression without its checks:
+        # rng.indices draws S in range, so only x needs one.
+        if x.shape != (self.dim,):
+            raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         S = rng.indices(self.batch, self.dataset.K)
-        return minibatch_gradient_logistic(self.dataset, x, S)
+        XS = self.dataset.X[S]
+        return XS.T @ (sigmoid(XS @ x) - self.dataset.y[S]) / self.batch
 
 
 class ContinuousLinearOracle:

@@ -15,7 +15,7 @@ A is never built: for l1 it is lam * I, and for a group norm it maps x to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,10 +34,16 @@ class SmoothedRegularizer:
     A_norm: float
     M: float
     c: float = 1.0
+    # A's entries in flat block layout, derived from ``base``: lam for l1,
+    # lam * rep_weights for a group norm.
+    a_weights: float | Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
+        st = self.base.structure
+        a_weights = self.base.lam if st is None else self.base.lam * st.rep_weights
+        object.__setattr__(self, "a_weights", a_weights)
 
 
 def mu_schedule(A_norm: float, N: int) -> float:
@@ -70,17 +76,16 @@ def _apply(s: SmoothedRegularizer, x) -> Array:
     if x.shape[0] != reg.p:
         raise DimensionError(f"x has length {x.shape[0]}, expected {reg.p}")
     if reg.structure is None:
-        return reg.lam * x
-    st = reg.structure
-    return reg.lam * st.rep_weights * x[st.flat_index]
+        return s.a_weights * x
+    return s.a_weights * x[reg.structure.flat_index]
 
 
 def _project(s: SmoothedRegularizer, ax: Array) -> Array:
     # v_mu: A x / mu projected onto Q, one unit ball per coordinate (l1) or group.
     t = ax / s.mu
     st = s.base.structure
-    if st is None:
-        return np.clip(t, -1.0, 1.0)
+    if st is None:  # np.clip's bits, NaN included, without its Python wrappers
+        return np.minimum(np.maximum(t, -1.0), 1.0)
     factor = 1.0 / np.maximum(st.block_norms(t), 1.0)
     return t * np.repeat(factor, st.sizes)
 
@@ -104,11 +109,10 @@ def smoothed_value(s: SmoothedRegularizer, x) -> float:
 def smoothed_gradient(s: SmoothedRegularizer, x) -> Array:
     """Gradient A^T v_mu(x); for l1 this is lam * clamp(lam * x / mu, -1, 1)."""
     v = maximizer(s, x)
-    reg = s.base
-    if reg.structure is None:
-        return reg.lam * v
-    st = reg.structure
-    return np.bincount(st.flat_index, weights=reg.lam * st.rep_weights * v, minlength=st.p)
+    st = s.base.structure
+    if st is None:
+        return s.a_weights * v
+    return np.bincount(st.flat_index, weights=s.a_weights * v, minlength=st.p)
 
 
 def lipschitz_mu(L: float, s: SmoothedRegularizer) -> float:

@@ -103,8 +103,11 @@ def _require_nonnegative(**kwargs):
 
 
 def _check_overflow(z: Array, x: Array, t: int) -> None:
-    # Written as "not <=" so that NaN, which fails every comparison, trips it.
-    if not (np.max(np.abs(z)) <= OVERFLOW_LIMIT and np.max(np.abs(x)) <= OVERFLOW_LIMIT):
+    # Written as "not <=" so that NaN, which fails every comparison, trips it;
+    # the ufunc reduction propagates NaN as np.max does, without its Python
+    # wrapper on every iteration.
+    if not (np.maximum.reduce(np.abs(z)) <= OVERFLOW_LIMIT
+            and np.maximum.reduce(np.abs(x)) <= OVERFLOW_LIMIT):
         raise DivergenceError(
             f"iterate is not finite or exceeded {OVERFLOW_LIMIT:g} at iteration {t}; "
             "is the Lipschitz constant set too small?",
@@ -131,15 +134,20 @@ def _horizon_eta(N: int, L_eff: float) -> Callable[[int], float]:
 def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_every):
     # The one recursion; ``step(y, g, z, eta(t))`` maps to z_{t+1}. Every
     # ``trace_every`` iterations (and after the last) a row records the exact
-    # objective smooth_objective + the penalty ``reg`` at x.
+    # objective smooth_objective + the penalty ``reg`` at x. The rows' clock
+    # measures the solver: it stops while a row evaluates the objective.
     x = np.zeros(oracle.dim)
     z = np.zeros(oracle.dim)
     rows: List[TraceRecord] = []
     start = time.perf_counter()
+    paused = 0.0
 
     def record(iteration, x):
+        nonlocal paused
+        stopped = time.perf_counter()
         value = float(smooth_objective(x) + evaluate(reg, x))
-        rows.append(TraceRecord(iteration, time.perf_counter() - start, value))
+        rows.append(TraceRecord(iteration, stopped - start - paused, value))
+        paused += time.perf_counter() - stopped
 
     if trace_every > 0:
         record(0, x)

@@ -7,8 +7,9 @@ its accuracy through the duality gap, laminarity is decided from dense pairwise
 intersections, the laminar prox is applied one group at a time, the overlapping
 prox is dual block-coordinate ascent on the unscaled duals, gradients are
 checked against central finite differences, normal draws come from one
-whole-array Box-Muller transform, and dataset CSVs are read back with ``csv``
-and ``float``.
+whole-array Box-Muller transform, dataset CSVs are read back with ``csv``
+and ``float``, and the solvers' recursion is a plain loop over the public,
+validating functions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import csv
 
 import numpy as np
 
-from composite_sgd.core import ConvergenceError, RngStream
+from composite_sgd.core import ConvergenceError, DivergenceError, RngStream
+from composite_sgd.problems import minibatch_gradient_linear, minibatch_gradient_logistic
+from composite_sgd.regularizers import evaluate, prox
 
 
 def materialize_map(lam: float, groups, weights, p: int) -> np.ndarray:
@@ -212,3 +215,46 @@ def read_dataset_csv(path):
         header, *rows = csv.reader(fh)
     data = np.array([[float(v) for v in row] for row in rows])
     return header, data[:, 1:], data[:, 0]
+
+
+def smoothed_gradient_formula(sreg, x):
+    """A^T v_mu(x) written out from the penalty: lam * clip(lam * x / mu, -1, 1)
+    for l1; for a group norm, a = lam * w_g * x_g / mu projected onto each
+    group's unit ball, scaled by lam * w_g and summed back per coordinate."""
+    reg = sreg.base
+    st = reg.structure
+    if st is None:
+        return reg.lam * np.clip(reg.lam * x / sreg.mu, -1.0, 1.0)
+    a = reg.lam * st.rep_weights * x[st.flat_index] / sreg.mu
+    a = a * np.repeat(1.0 / np.maximum(st.block_norms(a), 1.0), st.sizes)
+    return np.bincount(st.flat_index, weights=reg.lam * st.rep_weights * a, minlength=st.p)
+
+
+def two_sequence_loop(data, batch, reg, eta, N, rng, objective, trace_every, sreg=None):
+    """The solvers' recursion from x_0 = z_0 = 0, one validating call at a time.
+
+    Each iteration draws S with ``rng.indices`` and takes the minibatch
+    gradient through ``minibatch_gradient_*``; the step is ``prox`` (``sreg``
+    None) or the closed-form smoothed step against ``smoothed_gradient_formula``;
+    a coordinate of z or x that is not finite or exceeds 1e12 raises
+    ``DivergenceError``. Returns x_{N+1} and the (iteration, objective +
+    penalty) rows at x_0, every ``trace_every``-th iterate and the last.
+    """
+    gradient = minibatch_gradient_linear if data.kind == "linear" else minibatch_gradient_logistic
+    x = np.zeros(data.p)
+    z = np.zeros(data.p)
+    rows = [(0, float(objective(x) + evaluate(reg, x)))]
+    for t in range(N + 1):
+        th = 2.0 / (2.0 + t)
+        y = (1.0 - th) * x + th * z
+        g = gradient(data, y, rng.indices(batch, data.K))
+        if sreg is None:
+            z = prox(reg, g, z, eta(t))
+        else:
+            z = z - (g + smoothed_gradient_formula(sreg, y)) / eta(t)
+        x = (1.0 - th) * x + th * z
+        if not (np.max(np.abs(z)) <= 1e12 and np.max(np.abs(x)) <= 1e12):
+            raise DivergenceError("reference iterate diverged", iteration=t)
+        if (t + 1) % trace_every == 0 or t == N:
+            rows.append((t + 1, float(objective(x) + evaluate(reg, x))))
+    return x, rows

@@ -123,6 +123,12 @@ class TestMinibatchLinear:
         with pytest.raises(ParameterError):
             minibatch_gradient_linear(d, np.zeros(4), [])
 
+    @pytest.mark.parametrize("S", [[-1, 2], [3, 10]], ids=["negative", "past-K"])
+    def test_out_of_range_indices_rejected(self, S):
+        d = gen_linear_dataset(10, 4, RngStream(0))
+        with pytest.raises(ParameterError):
+            minibatch_gradient_linear(d, np.zeros(4), S)
+
     def test_unbiased_smoke(self):
         d = gen_linear_dataset(200, 6, RngStream(12))
         beta = RngStream(13).normal(6)
@@ -246,6 +252,17 @@ class TestOracles:
         g1 = oracle.sample(np.zeros(4), rng1)
         g2 = oracle.sample(np.zeros(4), rng2)
         assert np.array_equal(g1, g2)
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(5), np.zeros((4, 1))],
+                             ids=["short", "long", "column"])
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_minibatch_oracle_rejects_wrong_shape(self, kind, x):
+        if kind == "linear":
+            oracle = MinibatchLinearOracle(gen_linear_dataset(12, 4, RngStream(24)), 5)
+        else:
+            oracle = MinibatchLogisticOracle(gen_logistic_dataset(12, 4, RngStream(24)), 5)
+        with pytest.raises(DimensionError):
+            oracle.sample(x, RngStream(25))
 
     def test_kind_checked(self):
         d = gen_linear_dataset(12, 4, RngStream(26))

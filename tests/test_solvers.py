@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from _reference import two_sequence_loop
 from composite_sgd.core import (
     ConvergenceError,
     DivergenceError,
@@ -11,12 +14,22 @@ from composite_sgd.problems import (
     ExactOracle,
     GaussianNoiseOracle,
     MinibatchLinearOracle,
+    MinibatchLogisticOracle,
     exact_gradient_linear,
     exact_objective_linear,
+    exact_objective_logistic,
     gen_linear_dataset,
+    gen_logistic_dataset,
+    lipschitz_linear,
     ortho_lasso_instance,
 )
-from composite_sgd.regularizers import evaluate, l1
+from composite_sgd.regularizers import (
+    GroupStructure,
+    build_hierarchical,
+    evaluate,
+    group_norm,
+    l1,
+)
 from composite_sgd.smoothing import smoothed
 from composite_sgd import solvers
 from composite_sgd.solvers import (
@@ -148,6 +161,18 @@ class TestRunSg:
         assert its[-1] == 21
         elapsed = [r.elapsed_seconds for r in trace]
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
+
+    def test_trace_clock_leaves_out_objective_evaluations(self):
+        _, objective, oracle = quadratic_problem(3)
+        pause = 0.02
+
+        def slow_objective(x):
+            time.sleep(pause)
+            return objective(x)
+
+        _, trace = run_sg(oracle, l1(0.0, 3), 1.0, 4, RngStream(0), slow_objective)
+        assert len(trace) == 6
+        assert trace[-1].elapsed_seconds < len(trace) * pause
 
     def test_objective_monotone_after_warmup(self):
         data = gen_linear_dataset(60, 6, RngStream(12).split(1))
@@ -366,3 +391,51 @@ class TestEmpiricalExpectationBound:
                           trace_every=0)
             gaps.append(phi(x) - phi_star)
         assert np.mean(gaps) <= theorem_bound(D, sigma, L, N)
+
+
+# Groups that overlap without nesting, so prox runs the certified dual solver.
+OVERLAPPING = GroupStructure([[0, 1, 2], [2, 3, 4], [4, 5, 6, 7], [0, 7], [1, 5]],
+                             np.array([1.0, 1.5, 2.0, 0.5, 1.0]), 8)
+PENALTIES = {
+    "l1": lambda lam: l1(lam, 8),
+    "tree": lambda lam: group_norm(lam, build_hierarchical(3)),
+    "overlapping": lambda lam: group_norm(lam, OVERLAPPING),
+}
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic"])
+@pytest.mark.parametrize("penalty", sorted(PENALTIES))
+@pytest.mark.parametrize("solver", ["sg", "ssg", "acsa"])
+def test_solvers_match_reference_loop_bit_for_bit(solver, penalty, kind):
+    # Each solver against the recursion written out over the validating
+    # public functions, with its prox weight eta(t) written out as well.
+    N, batch, trace_every, gamma_star = 120, 5, 25, 40.0
+    root = RngStream(31)
+    if kind == "linear":
+        data = gen_linear_dataset(60, 8, root.split(1))
+        oracle = MinibatchLinearOracle(data, batch)
+        objective = lambda b: exact_objective_linear(data, b)
+        L = lipschitz_linear(data)
+    else:
+        data = gen_logistic_dataset(60, 8, root.split(1))
+        oracle = MinibatchLogisticOracle(data, batch)
+        objective = lambda b: exact_objective_logistic(data, b)
+        L = 0.25  # unit-norm rows
+    reg = PENALTIES[penalty](0.05)
+    sreg = None
+    if solver == "sg":
+        x, trace = run_sg(oracle, reg, L, N, root.split(2), objective, trace_every)
+        eta = lambda t: (2.0 / (t + 2.0)) * (N**1.5 / L + 2.0) * L
+    elif solver == "ssg":
+        sreg = smoothed(reg, N=N)
+        x, trace = run_ssg(oracle, sreg, L, N, root.split(2), objective, trace_every)
+        L_mu = L + sreg.A_norm**2 / (sreg.c * sreg.mu)
+        eta = lambda t: (2.0 / (t + 2.0)) * (N**1.5 / L_mu + 2.0) * L_mu
+    else:
+        x, trace = run_acsa(oracle, reg, L, N, gamma_star, root.split(2), objective,
+                            trace_every)
+        eta = lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L
+    x_ref, rows_ref = two_sequence_loop(data, batch, reg, eta, N, root.split(2),
+                                        objective, trace_every, sreg)
+    assert x.tobytes() == x_ref.tobytes()
+    assert [(r.iteration, r.objective) for r in trace] == rows_ref
