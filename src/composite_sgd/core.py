@@ -13,6 +13,8 @@ _TWO_PI = 2.0 * math.pi
 _MAX_SEED = 2**64 - 1
 # Box-Muller pairs transformed per chunk in RngStream.normal.
 NORMAL_CHUNK_PAIRS = 2**16
+# Uniforms each RngStream pre-draws at a time (32 KB, plus 32 KB of indices).
+UNIFORM_BLOCK = 4096
 
 
 class DimensionError(ValueError):
@@ -64,6 +66,19 @@ class RngStream:
     same draw sequence on any platform, and ``split(stream_id)`` derives an
     independent stream from the pair (seed, stream-id).
 
+    Every draw reads the stream's one sequence of uniforms in order. The
+    stream pre-draws them UNIFORM_BLOCK at a time and serves small requests
+    as slices of that block; a request that does not fit takes what is left
+    of the block, then a new block or, when the rest is at least a block, a
+    direct draw of the rest. Philox ``random(a)`` followed by ``random(b)``
+    yields ``random(a + b)``, so the block changes no draw. ``split`` keys a
+    fresh generator and never sees the parent's read-ahead.
+
+    ``indices(n, upper)`` maps uniforms to ``min(floor(u * upper), upper - 1)``.
+    The map is element-wise, so it runs once over each block, for the first
+    ``upper`` drawn from it, and every request with that ``upper`` is a slice
+    of the result; a request with another ``upper`` maps only its own slice.
+
     Normal draws use the Box-Muller transform. Uniforms are consumed two per
     pair of normals, taken from one batch in (even, odd) index order:
 
@@ -72,11 +87,9 @@ class RngStream:
         z1 = r * sin(2 * pi * u_odd)
 
     An odd-sized request still consumes both uniforms of the final pair and
-    discards the trailing sine normal.
-
-    The transform runs in fixed-size chunks of pairs. Philox ``random(a)``
-    followed by ``random(b)`` yields ``random(a + b)``, and the transform is
-    element-wise, so the chunked draws equal the one-shot transform bit for bit.
+    discards the trailing sine normal. The transform runs in chunks of
+    NORMAL_CHUNK_PAIRS pairs; being element-wise, the chunked draws equal the
+    one-shot transform bit for bit.
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
@@ -88,6 +101,12 @@ class RngStream:
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=self.stream_path))
         )
+        # The current block of uniforms, the position of its first unread one,
+        # and the block mapped to indices for upper ``_upper`` (None: not yet).
+        self._block = np.empty(0)
+        self._pos = 0
+        self._upper = None
+        self._idx = None
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_path={self.stream_path})"
@@ -96,11 +115,31 @@ class RngStream:
         """Independent substream keyed by (seed, ..., stream_id)."""
         return RngStream(self.seed, self.stream_path + (int(stream_id),))
 
+    def _take(self, n: int) -> Array:
+        # The next n uniforms of the stream: a view into the block when they
+        # fit, otherwise the block's rest followed by a new block's head or, for
+        # a rest of at least a block, a direct draw (no copy if the block is empty).
+        pos = self._pos
+        if pos + n <= self._block.size:
+            self._pos = pos + n
+            return self._block[pos:pos + n]
+        head = self._block[pos:]
+        rest = n - head.size
+        if rest >= UNIFORM_BLOCK:
+            tail = self._gen.random(rest)
+            self._pos = self._block.size
+        else:
+            self._block = self._gen.random(UNIFORM_BLOCK)
+            self._upper = self._idx = None
+            self._pos = rest
+            tail = self._block[:rest]
+        return np.concatenate((head, tail)) if head.size else tail
+
     def uniform(self, n: int) -> Array:
         """n i.i.d. draws from [0, 1)."""
         if n < 0:
             raise ParameterError(f"n must be >= 0, got {n}")
-        return self._gen.random(int(n))
+        return self._take(int(n))
 
     def normal(self, n: int) -> Array:
         """n i.i.d. standard normal draws via Box-Muller, NORMAL_CHUNK_PAIRS
@@ -111,7 +150,7 @@ class RngStream:
         z = np.empty(2 * pairs)
         for lo in range(0, pairs, NORMAL_CHUNK_PAIRS):
             hi = min(lo + NORMAL_CHUNK_PAIRS, pairs)
-            u = self._gen.random(2 * (hi - lo))
+            u = self._take(2 * (hi - lo))
             r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
             angle = _TWO_PI * u[1::2]
             np.multiply(r, np.cos(angle), out=z[2 * lo:2 * hi:2])
@@ -122,8 +161,22 @@ class RngStream:
         """n indices drawn uniformly with replacement from {0, ..., upper-1}."""
         if upper < 1:
             raise ParameterError(f"upper must be >= 1, got {upper}")
-        u = self.uniform(n)
-        return np.minimum((u * upper).astype(np.int64), upper - 1)
+        if n < 0:
+            raise ParameterError(f"n must be >= 0, got {n}")
+        n = int(n)
+        pos = self._pos
+        if pos + n <= self._block.size:
+            if self._upper is None:
+                self._idx = _to_indices(self._block, upper)
+                self._upper = upper
+            if upper == self._upper:
+                self._pos = pos + n
+                return self._idx[pos:pos + n]
+        return _to_indices(self._take(n), upper)
+
+
+def _to_indices(u: Array, upper: int) -> Array:
+    return np.minimum((u * upper).astype(np.int64), upper - 1)
 
 
 @dataclass(frozen=True)

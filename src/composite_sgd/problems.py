@@ -109,14 +109,11 @@ def gen_logistic_dataset(K: int, p: int, rng: RngStream, beta_hat=None) -> Datas
 
 
 def sigmoid(t) -> Array:
-    """Numerically stable 1 / (1 + exp(-t)), branching on the sign of t."""
+    """Numerically stable 1 / (1 + exp(-t)): with e = exp(-|t|), 1 / (1 + e)
+    for t >= 0 and e / (1 + e) otherwise, so exp never overflows."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log1p_exp(t: Array) -> Array:
@@ -257,6 +254,8 @@ class ContinuousLinearOracle:
         self.dim = self.beta_hat.shape[0]
 
     def sample(self, x: Array, rng: RngStream) -> Array:
+        if x.shape != (self.dim,):
+            raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         X = rng.normal(self.batch * self.dim).reshape(self.batch, self.dim)
         eps = rng.normal(self.batch)
         y = X @ self.beta_hat + eps

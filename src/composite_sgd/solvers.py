@@ -153,7 +153,8 @@ def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_ev
         record(0, x)
     for t in range(N + 1):
         th = 2.0 / (2.0 + t)
-        y = (1.0 - th) * x + th * z
+        x_part = (1.0 - th) * x  # (1 - theta_t) x_t, shared by y_t and x_{t+1}
+        y = x_part + th * z
         g = oracle.sample(y, rng)
         try:
             z = step(y, g, z, eta(t))
@@ -161,7 +162,7 @@ def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_ev
             raise ConvergenceError(
                 f"prox failed at iteration {t}: {exc}", last_iterate=exc.last_iterate
             ) from exc
-        x = (1.0 - th) * x + th * z
+        x = x_part + th * z
         _check_overflow(z, x, t)
         if trace_every > 0 and ((t + 1) % trace_every == 0 or t == N):
             record(t + 1, x)

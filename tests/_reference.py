@@ -6,10 +6,11 @@ prox reference maximizes the dual with projected gradient steps and certifies
 its accuracy through the duality gap, laminarity is decided from dense pairwise
 intersections, the laminar prox is applied one group at a time, the overlapping
 prox is dual block-coordinate ascent on the unscaled duals, gradients are
-checked against central finite differences, normal draws come from one
-whole-array Box-Muller transform, dataset CSVs are read back with ``csv``
-and ``float``, and the solvers' recursion is a plain loop over the public,
-validating functions.
+checked against central finite differences, random draws come straight from
+Philox one request at a time, normal draws from one whole-array Box-Muller
+transform, the sigmoid from the sign-split masked form, dataset CSVs are read
+back with ``csv`` and ``float``, and the solvers' recursion is a plain loop
+over the public, validating functions.
 """
 
 from __future__ import annotations
@@ -196,7 +197,38 @@ def central_difference(f, x, step=1e-6):
     return out
 
 
-def normal_one_shot(rng: RngStream, n: int) -> np.ndarray:
+class PhiloxStream:
+    """RngStream without its block: every request draws straight from Philox
+    keyed on (seed, stream path), as ``uniform(n)``, ``normal(n)`` from one
+    Box-Muller batch, and ``indices(n, upper)`` mapped from ``uniform(n)``."""
+
+    def __init__(self, seed: int, path: tuple[int, ...] = ()):
+        self._gen = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(path))))
+
+    def uniform(self, n: int) -> np.ndarray:
+        return self._gen.random(n)
+
+    def normal(self, n: int) -> np.ndarray:
+        return normal_one_shot(self, n)
+
+    def indices(self, n: int, upper: int) -> np.ndarray:
+        return np.minimum((self.uniform(n) * upper).astype(np.int64), upper - 1)
+
+
+def sigmoid_masked(t) -> np.ndarray:
+    """1 / (1 + exp(-t)) for t >= 0 and e^t / (1 + e^t) otherwise, written into
+    the two sign classes through boolean masks."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def normal_one_shot(rng, n: int) -> np.ndarray:
     """n Box-Muller normals from one batch of uniforms: r from the even-index
     uniforms, the angle from the odd ones, cosine normals at even positions."""
     pairs = (n + 1) // 2
@@ -233,7 +265,8 @@ def smoothed_gradient_formula(sreg, x):
 def two_sequence_loop(data, batch, reg, eta, N, rng, objective, trace_every, sreg=None):
     """The solvers' recursion from x_0 = z_0 = 0, one validating call at a time.
 
-    Each iteration draws S with ``rng.indices`` and takes the minibatch
+    Each iteration draws S with ``rng.indices`` (pass a ``PhiloxStream`` to
+    draw without the stream's block) and takes the minibatch
     gradient through ``minibatch_gradient_*``; the step is ``prox`` (``sreg``
     None) or the closed-form smoothed step against ``smoothed_gradient_formula``;
     a coordinate of z or x that is not finite or exceeds 1e12 raises

@@ -1,10 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from composite_sgd.core import NORMAL_CHUNK_PAIRS, ParameterError, RngStream, TraceRecord
+from composite_sgd.core import (
+    NORMAL_CHUNK_PAIRS,
+    UNIFORM_BLOCK,
+    ParameterError,
+    RngStream,
+    TraceRecord,
+)
 from composite_sgd.problems import gen_linear_dataset, ground_truth
 
-from _reference import normal_one_shot
+from _reference import PhiloxStream, normal_one_shot
 
 CHUNK = NORMAL_CHUNK_PAIRS
 
@@ -73,6 +83,68 @@ class TestRngStream:
     def test_uniform_range(self):
         u = RngStream(0).uniform(10000)
         assert u.min() >= 0.0 and u.max() < 1.0
+
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ParameterError):
+            RngStream(0).uniform(-1)
+        with pytest.raises(ParameterError):
+            RngStream(0).indices(-1, 5)
+        with pytest.raises(ParameterError):
+            RngStream(0).indices(3, 0)
+
+    def test_draw_past_the_block_makes_no_copy(self):
+        # 8 MB of uniforms on a stream with nothing left in its block
+        n = 2**20
+        rng = RngStream(6)
+        tracemalloc.start()
+        try:
+            u = rng.uniform(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert u.shape == (n,)
+        assert peak < 8 * n + UNIFORM_BLOCK * 16
+
+
+@pytest.mark.parametrize("kind", ["uniform", "normal", "indices"])
+def test_indices_after_block_refill_equal_unbuffered_stream(kind):
+    # Fill and index the first block, run it down with another kind of draw,
+    # cross into the next block, then index that block with the same upper.
+    blocked, bare = RngStream(8), PhiloxStream(8)
+    for draw, n in (("uniform", 1), ("indices", 10), (kind, UNIFORM_BLOCK - 18),
+                    ("indices", 10), ("indices", 10)):
+        args = (n, 1000) if draw == "indices" else (n,)
+        got, want = getattr(blocked, draw)(*args), getattr(bare, draw)(*args)
+        assert got.tobytes() == want.tobytes()
+
+
+# Request sizes: empty, single, odd, either side of the block size, and more
+# than two blocks, next to small ones that cross block boundaries mid-request.
+_SIZES = st.one_of(
+    st.sampled_from([0, 1, 3, 7, UNIFORM_BLOCK - 1, UNIFORM_BLOCK, UNIFORM_BLOCK + 1,
+                     2 * UNIFORM_BLOCK + 3]),
+    st.integers(0, 40),
+)
+_CALLS = st.lists(
+    st.tuples(st.sampled_from(["uniform", "normal", "indices"]), _SIZES,
+              st.sampled_from([1, 2, 7, 1000, 2**31 + 1])),
+    max_size=12,
+)
+
+
+@given(seed=st.integers(0, 2**64 - 1), calls=_CALLS)
+def test_block_draws_equal_unbuffered_stream(seed, calls):
+    # Interleaved requests against a stream that draws each one straight from
+    # Philox, with ``upper`` changing between index requests.
+    blocked, bare = RngStream(seed).split(4), PhiloxStream(seed, (4,))
+    for kind, n, upper in calls:
+        if kind == "indices":
+            got, want = blocked.indices(n, upper), bare.indices(n, upper)
+        else:
+            n = max(n, 1) if kind == "normal" else n
+            got, want = getattr(blocked, kind)(n), getattr(bare, kind)(n)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTraceRecord:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from composite_sgd.core import DimensionError, ParameterError, RngStream
 from composite_sgd.problems import (
@@ -28,7 +30,7 @@ from composite_sgd.problems import (
     sigmoid,
 )
 
-from _reference import central_difference, read_dataset_csv
+from _reference import central_difference, read_dataset_csv, sigmoid_masked
 
 
 class TestGroundTruth:
@@ -149,6 +151,23 @@ class TestLogisticGradients:
         assert np.isclose(out[1], np.exp(-50.0) / (1 + np.exp(-50.0)), rtol=1e-12)
         assert out[2] == 1.0 and out[3] == 0.0
 
+    # zeros, infinities, the smallest subnormal and normal, and the edges of
+    # exp's range, each with both signs
+    EDGES = [0.0, np.inf, 5e-324, 2.2250738585072014e-308, 1e-300, 36.7, 709.78, 745.0,
+             745.2, 1000.0]
+
+    def test_sigmoid_matches_masked_form_on_edge_values(self):
+        t = np.array(self.EDGES + [-v for v in self.EDGES])
+        assert sigmoid(t).tobytes() == sigmoid_masked(t).tobytes()
+
+    def test_sigmoid_of_nan_is_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    def test_sigmoid_matches_masked_form(self, values):
+        t = np.array(values)
+        assert sigmoid(t).tobytes() == sigmoid_masked(t).tobytes()
+
     def test_gradient_at_zero_coefficients(self):
         d = gen_logistic_dataset(50, 5, RngStream(15))
         S = np.arange(50)
@@ -255,12 +274,14 @@ class TestOracles:
 
     @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(5), np.zeros((4, 1))],
                              ids=["short", "long", "column"])
-    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("kind", ["linear", "logistic", "continuous"])
     def test_minibatch_oracle_rejects_wrong_shape(self, kind, x):
         if kind == "linear":
             oracle = MinibatchLinearOracle(gen_linear_dataset(12, 4, RngStream(24)), 5)
-        else:
+        elif kind == "logistic":
             oracle = MinibatchLogisticOracle(gen_logistic_dataset(12, 4, RngStream(24)), 5)
+        else:
+            oracle = ContinuousLinearOracle(ground_truth("linear", 4), 5)
         with pytest.raises(DimensionError):
             oracle.sample(x, RngStream(25))
 

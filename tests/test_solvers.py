@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from _reference import two_sequence_loop
+from _reference import PhiloxStream, two_sequence_loop
 from composite_sgd.core import (
     ConvergenceError,
     DivergenceError,
@@ -435,7 +435,7 @@ def test_solvers_match_reference_loop_bit_for_bit(solver, penalty, kind):
         x, trace = run_acsa(oracle, reg, L, N, gamma_star, root.split(2), objective,
                             trace_every)
         eta = lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L
-    x_ref, rows_ref = two_sequence_loop(data, batch, reg, eta, N, root.split(2),
+    x_ref, rows_ref = two_sequence_loop(data, batch, reg, eta, N, PhiloxStream(31, (2,)),
                                         objective, trace_every, sreg)
     assert x.tobytes() == x_ref.tobytes()
     assert [(r.iteration, r.objective) for r in trace] == rows_ref
