@@ -7,6 +7,7 @@ errors. ``solver`` and ``seed`` accept comma-separated lists.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -76,6 +77,27 @@ def _get_float(pairs, key, minimum=None, strict=False):
         op = ">" if strict else ">="
         raise ConfigError(key, f"must be {op} {minimum}, got {value}")
     return value
+
+
+def physical_memory() -> Optional[int]:
+    """The machine's physical memory in bytes, or None where the operating
+    system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_footprint(K: int, p: int, gram: bool) -> None:
+    """Refuse a dataset that cannot fit in physical memory: K * p doubles for
+    the design, plus min(K, p)^2 for the Gram matrix a linear dataset keeps."""
+    need = 8 * K * p + (8 * min(K, p) ** 2 if gram else 0)
+    have = physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            "K", f"K={K} rows of p={p} need {need / 2**30:.3g} GiB, more than "
+                 f"the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _require(pairs, key):
@@ -191,6 +213,8 @@ def parse_run_config(text: str) -> RunConfig:
 
     if problem in ("linear-discrete", "linear-continuous") and p % 2 != 0:
         raise ConfigError("p", f"linear problems require even p (half-ones truth), got {p}")
+    if K is not None:
+        _check_footprint(K, p, gram=problem == "linear-discrete")
 
     lam = _get_float(pairs, "lambda", minimum=0.0)
     N = _get_int(pairs, "N", minimum=1)
@@ -309,5 +333,6 @@ def parse_gendata_config(text: str) -> GenDataConfig:
     p = _get_int(pairs, "p", minimum=1)
     if problem == "linear-discrete" and p % 2 != 0:
         raise ConfigError("p", f"linear-discrete requires even p, got {p}")
+    _check_footprint(K, p, gram=False)
     seed = _get_int(pairs, "seed", minimum=0)
     return GenDataConfig(problem=problem, K=K, p=p, seed=seed)

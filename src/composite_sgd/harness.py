@@ -23,7 +23,7 @@ from . import problems as pb
 from . import regularizers as rg
 from . import solvers as sv
 from .config import BoundsConfig, ConfigError, GenDataConfig, RunConfig
-from .core import ParameterError, RngStream, TraceRecord
+from .core import CapacityError, ParameterError, RngStream, TraceRecord
 from .smoothing import smoothed
 
 THREADS_ENV = "COMPOSITE_SGD_THREADS"
@@ -67,7 +67,10 @@ def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
     if cfg.regularizer == "l1":
         reg = rg.l1(cfg.lam, cfg.p)
     elif cfg.regularizer == "hierarchical":
-        reg = rg.group_norm(cfg.lam, rg.build_hierarchical(cfg.n))
+        try:
+            reg = rg.group_norm(cfg.lam, rg.build_hierarchical(cfg.n))
+        except CapacityError as exc:
+            raise ConfigError("n", str(exc)) from exc
     else:
         if not Path(cfg.structure_file).is_file():
             raise ConfigError("structure_file", f"file not found: {cfg.structure_file}")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,11 +31,23 @@ _POWER_SEED = 0x9E3779B97F4A7C15  # fixed start vector seed, independent of user
 LOGISTIC_ROW_NORM_TOL = 1e-12
 
 
+class Moments(NamedTuple):
+    """A dataset's second moments: ``gram`` is the smaller Gram matrix, X^T X
+    when K >= p and X X^T when K < p; a tall design (K >= p) also keeps X^T y
+    and y^T y, which are None for a wide one."""
+
+    gram: Array
+    xty: Optional[Array]
+    yty: Optional[float]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """K observations: rows of X with responses (linear) or 0/1 labels (logistic).
 
     Logistic datasets must have unit-norm rows (to within 1e-12) and 0/1 labels.
+    X and y are made read-only at construction, so ``moments``, formed on first
+    use and kept, always describes them.
     """
 
     X: Array
@@ -57,6 +71,20 @@ class Dataset:
                 raise ParameterError("logistic rows must have unit norm")
             if not np.all((self.y == 0.0) | (self.y == 1.0)):
                 raise ParameterError("logistic labels must be 0 or 1")
+        self.X.flags.writeable = False
+        self.y.flags.writeable = False
+
+    @cached_property
+    def moments(self) -> Moments:
+        """The Gram matrix (min(K, p) on a side) and, when K >= p, X^T y and
+        y^T y; computed once per dataset."""
+        X = self.X
+        if self.K < self.p:
+            return Moments(X @ X.T, None, None)
+        # Contiguous like a residual vector, so y^T y has the same bits as the
+        # residual form's ||X 0 - y||^2.
+        y = np.ascontiguousarray(self.y)
+        return Moments(X.T @ X, X.T @ y, float(y @ y))
 
     @property
     def K(self) -> int:
@@ -129,27 +157,27 @@ def _check_beta(d: Dataset, beta) -> Array:
 
 
 def exact_objective_linear(d: Dataset, beta) -> float:
-    """(1 / 2K) ||X beta - y||^2 over the full dataset."""
+    """(1 / 2K) ||X beta - y||^2 over the full dataset.
+
+    A tall design (K >= p) expands the square over the dataset's cached
+    moments, (beta^T G beta - 2 (X^T y)^T beta + y^T y) / 2K with G = X^T X,
+    at O(p^2) per call; the first call forms the moments unless
+    ``lipschitz_linear`` already has. At beta = 0 this is bit-equal to the
+    residual form; elsewhere the two differ by at most
+    (K + 2p + 4) eps || |X| |beta| + |y| ||^2 / K, the rounding of either
+    form. A wide design (K < p) evaluates the residual, at O(Kp) per call.
+    """
     beta = _check_beta(d, beta)
-    r = d.X @ beta - d.y
-    return float((r @ r) / (2.0 * d.K))
+    if d.K < d.p:
+        r = d.X @ beta - d.y
+        return float((r @ r) / (2.0 * d.K))
+    gram, xty, yty = d.moments
+    return float((beta @ (gram @ beta) - 2.0 * (xty @ beta) + yty) / (2.0 * d.K))
 
 
 def exact_gradient_linear(d: Dataset, beta) -> Array:
     beta = _check_beta(d, beta)
     return d.X.T @ (d.X @ beta - d.y) / d.K
-
-
-def minibatch_gradient_linear(d: Dataset, beta, S) -> Array:
-    """(1/|S|) X_S^T (X_S beta - y_S) for an index multiset S (with replacement)."""
-    beta = _check_beta(d, beta)
-    S = np.asarray(S, dtype=np.int64)
-    if S.size == 0:
-        raise ParameterError("minibatch S must be nonempty")
-    if S.min() < 0 or S.max() >= d.K:
-        raise ParameterError(f"minibatch indices outside [0, {d.K})")
-    XS = d.X[S]
-    return XS.T @ (XS @ beta - d.y[S]) / S.size
 
 
 def exact_objective_logistic(d: Dataset, beta) -> float:
@@ -162,18 +190,6 @@ def exact_objective_logistic(d: Dataset, beta) -> float:
 def exact_gradient_logistic(d: Dataset, beta) -> Array:
     beta = _check_beta(d, beta)
     return d.X.T @ (sigmoid(d.X @ beta) - d.y) / d.K
-
-
-def minibatch_gradient_logistic(d: Dataset, beta, S) -> Array:
-    """(1/|S|) sum_{i in S} (sigmoid(beta^T x_i) - y_i) x_i."""
-    beta = _check_beta(d, beta)
-    S = np.asarray(S, dtype=np.int64)
-    if S.size == 0:
-        raise ParameterError("minibatch S must be nonempty")
-    if S.min() < 0 or S.max() >= d.K:
-        raise ParameterError(f"minibatch indices outside [0, {d.K})")
-    XS = d.X[S]
-    return XS.T @ (sigmoid(XS @ beta) - d.y[S]) / S.size
 
 
 def continuous_objective(beta, beta_hat) -> float:
@@ -209,8 +225,8 @@ class MinibatchLinearOracle:
         self.dim = dataset.p
 
     def sample(self, x: Array, rng: RngStream) -> Array:
-        # minibatch_gradient_linear's expression without its checks:
-        # rng.indices draws S in range, so only x needs one.
+        # The minibatch gradient (1/|S|) X_S^T (X_S x - y_S); rng.indices
+        # draws S in range, so only x needs a check.
         if x.shape != (self.dim,):
             raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         S = rng.indices(self.batch, self.dataset.K)
@@ -231,8 +247,8 @@ class MinibatchLogisticOracle:
         self.dim = dataset.p
 
     def sample(self, x: Array, rng: RngStream) -> Array:
-        # minibatch_gradient_logistic's expression without its checks:
-        # rng.indices draws S in range, so only x needs one.
+        # The minibatch gradient (1/|S|) X_S^T (sigmoid(X_S x) - y_S);
+        # rng.indices draws S in range, so only x needs a check.
         if x.shape != (self.dim,):
             raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         S = rng.indices(self.batch, self.dataset.K)
@@ -294,13 +310,15 @@ def lipschitz_linear(d: Dataset, convention: str = "scaled") -> float:
     """Largest eigenvalue of X^T X by power iteration.
 
     ``scaled`` divides by K, giving the true gradient Lipschitz constant of the
-    averaged loss; ``paper`` returns the raw eigenvalue. A wide design (K < p)
-    iterates on the K x K matrix X X^T instead, which has the same largest
-    eigenvalue, so the matrix formed is min(K, p) on a side.
+    averaged loss; ``paper`` returns the raw eigenvalue. It iterates on the
+    dataset's cached Gram matrix (``Dataset.moments``): X^T X, or for a wide
+    design (K < p) the K x K matrix X X^T, which has the same largest
+    eigenvalue, so the matrix formed is min(K, p) on a side. Forming it here
+    also readies the moments ``exact_objective_linear`` reads.
     """
     if convention not in ("paper", "scaled"):
         raise ParameterError(f"unknown convention {convention!r}")
-    M = d.X @ d.X.T if d.K < d.p else d.X.T @ d.X
+    M = d.moments.gram
     start = RngStream(_POWER_SEED)
     b = start.normal(M.shape[0])
     b /= np.linalg.norm(b)

@@ -128,11 +128,6 @@ class GroupStructure:
         return np.sqrt(np.add.reduceat(flat * flat, self.offsets))
 
 
-def singleton_structure(p: int) -> GroupStructure:
-    """One unit-weight group per coordinate; behaves identically to the l1 norm."""
-    return GroupStructure([np.array([i]) for i in range(p)], np.ones(p), p)
-
-
 def build_hierarchical(n: int) -> GroupStructure:
     """Dyadic tree of groups over p = 2**n coordinates, weights sqrt(|g|).
 

@@ -9,8 +9,9 @@ prox is dual block-coordinate ascent on the unscaled duals, gradients are
 checked against central finite differences, random draws come straight from
 Philox one request at a time, normal draws from one whole-array Box-Muller
 transform, the sigmoid from the sign-split masked form, dataset CSVs are read
-back with ``csv`` and ``float``, and the solvers' recursion is a plain loop
-over the public, validating functions.
+back with ``csv`` and ``float``, the square loss from its residual, the
+minibatch gradients from their validated formulas, and the solvers' recursion
+is a plain loop over the public, validating functions.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import csv
 
 import numpy as np
 
-from composite_sgd.core import ConvergenceError, DivergenceError, RngStream
-from composite_sgd.problems import minibatch_gradient_linear, minibatch_gradient_logistic
-from composite_sgd.regularizers import evaluate, prox
+from composite_sgd.core import ConvergenceError, DivergenceError, ParameterError, RngStream
+from composite_sgd.problems import _check_beta, sigmoid
+from composite_sgd.regularizers import GroupStructure, evaluate, prox
 
 
 def materialize_map(lam: float, groups, weights, p: int) -> np.ndarray:
@@ -167,6 +168,11 @@ def prox_dual_ascent_loop(u, lam, eta, groups, weights, tol=1e-15, max_sweeps=10
     raise ConvergenceError("reference dual ascent did not converge", last_iterate=x)
 
 
+def singleton_structure(p: int) -> GroupStructure:
+    """One unit-weight group per coordinate; behaves identically to the l1 norm."""
+    return GroupStructure([np.array([i]) for i in range(p)], np.ones(p), p)
+
+
 def random_laminar_structure(p: int, rng: RngStream):
     """Random nested segment family over [0, p): (groups, weights)."""
     groups = [np.arange(p, dtype=np.int64)]
@@ -239,6 +245,36 @@ def normal_one_shot(rng, n: int) -> np.ndarray:
     z[0::2] = r * np.cos(angle)
     z[1::2] = r * np.sin(angle)
     return z[:n]
+
+
+def objective_residual(d, beta) -> float:
+    """(1 / 2K) ||X beta - y||^2 from the residual vector."""
+    r = d.X @ beta - d.y
+    return float((r @ r) / (2.0 * d.K))
+
+
+def minibatch_gradient_linear(d, beta, S) -> np.ndarray:
+    """(1/|S|) X_S^T (X_S beta - y_S) for an index multiset S (with replacement)."""
+    beta = _check_beta(d, beta)
+    S = np.asarray(S, dtype=np.int64)
+    if S.size == 0:
+        raise ParameterError("minibatch S must be nonempty")
+    if S.min() < 0 or S.max() >= d.K:
+        raise ParameterError(f"minibatch indices outside [0, {d.K})")
+    XS = d.X[S]
+    return XS.T @ (XS @ beta - d.y[S]) / S.size
+
+
+def minibatch_gradient_logistic(d, beta, S) -> np.ndarray:
+    """(1/|S|) sum_{i in S} (sigmoid(beta^T x_i) - y_i) x_i."""
+    beta = _check_beta(d, beta)
+    S = np.asarray(S, dtype=np.int64)
+    if S.size == 0:
+        raise ParameterError("minibatch S must be nonempty")
+    if S.min() < 0 or S.max() >= d.K:
+        raise ParameterError(f"minibatch indices outside [0, {d.K})")
+    XS = d.X[S]
+    return XS.T @ (sigmoid(XS @ beta) - d.y[S]) / S.size
 
 
 def read_dataset_csv(path):

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from composite_sgd import harness
+from composite_sgd import cli, config, harness
 from composite_sgd.cli import main
 from composite_sgd.config import (
     ConfigError,
     parse_bounds_config,
     parse_run_config,
+    physical_memory,
 )
 from composite_sgd.core import DivergenceError, RngStream
 from composite_sgd.harness import read_trace_csv
@@ -402,6 +403,47 @@ lipschitz_override = 1e-9
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("diverged: ") and "at iteration" in err
+
+    @pytest.mark.skipif(physical_memory() is None,
+                        reason="the operating system does not report physical memory")
+    @pytest.mark.parametrize("command, text", [
+        ("run", SMALL_RUN.replace("K = 40", "K = 1000000000").replace("p = 4", "p = 10000")),
+        ("gen-data", "problem = logistic\nK = 1000000000\np = 10000\nseed = 0\n"),
+    ], ids=["run", "gen-data"])
+    def test_dataset_beyond_physical_memory_exits_2_naming_K(self, tmp_path, capsys,
+                                                             command, text):
+        # an 80 TB design is refused while parsing, before anything is allocated
+        out = tmp_path / "out"
+        assert main([command, str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: K: K=1000000000 rows of p=10000 need ")
+        assert "physical memory" in err and not out.exists()
+
+    def test_oversized_tree_exits_2_naming_n(self, tmp_path, capsys):
+        # 2^30 coordinates in 31 levels: refused before the structure is built
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
+        text = text.replace("p = 4", "n = 30").replace("linear-discrete", "linear-continuous")
+        text = text.replace("K = 40\n", "")
+        assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: n: hierarchical structure with n=30 is too large\n")
+
+    def test_footprint_counts_the_kept_gram(self, monkeypatch):
+        # K=100, p=50: 40000 B of design, plus 20000 B of Gram for a linear dataset
+        monkeypatch.setattr(config, "physical_memory", lambda: 50_000)
+        text = SMALL_RUN.replace("K = 40", "K = 100").replace("p = 4", "p = 50")
+        with pytest.raises(ConfigError) as err:
+            parse_run_config(text)
+        assert err.value.key == "K"
+        assert parse_run_config(text.replace("linear-discrete", "logistic")).K == 100
+
+    def test_memory_error_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, out_dir):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setattr(cli, "execute_run", exhausted)
+        assert main(["run", str(write_cfg(tmp_path, SMALL_RUN))]) == 1
+        assert capsys.readouterr().err == "out of memory: Unable to allocate 7.11 PiB for an array\n"
 
     def test_structure_file_error_exits_2(self, tmp_path, capsys):
         (tmp_path / "groups.txt").write_text("nan: 2,3\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from composite_sgd.core import DimensionError, ParameterError, RngStream
 from composite_sgd.problems import (
@@ -23,14 +24,19 @@ from composite_sgd.problems import (
     gen_logistic_dataset,
     ground_truth,
     lipschitz_linear,
-    minibatch_gradient_linear,
-    minibatch_gradient_logistic,
     ortho_lasso_instance,
     save_dataset_csv,
     sigmoid,
 )
 
-from _reference import central_difference, read_dataset_csv, sigmoid_masked
+from _reference import (
+    central_difference,
+    minibatch_gradient_linear,
+    minibatch_gradient_logistic,
+    objective_residual,
+    read_dataset_csv,
+    sigmoid_masked,
+)
 
 
 class TestGroundTruth:
@@ -85,6 +91,16 @@ class TestLogisticDataset:
         with pytest.raises(ParameterError):
             Dataset(np.array([[1.0, 0.0]]), np.array([0.5]), "logistic")
 
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_arrays_are_read_only(self, kind):
+        # a write would leave the cached moments describing other data
+        gen = gen_linear_dataset if kind == "linear" else gen_logistic_dataset
+        d = gen(6, 4, RngStream(4))
+        with pytest.raises(ValueError):
+            d.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            d.y[0] = 1.0
+
 
 class TestLinearObjective:
     def test_hand_value(self):
@@ -105,6 +121,81 @@ class TestLinearObjective:
         d = gen_linear_dataset(10, 4, RngStream(0))
         with pytest.raises(DimensionError):
             exact_objective_linear(d, np.ones(5))
+
+
+# Entries bounded so that no product or sum of squares overflows.
+_ENTRY = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _design(draw, tall: bool):
+    p = draw(st.integers(1 if tall else 2, 8))
+    K = p + draw(st.integers(0, 12)) if tall else draw(st.integers(1, p - 1))
+    X = draw(arrays(np.float64, (K, p), elements=_ENTRY))
+    y = draw(arrays(np.float64, K, elements=_ENTRY))
+    beta = draw(arrays(np.float64, p, elements=_ENTRY))
+    return Dataset(X, y, "linear"), beta
+
+
+class TestMomentForm:
+    """A tall design's objective comes from its cached moments; a wide one's
+    from the residual, as in ``_reference.objective_residual``."""
+
+    @given(_design(tall=True))
+    def test_moment_form_within_rounding_of_residual_form(self, case):
+        # Each form of ||X beta - y||^2 rounds by at most about
+        # (K + 2p + 2) u ||a||^2, with a = |X| |beta| + |y| and u = eps / 2:
+        # K from the moments' or the residual's sums, 2p from the products
+        # with beta. The objectives, over 2K, then differ by at most
+        # (K + 2p + 2) eps ||a||^2 / 2K; the tolerance doubles that and
+        # rounds the count up to K + 2p + 4, fixed before any run.
+        d, beta = case
+        a = np.abs(d.X) @ np.abs(beta) + np.abs(d.y)
+        tol = (d.K + 2 * d.p + 4) * np.finfo(float).eps * (a @ a) / d.K
+        assert abs(exact_objective_linear(d, beta) - objective_residual(d, beta)) <= tol
+
+    @given(_design(tall=False))
+    def test_wide_design_equals_residual_form_bit_for_bit(self, case):
+        d, beta = case
+        assert exact_objective_linear(d, beta) == objective_residual(d, beta)
+
+    @pytest.mark.parametrize("K, p", [(1000, 20), (20, 20), (5, 20)], ids=["tall", "square", "wide"])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided-y"])
+    def test_equals_residual_form_at_zero_bit_for_bit(self, K, p, strided):
+        # a trace's first row, at x_0 = 0; a strided y sums its squares in
+        # another order than a contiguous residual does
+        for seed in (29, 30, 31):
+            d = gen_linear_dataset(K, p, RngStream(seed))
+            y = np.stack([d.y, -d.y], axis=1)[:, 0] if strided else d.y
+            d = Dataset(d.X, y, "linear")
+            assert exact_objective_linear(d, np.zeros(p)) == objective_residual(d, np.zeros(p))
+
+    def test_objective_after_lipschitz_allocates_no_gram(self):
+        # lipschitz_linear forms the 400 x 400 Gram (1.28 MB); the objective
+        # then reads it, and lipschitz_linear again reuses it
+        p = 400
+        d = gen_linear_dataset(p + 100, p, RngStream(30))
+        lipschitz_linear(d, "paper")
+        beta = RngStream(31).normal(p)
+        for call in (lambda: exact_objective_linear(d, beta), lambda: lipschitz_linear(d)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < p * p * 8 // 4
+
+    def test_objective_forms_the_moments_lipschitz_reuses(self):
+        # with no lipschitz_linear first (a lipschitz_override run), the first
+        # objective call forms the moments, and lipschitz_linear reads them
+        d = gen_linear_dataset(60, 8, RngStream(32))
+        assert "moments" not in vars(d)
+        exact_objective_linear(d, np.ones(8))
+        gram = d.moments.gram
+        assert np.array_equal(gram, d.X.T @ d.X)
+        lipschitz_linear(d)
+        assert d.moments.gram is gram
 
 
 class TestMinibatchLinear:

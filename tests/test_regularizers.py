@@ -15,7 +15,6 @@ from composite_sgd.regularizers import (
     operator_norm,
     prox,
     save_group_structure,
-    singleton_structure,
     soft_threshold,
     _prox_dual_fista,
 )
@@ -28,6 +27,7 @@ from _reference import (
     prox_objective,
     prox_reference,
     random_laminar_structure,
+    singleton_structure,
 )
 
 

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from _reference import PhiloxStream, two_sequence_loop
+from _reference import PhiloxStream, minibatch_gradient_linear, two_sequence_loop
 from composite_sgd.core import (
     ConvergenceError,
     DivergenceError,
@@ -288,8 +288,6 @@ class TestRunAcsa:
             def sample(self, x, rng):
                 S = rng.indices(4, data.K)
                 self.draws.append(S.copy())
-                from composite_sgd.problems import minibatch_gradient_linear
-
                 return minibatch_gradient_linear(data, x, S)
 
         rec_sg = RecordingOracle()
