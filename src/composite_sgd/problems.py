@@ -30,6 +30,9 @@ _POWER_SEED = 0x9E3779B97F4A7C15  # fixed start vector seed, independent of user
 
 LOGISTIC_ROW_NORM_TOL = 1e-12
 
+# Row norms of a design are taken about this many entries at a time.
+_NORM_BLOCK = 2**16
+
 
 class Moments(NamedTuple):
     """A dataset's second moments: ``gram`` is the smaller Gram matrix, X^T X
@@ -66,7 +69,9 @@ class Dataset:
         if self.X.shape[0] < 1 or self.X.shape[1] < 1:
             raise ParameterError("need K >= 1 and p >= 1")
         if self.kind == "logistic":
-            norms = np.linalg.norm(self.X, axis=1)
+            # A tolerance check, so any summation order will do: this one
+            # forms no K x p temporary.
+            norms = np.sqrt(np.einsum("ij,ij->i", self.X, self.X))
             if np.any(np.abs(norms - 1.0) > LOGISTIC_ROW_NORM_TOL):
                 raise ParameterError("logistic rows must have unit norm")
             if not np.all((self.y == 0.0) | (self.y == 1.0)):
@@ -125,15 +130,23 @@ def gen_logistic_dataset(K: int, p: int, rng: RngStream, beta_hat=None) -> Datas
         raise ParameterError(f"need K, p >= 1, got K={K} p={p}")
     beta = ground_truth("logistic", p) if beta_hat is None else as_vector(beta_hat)
     X = rng.normal(K * p).reshape(K, p)
-    norms = np.linalg.norm(X, axis=1)
+    norms = _row_norms(X)
     while np.any(norms == 0.0):  # probability-zero draw; resample those rows
         bad = np.flatnonzero(norms == 0.0)
         X[bad] = rng.normal(bad.size * p).reshape(bad.size, p)
-        norms = np.linalg.norm(X, axis=1)
-    X = X / norms[:, None]
+        norms = _row_norms(X)
+    X /= norms[:, None]
     prob = sigmoid(X @ beta)
     labels = (rng.uniform(K) < prob).astype(np.float64)
     return Dataset(X, labels, "logistic")
+
+
+def _row_norms(X: Array) -> Array:
+    # np.linalg.norm(X, axis=1) a block of rows at a time, so its squares take
+    # no second K x p array; each row's norm has the same bits.
+    rows = max(1, _NORM_BLOCK // X.shape[1])
+    return np.concatenate([np.linalg.norm(X[i:i + rows], axis=1)
+                           for i in range(0, X.shape[0], rows)])
 
 
 def sigmoid(t) -> Array:

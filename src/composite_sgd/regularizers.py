@@ -30,6 +30,10 @@ DUAL_MAX_ITER = 100_000
 # Refuse hierarchical structures whose index storage would exceed this.
 _MAX_TOTAL_INDICES = 2**28
 
+# Floor and ceiling of the group prox thresholds and radii.
+_TINY = np.finfo(np.float64).smallest_subnormal
+_HUGE = np.finfo(np.float64).max
+
 
 class GroupStructure:
     """An ordered family of index groups over coordinates with positive weights.
@@ -38,8 +42,14 @@ class GroupStructure:
     when every pair of groups is either disjoint or nested, which is the case
     admitting an exact single-pass prox; it is decided in O(total indices).
     ``layers`` then splits the groups by nesting depth, deepest first; groups
-    of equal depth are disjoint. Each layer is ``(index, offsets, sizes,
-    weights)`` in flat block layout. ``layers`` is None for an overlapping family.
+    of equal depth are disjoint. Each layer is ``(index, offsets, owner, lo,
+    hi)`` in flat block layout: ``owner`` gives the position within the layer
+    of the group each gathered coordinate belongs to, so ``scale[owner]``
+    spreads one value per group over its coordinates, and the layer's weights
+    are ``layer_weights[lo:hi]``, which holds all groups' weights in layer
+    order. ``layers`` and ``layer_weights`` are None for an overlapping
+    family. The flat ``owner`` does the same for the stored group order. All
+    of it is built once per structure.
     """
 
     def __init__(self, groups, weights, p: int):
@@ -83,12 +93,13 @@ class GroupStructure:
         self.flat_index = np.concatenate(cleaned)
         self.offsets = np.zeros(len(cleaned), dtype=np.int64)
         np.cumsum(self.sizes[:-1], out=self.offsets[1:])
-        self.rep_weights = np.repeat(weights, self.sizes)
+        self.owner = np.repeat(np.arange(len(cleaned)), self.sizes)
+        self.rep_weights = weights[self.owner]
         # The most groups any one coordinate lies in: the overlapping prox's
         # dual gradient is max_cover / eta Lipschitz.
         self.max_cover = int(np.bincount(self.flat_index, minlength=p).max())
 
-        self.layers = self._depth_layers()
+        self.layers, self.layer_weights = self._depth_layers()
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -99,29 +110,32 @@ class GroupStructure:
 
     def _depth_layers(self):
         # Visit groups largest first (stable, so identical groups nest in stored
-        # order) while ``owner`` maps each coordinate to the innermost group
+        # order) while ``innermost`` maps each coordinate to the innermost group
         # visited so far. A group is disjoint from or nested in every group
-        # before it exactly when all its coordinates have one owner: its parent,
-        # or -1 for a root. O(total indices) in all.
-        owner = np.full(self.p, -1, dtype=np.int64)
+        # before it exactly when all its coordinates have one innermost group:
+        # its parent, or -1 for a root. O(total indices) in all.
+        innermost = np.full(self.p, -1, dtype=np.int64)
         depth = np.full(len(self.groups) + 1, -1, dtype=np.int64)  # depth[-1]: no parent
         for k in np.argsort(-self.sizes, kind="stable"):
-            parents = owner[self.groups[k]]
+            parents = innermost[self.groups[k]]
             if np.any(parents != parents[0]):
-                return None
+                return None, None
             depth[k] = depth[parents[0]] + 1
-            owner[self.groups[k]] = k
+            innermost[self.groups[k]] = k
         # One stable sort by depth, deepest first: a scan per depth would be
         # quadratic for long chains of identical groups.
         depth = depth[:-1]
         order = np.argsort(-depth, kind="stable")
+        bounds = np.cumsum(np.bincount(depth)[::-1])
         layers = []
-        for members in np.split(order, np.cumsum(np.bincount(depth)[::-1])[:-1]):
+        for lo, hi in zip([0, *bounds[:-1]], bounds):
+            members = order[lo:hi]
             sizes = self.sizes[members]
             offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
             index = np.concatenate([self.groups[k] for k in members])
-            layers.append((index, offsets, sizes, self.weights[members]))
-        return layers
+            within = np.repeat(np.arange(members.size), sizes)
+            layers.append((index, offsets, within, int(lo), int(hi)))
+        return layers, self.weights[order]
 
     def block_norms(self, flat: Array) -> Array:
         """Per-group Euclidean norms of a flat block-layout vector."""
@@ -244,16 +258,20 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
 
 
 def _prox_laminar(st: GroupStructure, lam: float, u: Array, eta: float) -> Array:
+    # Blocks with nrm <= thr get scale 1 - thr / thr = 0, exact zeros. The
+    # floor keeps a zero block free of 0/0: a nonzero block norm is at least
+    # sqrt(smallest_subnormal) = 2.2e-162, so where lam * w / eta underflows,
+    # 1 - smallest_subnormal / nrm rounds to exactly 1 and the block is kept
+    # as it is. The ceiling keeps an overflowing threshold zeroing its block,
+    # not making inf / inf.
+    thr = np.minimum(np.maximum(lam * st.layer_weights / eta, _TINY), _HUGE)
     x = u.copy()
-    for index, offsets, sizes, weights in st.layers:
+    for index, offsets, owner, lo, hi in st.layers:
         block = x[index]
         nrm = np.sqrt(np.add.reduceat(block * block, offsets))
-        thr = lam * weights / eta
-        # Blocks with nrm <= thr become exact zeros; dividing only where
-        # nrm > thr >= 0 also keeps zero-norm blocks free of 0/0.
-        keep = nrm > thr
-        scale = 1.0 - np.divide(thr, nrm, out=np.ones_like(nrm), where=keep)
-        x[index] = block * np.repeat(scale, sizes)
+        t = thr[lo:hi]
+        scale = 1.0 - t / np.maximum(nrm, t)
+        x[index] = block * scale[owner]
     return x
 
 
@@ -262,10 +280,10 @@ def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Ar
     # xf = x(b)[flat_index] have one slice per group. x is affine in b, so the
     # gathered primal at y is the same combination of the last two xf as y is
     # of the last two b: one bincount per iteration.
-    index, offsets, sizes = st.flat_index, st.offsets, st.sizes
+    index, offsets, owner = st.flat_index, st.offsets, st.owner
     # Floored so that a radius lam * w_g underflowing to 0 cannot make the
     # projection of a zero block 0/0.
-    radii = np.maximum(lam * st.weights, np.finfo(np.float64).smallest_subnormal)
+    radii = np.maximum(lam * st.weights, _TINY)
     step = eta / st.max_cover
     pen_u = radii @ st.block_norms(u[index])
     b = np.zeros(index.size)
@@ -294,7 +312,7 @@ def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Ar
         nrm = np.sqrt(np.add.reduceat(v * v, offsets))
         scale = radii / np.maximum(nrm, radii)
         b_prev, xf_prev = b, xf
-        b = v * np.repeat(scale, sizes)
+        b = v * scale[owner]
         x = u - np.bincount(index, weights=b, minlength=st.p) / eta
         xf = x[index]
     raise ConvergenceError(

@@ -87,7 +87,7 @@ def _project(s: SmoothedRegularizer, ax: Array) -> Array:
     if st is None:  # np.clip's bits, NaN included, without its Python wrappers
         return np.minimum(np.maximum(t, -1.0), 1.0)
     factor = 1.0 / np.maximum(st.block_norms(t), 1.0)
-    return t * np.repeat(factor, st.sizes)
+    return t * factor[st.owner]
 
 
 def maximizer(s: SmoothedRegularizer, x) -> Array:

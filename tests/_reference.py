@@ -12,17 +12,30 @@ transform, the sigmoid from the sign-split masked form, dataset CSVs are read
 back with ``csv`` and ``float``, the square loss from its residual, the
 minibatch gradients from their validated formulas, and the solvers' recursion
 is a plain loop over the public, validating functions.
+
+Some references pin the bits of a fast path instead: the laminar prox in its
+masked form on depth layers rebuilt by dense containment, the overlapping
+prox's dual FISTA and the smoothing's projection spreading their per-group
+scales with ``np.repeat``, and the logistic generator with whole-array row
+norms and a copying divide.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from composite_sgd.core import ConvergenceError, DivergenceError, ParameterError, RngStream
-from composite_sgd.problems import _check_beta, sigmoid
-from composite_sgd.regularizers import GroupStructure, evaluate, prox
+from composite_sgd.problems import _check_beta, ground_truth, sigmoid
+from composite_sgd.regularizers import (
+    DUAL_GAP_RTOL,
+    DUAL_MAX_ITER,
+    GroupStructure,
+    evaluate,
+    prox,
+)
 
 
 def materialize_map(lam: float, groups, weights, p: int) -> np.ndarray:
@@ -136,6 +149,76 @@ def prox_laminar_loop(u, lam, eta, groups, weights):
     return x
 
 
+def masked_layers(st):
+    """The laminar depth layers as ``(index, offsets, sizes, weights)``, rebuilt
+    from ``st.groups`` by dense containment: a group's depth is the number of
+    groups that strictly contain it plus the identical groups stored before it.
+    Deepest layer first, members in stored order."""
+    sets = [frozenset(g.tolist()) for g in st.groups]
+    depth = [sum(1 for j, h in enumerate(sets) if h > s or (h == s and j < k))
+             for k, s in enumerate(sets)]
+    layers = []
+    for d in sorted(set(depth), reverse=True):
+        members = [k for k in range(len(sets)) if depth[k] == d]
+        sizes = np.array([st.groups[k].size for k in members], dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        index = np.concatenate([st.groups[k] for k in members])
+        layers.append((index, offsets, sizes, st.weights[members]))
+    return layers
+
+
+def prox_laminar_masked(st, lam, u, eta):
+    """The laminar prox in its masked form: per layer a ``keep`` mask, a divide
+    into ``ones_like`` only where kept, and ``np.repeat`` over the block sizes."""
+    x = u.copy()
+    for index, offsets, sizes, weights in masked_layers(st):
+        block = x[index]
+        nrm = np.sqrt(np.add.reduceat(block * block, offsets))
+        thr = lam * weights / eta
+        # Blocks with nrm <= thr become exact zeros; dividing only where
+        # nrm > thr >= 0 also keeps zero-norm blocks free of 0/0.
+        keep = nrm > thr
+        scale = 1.0 - np.divide(thr, nrm, out=np.ones_like(nrm), where=keep)
+        x[index] = block * np.repeat(scale, sizes)
+    return x
+
+
+def prox_dual_fista_repeat(st, lam, u, eta):
+    """The overlapping prox's restarted dual FISTA, spreading each group's
+    projection scale over its block with ``np.repeat`` over the block sizes."""
+    index, offsets, sizes = st.flat_index, st.offsets, st.sizes
+    radii = np.maximum(lam * st.weights, np.finfo(np.float64).smallest_subnormal)
+    step = eta / st.max_cover
+    pen_u = radii @ st.block_norms(u[index])
+    b = np.zeros(index.size)
+    x = u.copy()
+    xf = x[index]
+    b_prev, xf_prev, y = b, xf, b
+    t = 1.0
+    for k in range(DUAL_MAX_ITER + 1):
+        pen_x = radii @ st.block_norms(xf)
+        gap = pen_x - b @ xf
+        if gap <= DUAL_GAP_RTOL * (pen_x + pen_u):
+            return x
+        if k == DUAL_MAX_ITER:
+            break
+        db = b - b_prev
+        if (b - y) @ db < 0.0:
+            t = 1.0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        t = t_next
+        y = b + beta * db
+        v = y + step * (xf + beta * (xf - xf_prev))
+        nrm = np.sqrt(np.add.reduceat(v * v, offsets))
+        scale = radii / np.maximum(nrm, radii)
+        b_prev, xf_prev = b, xf
+        b = v * np.repeat(scale, sizes)
+        x = u - np.bincount(index, weights=b, minlength=st.p) / eta
+        xf = x[index]
+    raise ConvergenceError("reference dual FISTA did not converge", last_iterate=x)
+
+
 def prox_dual_ascent_loop(u, lam, eta, groups, weights, tol=1e-15, max_sweeps=100_000):
     """Overlapping prox by dual block-coordinate ascent over unit-ball duals a_g,
     keeping s = sum_g lam * w_g * a_g. Groups are visited smallest first (ties
@@ -222,6 +305,21 @@ class PhiloxStream:
         return np.minimum((self.uniform(n) * upper).astype(np.int64), upper - 1)
 
 
+def logistic_dataset_copying(K: int, p: int, rng):
+    """X and y of the logistic generator with whole-array row norms and a
+    copying divide."""
+    beta = ground_truth("logistic", p)
+    X = rng.normal(K * p).reshape(K, p)
+    norms = np.linalg.norm(X, axis=1)
+    while np.any(norms == 0.0):
+        bad = np.flatnonzero(norms == 0.0)
+        X[bad] = rng.normal(bad.size * p).reshape(bad.size, p)
+        norms = np.linalg.norm(X, axis=1)
+    X = X / norms[:, None]
+    prob = sigmoid(X @ beta)
+    return X, (rng.uniform(K) < prob).astype(np.float64)
+
+
 def sigmoid_masked(t) -> np.ndarray:
     """1 / (1 + exp(-t)) for t >= 0 and e^t / (1 + e^t) otherwise, written into
     the two sign classes through boolean masks."""
@@ -285,16 +383,24 @@ def read_dataset_csv(path):
     return header, data[:, 1:], data[:, 0]
 
 
+def maximizer_formula(sreg, x):
+    """v_mu(x) of a group norm written out from the penalty: a = lam * w_g *
+    x_g / mu projected onto each group's unit ball, the projection's factor
+    spread over the block with ``np.repeat`` over the block sizes."""
+    st = sreg.base.structure
+    a = sreg.base.lam * st.rep_weights * x[st.flat_index] / sreg.mu
+    return a * np.repeat(1.0 / np.maximum(st.block_norms(a), 1.0), st.sizes)
+
+
 def smoothed_gradient_formula(sreg, x):
     """A^T v_mu(x) written out from the penalty: lam * clip(lam * x / mu, -1, 1)
-    for l1; for a group norm, a = lam * w_g * x_g / mu projected onto each
-    group's unit ball, scaled by lam * w_g and summed back per coordinate."""
+    for l1; for a group norm, ``maximizer_formula`` scaled by lam * w_g and
+    summed back per coordinate."""
     reg = sreg.base
     st = reg.structure
     if st is None:
         return reg.lam * np.clip(reg.lam * x / sreg.mu, -1.0, 1.0)
-    a = reg.lam * st.rep_weights * x[st.flat_index] / sreg.mu
-    a = a * np.repeat(1.0 / np.maximum(st.block_norms(a), 1.0), st.sizes)
+    a = maximizer_formula(sreg, x)
     return np.bincount(st.flat_index, weights=reg.lam * st.rep_weights * a, minlength=st.p)
 
 

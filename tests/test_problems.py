@@ -31,6 +31,7 @@ from composite_sgd.problems import (
 
 from _reference import (
     central_difference,
+    logistic_dataset_copying,
     minibatch_gradient_linear,
     minibatch_gradient_logistic,
     objective_residual,
@@ -84,6 +85,26 @@ class TestLogisticDataset:
     def test_label_frequency_with_zero_coefficients(self):
         d = gen_logistic_dataset(100_000, 3, RngStream(6), beta_hat=np.zeros(3))
         assert abs(d.y.mean() - 0.5) < 0.005
+
+    @pytest.mark.parametrize("K, p", [(70_000, 1), (10_000, 7), (5000, 20),
+                                      (2000, 100), (1100, 129), (300, 512)])
+    def test_equals_copying_generator_byte_for_byte(self, K, p):
+        # several blocks of row norms each, and the divide in place
+        d = gen_logistic_dataset(K, p, RngStream(40))
+        X, y = logistic_dataset_copying(K, p, RngStream(40))
+        assert d.X.tobytes() == X.tobytes() and d.y.tobytes() == y.tobytes()
+
+    def test_peak_memory_is_about_one_design(self):
+        gen_logistic_dataset(4, 3, RngStream(41))  # first-call allocations
+        K, p = 20_000, 100
+        rng = RngStream(42)
+        tracemalloc.start()
+        try:
+            gen_logistic_dataset(K, p, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * K * p * 8
 
     def test_invariants_enforced_at_construction(self):
         with pytest.raises(ParameterError):

@@ -17,13 +17,16 @@ from composite_sgd.regularizers import (
     save_group_structure,
     soft_threshold,
     _prox_dual_fista,
+    _prox_laminar,
 )
 
 from _reference import (
     is_laminar_dense,
     materialize_map,
     prox_dual_ascent_loop,
+    prox_dual_fista_repeat,
     prox_laminar_loop,
+    prox_laminar_masked,
     prox_objective,
     prox_reference,
     random_laminar_structure,
@@ -178,6 +181,33 @@ def group_families(draw, laminar=False):
     return [groups[k] for k in order], weights, p
 
 
+# Signed zeros, subnormals, the smallest normal and entries near
+# sqrt(smallest_subnormal), where block norms are smallest without being 0.
+EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                1e-162, -3e-161, 1e-150]
+
+
+@st.composite
+def laminar_prox_inputs(draw):
+    """(structure, lam, u, eta): a laminar family or a dyadic tree; u mixing
+    ordinary entries with ``EDGE_ENTRIES`` and tiny ones, some groups zeroed
+    outright; lam ordinary, or small enough that lam * w / eta underflows for
+    some or all groups; eta over 8 decades."""
+    if draw(st.booleans()):
+        gs = GroupStructure(*draw(group_families(laminar=True)))
+    else:
+        gs = build_hierarchical(draw(st.integers(0, 5)))
+    entries = st.one_of(st.floats(-50.0, 50.0), st.sampled_from(EDGE_ENTRIES),
+                        st.floats(-1e-300, 1e-300))
+    u = draw(arrays(np.float64, gs.p, elements=entries))
+    for k in draw(st.lists(st.integers(0, len(gs) - 1), max_size=3)):
+        u[gs.groups[k]] = draw(st.sampled_from([0.0, -0.0]))
+    lam = draw(st.one_of(st.floats(0.01, 5.0),
+                         st.floats(5e-324, 1e-300, allow_subnormal=True)))
+    eta = 10.0 ** draw(st.floats(-4.0, 4.0))
+    return gs, lam, u, eta
+
+
 def loop_tolerance(u):
     # the layered prox sums in another order than the per-group loop of
     # _reference.py
@@ -195,9 +225,11 @@ class TestDepthLayers:
         groups, weights, p = family
         layers = GroupStructure(groups, weights, p).layers
         assert layers is not None
-        assert sum(len(offsets) for _, offsets, _, _ in layers) == len(groups)
-        for index, _, sizes, _ in layers:
+        assert sum(len(offsets) for _, offsets, _, _, _ in layers) == len(groups)
+        for index, offsets, owner, _, _ in layers:
+            sizes = np.diff(offsets, append=index.size)
             assert np.unique(index).size == index.size == sizes.sum()
+            assert np.array_equal(owner, np.repeat(np.arange(len(offsets)), sizes))
 
     @given(group_families(laminar=True), st.data())
     def test_prox_matches_loop_reference(self, family, data):
@@ -225,8 +257,9 @@ class TestDepthLayers:
         groups = [np.arange(6), np.arange(4), np.arange(3), np.array([4, 5])]
         weights = np.array([1.0, 0.7, 0.5, 0.9])
         st6 = GroupStructure(groups, weights, 6)
-        layer_sets = [[set(map(int, index[o:o + n])) for o, n in zip(offsets, sizes)]
-                      for index, offsets, sizes, _ in st6.layers]
+        layer_sets = [[set(map(int, index[o:o + n]))
+                       for o, n in zip(offsets, np.diff(offsets, append=index.size))]
+                      for index, offsets, _, _, _ in st6.layers]
         assert layer_sets == [[{0, 1, 2}], [{0, 1, 2, 3}, {4, 5}], [set(range(6))]]
         rng = RngStream(12)
         for _ in range(20):
@@ -249,11 +282,33 @@ class TestDepthLayers:
         assert np.allclose(out, prox_laminar_loop(u, lam, 1.0, reg.structure.groups, weights),
                            rtol=0.0, atol=loop_tolerance(u))
 
+    @given(laminar_prox_inputs())
+    def test_prox_equals_masked_form_bit_for_bit(self, inputs):
+        # the bytes compare sign bits too; the masked form divides only where a
+        # block is kept, so a 0/0 or x/0 in the layer plan would raise here
+        gs, lam, u, eta = inputs
+        with np.errstate(divide="raise", invalid="raise"):
+            out = _prox_laminar(gs, lam, u, eta)
+            ref = prox_laminar_masked(gs, lam, u, eta)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_overflowing_thresholds_zero_blocks_like_masked_form(self):
+        # lam * w / eta overflows to inf for every group: the masked form
+        # zeroes every block (nrm > inf is false), the layer plan must too,
+        # with no inf / inf
+        gs = build_hierarchical(3)
+        u = np.array([0.0, -0.0, 1.5, -2.0, 1e150, 5e-324, -3.0, 3.0])
+        with np.errstate(over="ignore", divide="raise", invalid="raise"):
+            out = _prox_laminar(gs, 1e10, u, 1e-300)
+            ref = prox_laminar_masked(gs, 1e10, u, 1e-300)
+        assert out.tobytes() == ref.tobytes()
+        assert not np.any(out)
+
     def test_hierarchical_eleven_levels(self):
         st11 = build_hierarchical(11)
         assert st11.is_laminar
         assert len(st11.layers) == 12
-        for index, _, _, _ in st11.layers:
+        for index, _, _, _, _ in st11.layers:
             assert np.array_equal(np.sort(index), np.arange(2**11))
 
 
@@ -314,6 +369,17 @@ class TestDualFista:
         ref_radius = np.sqrt(2.0 * max(gap, 0.0) / eta)
         allowance = 1e-14 * float(np.max(np.abs(u)))
         assert np.linalg.norm(out - ref) <= radius + ref_radius + allowance
+
+    @given(overlapping_instances())
+    def test_equals_repeat_form_bit_for_bit(self, instance):
+        # scale[owner] and np.repeat(scale, sizes) spread the same values
+        groups, weights, p, lam, eta, u = instance
+        gs = GroupStructure(groups, weights, p)
+        assume(not gs.is_laminar)
+        out, raised = dual_ascent_outcome(lambda: _prox_dual_fista(gs, lam, u, eta))
+        ref, ref_raised = dual_ascent_outcome(lambda: prox_dual_fista_repeat(gs, lam, u, eta))
+        assert raised == ref_raised
+        assert out.tobytes() == ref.tobytes()
 
     def test_underflowing_radii_leave_u(self):
         # lam * w_g = 1e-400 underflows to 0 for {0, 1} but not for {1, 2};

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from composite_sgd.core import DimensionError, ParameterError, RngStream
 from composite_sgd.regularizers import (
@@ -19,7 +21,8 @@ from composite_sgd.smoothing import (
     smoothed_value,
 )
 
-from _reference import central_difference, materialize_map
+from _reference import central_difference, materialize_map, maximizer_formula
+from test_regularizers import overlapping_instances
 
 
 def group_pair():
@@ -180,6 +183,25 @@ class TestDualMap:
             v = maximizer(s, x)
             assert np.max(np.abs(v - projected)) <= 1e-12
             assert np.max(np.abs(smoothed_gradient(s, x) - A.T @ v)) <= 1e-12
+
+
+class TestProjectionBits:
+    """The maximizer spreads each group's projection factor with the
+    structure's flat owner map; the formula spreads it with np.repeat."""
+
+    @given(overlapping_instances(), hst.floats(-6.0, 2.0))
+    def test_equals_repeat_form_on_random_groups(self, instance, log_mu):
+        groups, weights, p, lam, _, u = instance
+        s = smoothed(group_norm(lam, GroupStructure(groups, weights, p)), mu=10.0**log_mu)
+        assert maximizer(s, u).tobytes() == maximizer_formula(s, u).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 3, 9])
+    def test_equals_repeat_form_on_trees(self, n):
+        s = smoothed(group_norm(0.05, build_hierarchical(n)), mu=1e-3)
+        rng = RngStream(50 + n)
+        for _ in range(5):
+            x = 3.0 * rng.normal(2**n)
+            assert maximizer(s, x).tobytes() == maximizer_formula(s, x).tobytes()
 
 
 @pytest.mark.parametrize("fn", [maximizer, smoothed_value, smoothed_gradient])
