@@ -1,7 +1,9 @@
 """Flat key=value run configurations for the experiment harness.
 
 One ``key=value`` pair per line, ``#`` starts a comment, unknown keys are hard
-errors. ``solver`` and ``seed`` accept comma-separated lists.
+errors. ``solver`` and ``seed`` accept comma-separated lists. Each config
+dataclass is the one statement of its keys and defaults: a parser accepts the
+dataclass fields by config key and passes on only the keys a config gives.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .core import _MAX_SEED
+
 PROBLEMS = ("linear-discrete", "linear-continuous", "logistic")
 REGULARIZERS = ("l1", "hierarchical", "custom")
 SOLVERS = ("sg", "ssg", "acsa")
 CONVENTIONS = ("paper", "scaled")
 BOUND_PROBLEMS = ("quadratic", "ortho-lasso")
-
-_BOUNDS_KEYS = {"problem", "solver", "p", "N", "sigma", "lambda", "R", "seed", "D"}
-_GENDATA_KEYS = {"problem", "K", "p", "seed"}
 
 
 class ConfigError(ValueError):
@@ -50,33 +51,70 @@ def parse_kv(text: str) -> dict[str, str]:
     return pairs
 
 
-def _reject_unknown(pairs: dict[str, str], allowed: set[str]) -> None:
+def _pairs(text: str, cls) -> dict[str, str]:
+    """The key=value pairs of ``text``, each key one of ``cls``'s fields by
+    config key."""
+    pairs = parse_kv(text)
+    keys = {_KEY_OF_FIELD.get(f.name, f.name) for f in fields(cls)}
     for key in pairs:
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(key, "unknown key")
+    return pairs
 
 
-def _get_int(pairs, key, minimum=None):
+def _require(pairs, key) -> str:
+    if key not in pairs:
+        raise ConfigError(key, "required field is missing")
+    return pairs[key]
+
+
+def _forbid(pairs, key, why):
+    if key in pairs:
+        raise ConfigError(key, why)
+
+
+def _number(pairs, key, kind, minimum=None, strict=False):
+    """The required int or finite float ``key``, at least ``minimum`` (above
+    it when ``strict``)."""
+    text = _require(pairs, key)
     try:
-        value = int(pairs[key])
+        value = kind(text)
     except ValueError:
-        raise ConfigError(key, f"expected an integer, got {pairs[key]!r}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(key, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _get_float(pairs, key, minimum=None, strict=False):
-    try:
-        value = float(pairs[key])
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {pairs[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(key, f"must be finite, got {pairs[key]!r}")
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(key, f"expected {what}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {text!r}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
         op = ">" if strict else ">="
         raise ConfigError(key, f"must be {op} {minimum}, got {value}")
     return value
+
+
+def _given(pairs, *specs) -> dict:
+    """Each ``(key, kind, minimum, strict)`` number the config gives, by key,
+    so that an omitted key keeps its dataclass default."""
+    return {key: _number(pairs, key, *rest) for key, *rest in specs if key in pairs}
+
+
+def _choice(pairs, key, options, many=False, why=""):
+    """The required ``key``, one of ``options``; with ``many``, a tuple of
+    distinct options from a comma-separated list."""
+    text = _require(pairs, key)
+    values = tuple(v.strip() for v in text.split(",")) if many else (text,)
+    if any(v not in options for v in values):
+        raise ConfigError(key, f"{why}must be one of {options}, got {text!r}")
+    if len(set(values)) != len(values):
+        raise ConfigError(key, f"repeated {key}")
+    return values if many else text
+
+
+def _check_seed(seed: int, repetitions: int = 1) -> None:
+    """The seed rule of every command: each stream seed a command derives,
+    ``seed`` through ``seed + repetitions - 1``, must be one RngStream takes."""
+    last = seed + repetitions - 1
+    if seed < 0 or last > _MAX_SEED:
+        got = seed if repetitions == 1 else f"{seed}..{last} (seed to seed + R - 1)"
+        raise ConfigError("seed", f"seeds must fit in 64 unsigned bits, got {got}")
 
 
 def physical_memory() -> Optional[int]:
@@ -98,16 +136,6 @@ def _check_footprint(K: int, p: int, gram: bool) -> None:
             "K", f"K={K} rows of p={p} need {need / 2**30:.3g} GiB, more than "
                  f"the {have / 2**30:.3g} GiB of physical memory"
         )
-
-
-def _require(pairs, key):
-    if key not in pairs:
-        raise ConfigError(key, "required field is missing")
-
-
-def _forbid(pairs, key, why):
-    if key in pairs:
-        raise ConfigError(key, why)
 
 
 @dataclass(frozen=True)
@@ -150,9 +178,8 @@ class RunConfig:
         return {key: echo[key] for key in _INSTANCE_KEYS}
 
 
-# The config keys whose RunConfig field has another name.
+# The config keys whose field, in any config dataclass, has another name.
 _KEY_OF_FIELD = {"lam": "lambda", "solvers": "solver", "seeds": "seed"}
-_RUN_KEYS = {_KEY_OF_FIELD.get(f.name, f.name) for f in fields(RunConfig)}
 _INSTANCE_KEYS = (
     "problem", "regularizer", "K", "p", "n", "lambda", "lipschitz_convention",
     "lipschitz_override", "seed", "structure_file",
@@ -160,41 +187,27 @@ _INSTANCE_KEYS = (
 
 
 def parse_run_config(text: str) -> RunConfig:
-    pairs = parse_kv(text)
-    _reject_unknown(pairs, _RUN_KEYS)
-    for key in ("problem", "regularizer", "solver", "lambda", "N", "batch_size", "seed"):
-        _require(pairs, key)
-
-    problem = pairs["problem"]
-    if problem not in PROBLEMS:
-        raise ConfigError("problem", f"must be one of {PROBLEMS}, got {problem!r}")
-    regularizer = pairs["regularizer"]
-    if regularizer not in REGULARIZERS:
-        raise ConfigError("regularizer", f"must be one of {REGULARIZERS}, got {regularizer!r}")
-
-    solvers = tuple(s.strip() for s in pairs["solver"].split(","))
-    if not solvers or any(s not in SOLVERS for s in solvers):
-        raise ConfigError("solver", f"entries must be among {SOLVERS}, got {pairs['solver']!r}")
-    if len(set(solvers)) != len(solvers):
-        raise ConfigError("solver", "repeated solver")
+    pairs = _pairs(text, RunConfig)
+    problem = _choice(pairs, "problem", PROBLEMS)
+    regularizer = _choice(pairs, "regularizer", REGULARIZERS)
+    solvers = _choice(pairs, "solver", SOLVERS, many=True)
 
     if problem == "linear-continuous":
         _forbid(pairs, "K", "not applicable to linear-continuous (infinite data)")
         K = None
     else:
-        _require(pairs, "K")
-        K = _get_int(pairs, "K", minimum=1)
+        K = _number(pairs, "K", int, 1)
 
     # Dimension: l1/custom take p directly; hierarchical takes n (or a power-of-two p).
     if regularizer == "hierarchical":
         _forbid(pairs, "structure_file", "only valid with the custom regularizer")
         if "n" in pairs:
-            n = _get_int(pairs, "n", minimum=0)
+            n = _number(pairs, "n", int, 0)
             p = 2**n
-            if "p" in pairs and _get_int(pairs, "p", minimum=1) != p:
+            if "p" in pairs and _number(pairs, "p", int, 1) != p:
                 raise ConfigError("p", f"inconsistent with n={n} (expected {p})")
         elif "p" in pairs:
-            p = _get_int(pairs, "p", minimum=1)
+            p = _number(pairs, "p", int, 1)
             if p & (p - 1) != 0:
                 raise ConfigError("p", f"hierarchical regularizer requires p = 2^n, got {p}")
             n = p.bit_length() - 1
@@ -202,61 +215,49 @@ def parse_run_config(text: str) -> RunConfig:
             raise ConfigError("n", "required field is missing (hierarchical regularizer)")
     else:
         _forbid(pairs, "n", "only valid with the hierarchical regularizer")
-        _require(pairs, "p")
-        p = _get_int(pairs, "p", minimum=1)
+        p = _number(pairs, "p", int, 1)
         n = None
         if regularizer == "custom":
             _require(pairs, "structure_file")
         else:
             _forbid(pairs, "structure_file", "only valid with the custom regularizer")
-    structure_file = pairs.get("structure_file")
 
     if problem in ("linear-discrete", "linear-continuous") and p % 2 != 0:
         raise ConfigError("p", f"linear problems require even p (half-ones truth), got {p}")
     if K is not None:
         _check_footprint(K, p, gram=problem == "linear-discrete")
 
-    lam = _get_float(pairs, "lambda", minimum=0.0)
-    N = _get_int(pairs, "N", minimum=1)
-
-    if pairs["batch_size"] == "full":
+    lam = _number(pairs, "lambda", float, 0.0)
+    N = _number(pairs, "N", int, 1)
+    if _require(pairs, "batch_size") == "full":
         batch_size = None
     else:
-        batch_size = _get_int(pairs, "batch_size", minimum=1)
+        batch_size = _number(pairs, "batch_size", int, 1)
 
-    seeds = []
-    for tok in pairs["seed"].split(","):
-        try:
-            seeds.append(int(tok.strip()))
-        except ValueError:
-            raise ConfigError("seed", f"expected integers, got {pairs['seed']!r}") from None
-    if any(s < 0 or s > 2**64 - 1 for s in seeds):
-        raise ConfigError("seed", "seeds must fit in 64 unsigned bits")
+    try:
+        seeds = tuple(int(tok) for tok in _require(pairs, "seed").split(","))
+    except ValueError:
+        raise ConfigError("seed", f"expected integers, got {pairs['seed']!r}") from None
+    for seed in seeds:
+        _check_seed(seed)
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seed", "repeated seed")
 
-    trace_every = _get_int(pairs, "trace_every", minimum=1) if "trace_every" in pairs else 100
-
-    convention = pairs.get("lipschitz_convention", "scaled")
-    if convention not in CONVENTIONS:
-        raise ConfigError("lipschitz_convention", f"must be one of {CONVENTIONS}")
-    if "lipschitz_convention" in pairs and problem != "linear-discrete":
-        raise ConfigError("lipschitz_convention", "only applies to linear-discrete")
-
-    mu_override = _get_float(pairs, "mu_override", 0.0, strict=True) if "mu_override" in pairs else None
-    acsa_sigma_sq = _get_float(pairs, "acsa_sigma_sq", 0.0) if "acsa_sigma_sq" in pairs else None
-    acsa_d = _get_float(pairs, "acsa_d", 0.0, strict=True) if "acsa_d" in pairs else 1.0
-    lipschitz_override = (
-        _get_float(pairs, "lipschitz_override", 0.0, strict=True)
-        if "lipschitz_override" in pairs else None
+    given = _given(
+        pairs, ("trace_every", int, 1), ("mu_override", float, 0.0, True),
+        ("acsa_sigma_sq", float, 0.0), ("acsa_d", float, 0.0, True),
+        ("lipschitz_override", float, 0.0, True),
     )
+    if "lipschitz_convention" in pairs:
+        given["lipschitz_convention"] = _choice(pairs, "lipschitz_convention", CONVENTIONS)
+        if problem != "linear-discrete":
+            raise ConfigError("lipschitz_convention", "only applies to linear-discrete")
+    if "structure_file" in pairs:
+        given["structure_file"] = pairs["structure_file"]
 
     return RunConfig(
         problem=problem, regularizer=regularizer, solvers=solvers, K=K, p=p, n=n,
-        lam=lam, N=N, batch_size=batch_size, seeds=tuple(seeds),
-        trace_every=trace_every, lipschitz_convention=convention,
-        mu_override=mu_override, acsa_sigma_sq=acsa_sigma_sq, acsa_d=acsa_d,
-        lipschitz_override=lipschitz_override, structure_file=structure_file,
+        lam=lam, N=N, batch_size=batch_size, seeds=seeds, **given,
     )
 
 
@@ -274,41 +275,31 @@ class BoundsConfig:
 
 
 def parse_bounds_config(text: str) -> BoundsConfig:
-    pairs = parse_kv(text)
-    _reject_unknown(pairs, _BOUNDS_KEYS)
-    for key in ("problem", "solver", "p", "N"):
-        _require(pairs, key)
-
-    problem = pairs["problem"]
-    if problem not in BOUND_PROBLEMS:
-        raise ConfigError(
-            "problem",
-            f"no closed-form optimum for {problem!r}; must be one of {BOUND_PROBLEMS}",
-        )
-    solver = pairs["solver"]
-    if solver not in ("sg", "ssg"):
-        raise ConfigError("solver", f"must be sg or ssg, got {solver!r}")
-
-    p = _get_int(pairs, "p", minimum=1)
-    N = _get_int(pairs, "N", minimum=1)
-    sigma = _get_float(pairs, "sigma", minimum=0.0) if "sigma" in pairs else 0.0
-    R = _get_int(pairs, "R", minimum=1) if "R" in pairs else 20
-    seed = _get_int(pairs, "seed", minimum=0) if "seed" in pairs else 0
+    pairs = _pairs(text, BoundsConfig)
+    problem = _choice(pairs, "problem", BOUND_PROBLEMS,
+                      why="verify-bounds needs a closed-form optimum: ")
+    solver = _choice(pairs, "solver", ("sg", "ssg"))
+    p = _number(pairs, "p", int, 1)
+    N = _number(pairs, "N", int, 1)
+    given = _given(pairs, ("sigma", float, 0.0), ("R", int, 1), ("seed", int))
 
     if problem == "ortho-lasso":
-        _require(pairs, "lambda")
-        lam = _get_float(pairs, "lambda", minimum=0.0)
+        given["lam"] = _number(pairs, "lambda", float, 0.0)
         _forbid(pairs, "D", "derived from the closed-form optimum for ortho-lasso")
         if p % 2 != 0:
             raise ConfigError("p", f"ortho-lasso requires even p, got {p}")
-        D = 1.0
+        # The instance is a design of K = p rows, whose Gram is kept.
+        try:
+            _check_footprint(p, p, gram=True)
+        except ConfigError as exc:
+            raise ConfigError("p", exc.message) from None
     else:
         _forbid(pairs, "lambda", "quadratic instance has no penalty")
-        lam = None
-        D = _get_float(pairs, "D", 0.0, strict=True) if "D" in pairs else 1.0
+        given |= _given(pairs, ("D", float, 0.0, True))
 
-    return BoundsConfig(problem=problem, solver=solver, p=p, N=N, sigma=sigma,
-                        lam=lam, R=R, seed=seed, D=D)
+    cfg = BoundsConfig(problem=problem, solver=solver, p=p, N=N, **given)
+    _check_seed(cfg.seed, cfg.R)
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -320,19 +311,14 @@ class GenDataConfig:
 
 
 def parse_gendata_config(text: str) -> GenDataConfig:
-    pairs = parse_kv(text)
-    _reject_unknown(pairs, _GENDATA_KEYS)
-    for key in ("problem", "K", "p", "seed"):
-        _require(pairs, key)
-    problem = pairs["problem"]
-    if problem == "linear-continuous":
-        raise ConfigError("problem", "linear-continuous has no finite dataset to write")
-    if problem not in ("linear-discrete", "logistic"):
-        raise ConfigError("problem", f"must be linear-discrete or logistic, got {problem!r}")
-    K = _get_int(pairs, "K", minimum=1)
-    p = _get_int(pairs, "p", minimum=1)
+    pairs = _pairs(text, GenDataConfig)
+    problem = _choice(pairs, "problem", ("linear-discrete", "logistic"),
+                      why="gen-data writes a finite dataset: ")
+    K = _number(pairs, "K", int, 1)
+    p = _number(pairs, "p", int, 1)
     if problem == "linear-discrete" and p % 2 != 0:
         raise ConfigError("p", f"linear-discrete requires even p, got {p}")
     _check_footprint(K, p, gram=False)
-    seed = _get_int(pairs, "seed", minimum=0)
+    seed = _number(pairs, "seed", int)
+    _check_seed(seed)
     return GenDataConfig(problem=problem, K=K, p=p, seed=seed)

@@ -285,7 +285,21 @@ def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Ar
     # projection of a zero block 0/0.
     radii = np.maximum(lam * st.weights, _TINY)
     step = eta / st.max_cover
-    pen_u = radii @ st.block_norms(u[index])
+    norms_u = st.block_norms(u[index])
+    pen_u = radii @ norms_u
+    zeroed = None
+    if not math.isfinite(pen_u):
+        # lam * w_g or c_g * ||u_g|| overflowed. A block whose radius c_g is
+        # at least eta * ||u_g|| is 0 at the optimum (zeroing it lowers the
+        # objective), and the prox keeps that optimum when those blocks are
+        # zeroed in u and given the floor radius; they are set to 0 exactly
+        # on return.
+        big = radii >= eta * norms_u
+        zeroed = index[big[owner]]
+        u = u.copy()
+        u[zeroed] = 0.0
+        radii = np.where(big, _TINY, radii)
+        pen_u = radii @ st.block_norms(u[index])
     b = np.zeros(index.size)
     x = u.copy()
     xf = x[index]
@@ -295,7 +309,9 @@ def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Ar
         pen_x = radii @ st.block_norms(xf)
         gap = pen_x - b @ xf
         target = DUAL_GAP_RTOL * (pen_x + pen_u)
-        if gap <= target:
+        if gap <= target and math.isfinite(gap) and math.isfinite(target):
+            if zeroed is not None:
+                x[zeroed] = 0.0
             return x
         if k == DUAL_MAX_ITER:
             break

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import pickle
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,12 @@ import pytest
 from composite_sgd import cli, config, harness
 from composite_sgd.cli import main
 from composite_sgd.config import (
+    BoundsConfig,
     ConfigError,
+    GenDataConfig,
+    RunConfig,
     parse_bounds_config,
+    parse_gendata_config,
     parse_run_config,
     physical_memory,
 )
@@ -114,6 +119,51 @@ class TestConfigParsing:
     def test_structure_file_only_for_custom(self):
         with pytest.raises(ConfigError):
             parse_run_config(SMALL_RUN + "\nstructure_file = g.txt\n")
+
+    @pytest.mark.parametrize("cls, parse, count", [
+        (RunConfig, parse_run_config, 17),
+        (BoundsConfig, parse_bounds_config, 9),
+        (GenDataConfig, parse_gendata_config, 4),
+    ], ids=["run", "verify-bounds", "gen-data"])
+    def test_accepted_keys_are_the_dataclass_fields(self, cls, parse, count):
+        # every field is accepted by its config key, and nothing else: not the
+        # keys of the other commands, nor a field name that differs from its key
+        expected = {config._KEY_OF_FIELD.get(f.name, f.name) for f in fields(cls)}
+        assert len(expected) == count
+        candidates = {config._KEY_OF_FIELD.get(f.name, f.name)
+                      for kind in (RunConfig, BoundsConfig, GenDataConfig)
+                      for f in fields(kind)}
+        candidates |= set(config._KEY_OF_FIELD) | {"step_size"}
+        accepted = set()
+        for key in candidates:
+            with pytest.raises(ConfigError) as err:
+                parse(f"{key} = ?\n")
+            if (err.value.key, err.value.message) != (key, "unknown key"):
+                accepted.add(key)
+        assert accepted == expected
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_run_config, "problem = logistic\nregularizer = l1\nsolver = sg\nK = 10\n"
+                           "p = 3\nlambda = 0.1\nN = 5\nbatch_size = 2\nseed = 1\n"),
+        (parse_bounds_config, "problem = quadratic\nsolver = sg\np = 4\nN = 10\n"),
+    ], ids=["run", "verify-bounds"])
+    def test_required_keys_alone_give_every_field_default(self, parse, text):
+        cfg = parse(text)
+        defaulted = [f for f in fields(cfg) if f.default is not MISSING]
+        assert defaulted
+        for f in defaulted:
+            assert getattr(cfg, f.name) == f.default, f.name
+
+    def test_ortho_lasso_preflight_names_p(self, monkeypatch):
+        # p=100: 80000 B of p x p design plus 80000 B of its Gram
+        monkeypatch.setattr(config, "physical_memory", lambda: 100_000)
+        text = "problem = ortho-lasso\nsolver = sg\np = 100\nN = 10\nlambda = 0.1\n"
+        with pytest.raises(ConfigError) as err:
+            parse_bounds_config(text)
+        assert err.value.key == "p" and "physical memory" in err.value.message
+        assert parse_bounds_config(text.replace("p = 100", "p = 50")).p == 50
+        assert parse_bounds_config(text.replace("ortho-lasso", "quadratic").replace(
+            "lambda = 0.1\n", "")).p == 100
 
 
 class TestRunCommand:
@@ -612,6 +662,15 @@ class TestVerifyBoundsCommand:
         cfg = write_cfg(tmp_path, "problem = logistic\nsolver = sg\np = 4\nN = 10\n")
         assert main(["verify-bounds", str(cfg)]) == 2
 
+    def test_last_repetition_seed_out_of_range_exits_2(self, tmp_path, capsys):
+        # repetition r runs on seed + r, so seed + R - 1 must fit in 64 bits
+        text = f"problem = quadratic\nsolver = sg\np = 4\nN = 10\nseed = {2**64 - 1}\n"
+        assert main(["verify-bounds", str(write_cfg(tmp_path, text + "R = 2\n"))]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed: ")
+        assert parse_bounds_config(text + "R = 1\n").seed == 2**64 - 1
+        assert parse_bounds_config(text.replace(str(2**64 - 1), str(2**64 - 2))
+                                   + "R = 2\n").R == 2
+
 
 QUADRATIC_BOUNDS = "problem = quadratic\nsolver = sg\np = 8\nN = 98\nR = 3\n"
 ORTHO_BOUNDS = "problem = ortho-lasso\nsolver = sg\np = 8\nN = 98\nR = 1\n"
@@ -659,3 +718,10 @@ class TestGenDataCommand:
     def test_continuous_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "problem = linear-continuous\nK = 5\np = 4\nseed = 0\n")
         assert main(["gen-data", str(cfg)]) == 2
+
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"problem = logistic\nK = 5\np = 4\nseed = {2**64}\n")
+        out = tmp_path / "data_out"
+        assert main(["gen-data", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed: ")
+        assert not out.exists()

@@ -390,6 +390,32 @@ class TestDualFista:
             out = _prox_dual_fista(gs, 1e-200, u, 1.0)
         assert np.array_equal(out, u)
 
+    @pytest.mark.parametrize("weights", [[1.0, 1.0, 1.0], [10.0, 1.0, 1.0]],
+                             ids=["penalty-overflows", "radius-overflows"])
+    def test_overflowing_radii_give_the_exact_prox(self, weights):
+        # lam * w_g * ||u_g|| (and, for the weight 10, lam * w_g itself)
+        # overflows; every radius exceeds eta * ||u_g||, so the prox is 0, as a
+        # laminar structure gives, not the centre u
+        gs = GroupStructure([[0, 1], [1, 2], [2, 3]], weights, 4)
+        u = np.array([1.0, 2.0, 3.0, 4.0])
+        with np.errstate(over="ignore", divide="raise", invalid="raise"):
+            out = prox(group_norm(1e308, gs), np.zeros(4), u, 1.0)
+        assert np.array_equal(out, np.zeros(4))
+
+    def test_overflowing_radius_leaves_the_other_blocks_solved(self):
+        # only the block {0, 1} has an overflowing radius: it is 0 exactly and
+        # the rest is the prox of u zeroed there over the remaining groups
+        groups = [[0, 1], [1, 2], [2, 3], [4, 5]]
+        u = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        gs = GroupStructure(groups, [1e300, 1.0, 1.0, 1.0], 6)
+        with np.errstate(over="ignore", divide="raise", invalid="raise"):
+            out = _prox_dual_fista(gs, 1e10, u, 1e11)
+        rest = GroupStructure(groups[1:], [1.0, 1.0, 1.0], 6)
+        ref = _prox_dual_fista(rest, 1e10, np.array([0.0, 0.0, 3.0, 4.0, 5.0, 6.0]), 1e11)
+        assert np.array_equal(out[:2], [0.0, 0.0])
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(u, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
     def test_iterate_does_not_alias_input(self, monkeypatch):
         from composite_sgd import regularizers as rg
 
