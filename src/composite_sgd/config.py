@@ -126,6 +126,14 @@ def physical_memory() -> Optional[int]:
         return None
 
 
+def _gib(nbytes: int) -> str:
+    """A byte count in GiB to three digits. Decimal, because a count past
+    about 1e308 bytes has no float; imported here, as only a refusal needs it."""
+    from decimal import Decimal
+
+    return f"{Decimal(nbytes) / 2**30:.3g}"
+
+
 def _check_footprint(K: int, p: int, gram: bool) -> None:
     """Refuse a dataset that cannot fit in physical memory: K * p doubles for
     the design, plus min(K, p)^2 for the Gram matrix a linear dataset keeps."""
@@ -133,8 +141,8 @@ def _check_footprint(K: int, p: int, gram: bool) -> None:
     have = physical_memory()
     if have is not None and need > have:
         raise ConfigError(
-            "K", f"K={K} rows of p={p} need {need / 2**30:.3g} GiB, more than "
-                 f"the {have / 2**30:.3g} GiB of physical memory"
+            "K", f"K={K} rows of p={p} need {_gib(need)} GiB, more than "
+                 f"the {_gib(have)} GiB of physical memory"
         )
 
 
@@ -184,6 +192,9 @@ _INSTANCE_KEYS = (
     "problem", "regularizer", "K", "p", "n", "lambda", "lipschitz_convention",
     "lipschitz_override", "seed", "structure_file",
 )
+# The deepest tree a config may name: p = 2^n must fit a signed 64-bit index.
+# Checked before 2^n is formed, which for a huge n is itself a huge allocation.
+_MAX_N = 62
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -203,6 +214,9 @@ def parse_run_config(text: str) -> RunConfig:
         _forbid(pairs, "structure_file", "only valid with the custom regularizer")
         if "n" in pairs:
             n = _number(pairs, "n", int, 0)
+            if n > _MAX_N:
+                raise ConfigError("n", f"must be <= {_MAX_N}, so that p = 2^n fits "
+                                       f"a 64-bit index, got {n}")
             p = 2**n
             if "p" in pairs and _number(pairs, "p", int, 1) != p:
                 raise ConfigError("p", f"inconsistent with n={n} (expected {p})")

@@ -43,13 +43,17 @@ class GroupStructure:
     admitting an exact single-pass prox; it is decided in O(total indices).
     ``layers`` then splits the groups by nesting depth, deepest first; groups
     of equal depth are disjoint. Each layer is ``(index, offsets, owner, lo,
-    hi)`` in flat block layout: ``owner`` gives the position within the layer
-    of the group each gathered coordinate belongs to, so ``scale[owner]``
-    spreads one value per group over its coordinates, and the layer's weights
-    are ``layer_weights[lo:hi]``, which holds all groups' weights in layer
-    order. ``layers`` and ``layer_weights`` are None for an overlapping
-    family. The flat ``owner`` does the same for the stored group order. All
-    of it is built once per structure.
+    hi)`` in flat block layout. ``index`` gathers the layer's coordinates: it
+    is the basic slice ``slice(a, a + n)`` when they are ``a, ..., a + n - 1``
+    in order, as in every layer of a dyadic tree, so that the prox reads a
+    view and writes a contiguous range, and an int64 array otherwise.
+    ``owner`` gives the position within the layer of the group each gathered
+    coordinate belongs to, so ``scale[owner]`` spreads one value per group
+    over its coordinates, and the layer's weights are ``layer_weights[lo:hi]``,
+    which holds all groups' weights in layer order. ``layers`` and
+    ``layer_weights`` are None for an overlapping family. The flat ``owner``
+    does the same for the stored group order. All of it is built once per
+    structure.
     """
 
     def __init__(self, groups, weights, p: int):
@@ -133,6 +137,8 @@ class GroupStructure:
             sizes = self.sizes[members]
             offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
             index = np.concatenate([self.groups[k] for k in members])
+            if np.all(np.diff(index) == 1):
+                index = slice(int(index[0]), int(index[-1]) + 1)
             within = np.repeat(np.arange(members.size), sizes)
             layers.append((index, offsets, within, int(lo), int(hi)))
         return layers, self.weights[order]

@@ -469,6 +469,25 @@ lipschitz_override = 1e-9
         assert err.startswith("config error: K: K=1000000000 rows of p=10000 need ")
         assert "physical memory" in err and not out.exists()
 
+    @pytest.mark.parametrize("command, text, line", [
+        ("run", SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
+                         .replace("p = 4", "n = 2000"),
+         "n: must be <= 62, so that p = 2^n fits a 64-bit index, got 2000"),
+        ("gen-data", f"problem = logistic\nK = 10\np = {10**400}\nseed = 0\n",
+         f"K: K=10 rows of p={10**400} need 7.45e+392 GiB, more than the 8 GiB "
+         "of physical memory"),
+    ], ids=["run", "gen-data"])
+    def test_dimension_past_float_range_exits_2_with_one_line(self, tmp_path, capsys,
+                                                              monkeypatch, command, text,
+                                                              line):
+        # p = 2^2000 would be formed before any bound, and 8 * K * p bytes past
+        # 1e308 has no float to print in GiB
+        monkeypatch.setattr(config, "physical_memory", lambda: 2**33)
+        out = tmp_path / "out"
+        assert main([command, str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not out.exists()
+
     def test_oversized_tree_exits_2_naming_n(self, tmp_path, capsys):
         # 2^30 coordinates in 31 levels: refused before the structure is built
         text = SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")

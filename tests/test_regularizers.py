@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -137,13 +137,16 @@ class TestBuildHierarchical:
 
 
 @st.composite
-def group_families(draw, laminar=False):
+def group_families(draw, laminar=False, ordered=False):
     """(groups, weights, p): a random forest of nested groups over a shuffled
     coordinate order, plus identical duplicates. Unless ``laminar``, it also
     gets either a group that crosses one of its groups or arbitrary extra
-    groups. The stored order is shuffled."""
+    groups. The stored order is shuffled. With ``ordered``, the coordinates
+    stay in order and groups are stored in the order they were nested, so a
+    depth layer's groups can be adjacent ranges."""
     p = draw(st.integers(1 if laminar else 3, 10))
-    perm = np.array(draw(st.permutations(range(p))), dtype=np.int64)
+    perm = np.arange(p) if ordered else np.array(draw(st.permutations(range(p))),
+                                                 dtype=np.int64)
     groups = []
 
     def nest(lo, hi):
@@ -176,7 +179,7 @@ def group_families(draw, laminar=False):
             extras = draw(st.lists(st.sets(st.integers(0, p - 1), min_size=1),
                                    min_size=1, max_size=2))
             groups += [np.array(sorted(e), dtype=np.int64) for e in extras]
-    order = draw(st.permutations(range(len(groups))))
+    order = range(len(groups)) if ordered else draw(st.permutations(range(len(groups))))
     weights = draw(arrays(np.float64, len(groups), elements=st.floats(0.1, 3.0)))
     return [groups[k] for k in order], weights, p
 
@@ -189,14 +192,17 @@ EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
 
 @st.composite
 def laminar_prox_inputs(draw):
-    """(structure, lam, u, eta): a laminar family or a dyadic tree; u mixing
-    ordinary entries with ``EDGE_ENTRIES`` and tiny ones, some groups zeroed
-    outright; lam ordinary, or small enough that lam * w / eta underflows for
-    some or all groups; eta over 8 decades."""
-    if draw(st.booleans()):
-        gs = GroupStructure(*draw(group_families(laminar=True)))
-    else:
+    """(structure, lam, u, eta): a laminar family over shuffled coordinates,
+    one over ordered coordinates (whose layer plans mix slice layers, some not
+    starting at 0, with array layers) or a dyadic tree; u mixing ordinary
+    entries with ``EDGE_ENTRIES`` and tiny ones, some groups zeroed outright;
+    lam ordinary, or small enough that lam * w / eta underflows for some or
+    all groups; eta over 8 decades."""
+    kind = draw(st.sampled_from(["shuffled", "ordered", "tree"]))
+    if kind == "tree":
         gs = build_hierarchical(draw(st.integers(0, 5)))
+    else:
+        gs = GroupStructure(*draw(group_families(laminar=True, ordered=kind == "ordered")))
     entries = st.one_of(st.floats(-50.0, 50.0), st.sampled_from(EDGE_ENTRIES),
                         st.floats(-1e-300, 1e-300))
     u = draw(arrays(np.float64, gs.p, elements=entries))
@@ -227,6 +233,7 @@ class TestDepthLayers:
         assert layers is not None
         assert sum(len(offsets) for _, offsets, _, _, _ in layers) == len(groups)
         for index, offsets, owner, _, _ in layers:
+            index = np.arange(p)[index]
             sizes = np.diff(offsets, append=index.size)
             assert np.unique(index).size == index.size == sizes.sum()
             assert np.array_equal(owner, np.repeat(np.arange(len(offsets)), sizes))
@@ -257,9 +264,10 @@ class TestDepthLayers:
         groups = [np.arange(6), np.arange(4), np.arange(3), np.array([4, 5])]
         weights = np.array([1.0, 0.7, 0.5, 0.9])
         st6 = GroupStructure(groups, weights, 6)
+        gathered = [(np.arange(6)[index], offsets) for index, offsets, _, _, _ in st6.layers]
         layer_sets = [[set(map(int, index[o:o + n]))
                        for o, n in zip(offsets, np.diff(offsets, append=index.size))]
-                      for index, offsets, _, _, _ in st6.layers]
+                      for index, offsets in gathered]
         assert layer_sets == [[{0, 1, 2}], [{0, 1, 2, 3}, {4, 5}], [set(range(6))]]
         rng = RngStream(12)
         for _ in range(20):
@@ -283,6 +291,11 @@ class TestDepthLayers:
                            rtol=0.0, atol=loop_tolerance(u))
 
     @given(laminar_prox_inputs())
+    @example((  # layers {1}, {1,2} + {4}, {0..5}: slice(1, 2), an array, slice(0, 6)
+        GroupStructure([np.arange(6), np.array([1, 2]), np.array([4]), np.array([1])],
+                       np.array([1.0, 0.5, 2.0, 0.3]), 6),
+        0.4, np.array([0.7, -1.5, 0.2, 3.0, -0.1, 0.9]), 0.8,
+    ))
     def test_prox_equals_masked_form_bit_for_bit(self, inputs):
         # the bytes compare sign bits too; the masked form divides only where a
         # block is kept, so a 0/0 or x/0 in the layer plan would raise here
@@ -309,7 +322,14 @@ class TestDepthLayers:
         assert st11.is_laminar
         assert len(st11.layers) == 12
         for index, _, _, _, _ in st11.layers:
-            assert np.array_equal(np.sort(index), np.arange(2**11))
+            assert np.array_equal(np.sort(np.arange(2**11)[index]), np.arange(2**11))
+
+    def test_dyadic_tree_layers_are_slices(self):
+        # every depth layer of a dyadic tree gathers 0..p-1 in order, so the
+        # prox reads it as a view, with no fancy-index gather or scatter
+        for n in range(12):
+            for index, _, _, _, _ in build_hierarchical(n).layers:
+                assert isinstance(index, slice) and index == slice(0, 2**n)
 
 
 @st.composite
