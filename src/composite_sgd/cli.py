@@ -21,7 +21,8 @@ from .config import (
     parse_run_config,
 )
 from .core import ConvergenceError, DivergenceError
-from .harness import execute_run, generate_dataset, merge_compare, verify_bounds
+from .harness import execute_run, merge_compare, seed_dataset, verify_bounds
+from .problems import save_dataset_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -114,7 +115,8 @@ def cmd_gen_data(args) -> int:
     out_dir = Path(args.out) if args.out else _default_out(args.config)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "dataset.csv"
-    dataset = generate_dataset(cfg, out_path)
+    dataset = seed_dataset(cfg.problem, cfg.K, cfg.p, cfg.seed)
+    save_dataset_csv(dataset, out_path)
     print(f"wrote {out_path} ({dataset.K} rows, p={dataset.p})")
     return EXIT_OK
 

@@ -134,16 +134,18 @@ def _gib(nbytes: int) -> str:
     return f"{Decimal(nbytes) / 2**30:.3g}"
 
 
+def _check_memory(key: str, what: str, need: int) -> None:
+    """Refuse ``what`` (config ``key``) if its ``need`` bytes exceed physical memory."""
+    have = physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(key, f"{what} need {_gib(need)} GiB, more than "
+                               f"the {_gib(have)} GiB of physical memory")
+
+
 def _check_footprint(K: int, p: int, gram: bool) -> None:
     """Refuse a dataset that cannot fit in physical memory: K * p doubles for
     the design, plus min(K, p)^2 for the Gram matrix a linear dataset keeps."""
-    need = 8 * K * p + (8 * min(K, p) ** 2 if gram else 0)
-    have = physical_memory()
-    if have is not None and need > have:
-        raise ConfigError(
-            "K", f"K={K} rows of p={p} need {_gib(need)} GiB, more than "
-                 f"the {_gib(have)} GiB of physical memory"
-        )
+    _check_memory("K", f"K={K} rows of p={p}", 8 * K * p + (8 * min(K, p) ** 2 if gram else 0))
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,9 @@ def parse_run_config(text: str) -> RunConfig:
         batch_size = None
     else:
         batch_size = _number(pairs, "batch_size", int, 1)
+    if regularizer != "hierarchical":  # one draw; a tree's p is bounded through n
+        _check_memory("p", f"p={p} coordinates in draws of {batch_size or 1}",
+                      8 * p * (batch_size or 1))
 
     try:
         seeds = tuple(int(tok) for tok in _require(pairs, "seed").split(","))

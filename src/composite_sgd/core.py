@@ -25,10 +25,6 @@ class ParameterError(ValueError):
     """A scalar argument is outside its legal range."""
 
 
-class CapacityError(ValueError):
-    """A requested object is too large to build."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative routine did not reach its tolerance.
 

@@ -1,6 +1,6 @@
 """Experiment harness: executes run configurations, writes convergence-trace
 CSVs and summary JSON, merges runs for comparison, checks the convergence
-bounds on instances with closed-form optima, and writes a seed's dataset.
+bounds on instances with closed-form optima, and draws a seed's dataset.
 
 ``run`` and ``verify-bounds`` build a ``ProblemSetup`` and hand it to one
 solver dispatch, ``solve``; ``run`` and ``gen-data`` draw a seed's dataset
@@ -22,8 +22,8 @@ import numpy as np
 from . import problems as pb
 from . import regularizers as rg
 from . import solvers as sv
-from .config import BoundsConfig, ConfigError, GenDataConfig, RunConfig
-from .core import CapacityError, ParameterError, RngStream, TraceRecord
+from .config import BoundsConfig, ConfigError, RunConfig
+from .core import ParameterError, RngStream, TraceRecord
 from .smoothing import smoothed
 
 THREADS_ENV = "COMPOSITE_SGD_THREADS"
@@ -68,9 +68,10 @@ def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
         reg = rg.l1(cfg.lam, cfg.p)
     elif cfg.regularizer == "hierarchical":
         try:
-            reg = rg.group_norm(cfg.lam, rg.build_hierarchical(cfg.n))
-        except CapacityError as exc:
+            structure = rg.build_hierarchical(cfg.n)
+        except ParameterError as exc:
             raise ConfigError("n", str(exc)) from exc
+        reg = rg.group_norm(cfg.lam, structure)
     else:
         if not Path(cfg.structure_file).is_file():
             raise ConfigError("structure_file", f"file not found: {cfg.structure_file}")
@@ -110,10 +111,6 @@ def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
     return ProblemSetup(oracle, objective, reg, float(L))
 
 
-def trace_filename(solver: str, seed: int) -> str:
-    return f"trace_{solver}_{seed}.csv"
-
-
 def write_trace_csv(path, rows: List[TraceRecord]) -> None:
     """Header iteration,elapsed_seconds,objective; 17 significant digits, LF."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -123,13 +120,6 @@ def write_trace_csv(path, rows: List[TraceRecord]) -> None:
             writer.writerow(
                 [str(r.iteration), f"{r.elapsed_seconds:.17g}", f"{r.objective:.17g}"]
             )
-
-
-def read_trace_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader]
 
 
 def solve(solver: str, setup: ProblemSetup, sreg, gamma_star, N: int, rng: RngStream,
@@ -149,26 +139,26 @@ def solve(solver: str, setup: ProblemSetup, sreg, gamma_star, N: int, rng: RngSt
 def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[tuple[dict, list]]:
     """Build one seed's instance, pilot sigma^2, acsa's gamma* and smoothed
     penalty once, run each of ``solvers`` on them and write its trace; returns
-    (summary, trace rows) per solver, in ``solvers`` order."""
+    (summary, trace rows) per solver, in ``solvers`` order. The recorded
+    ``theorem_bound_smoothed`` assumes the scheduled mu = ||A|| / (N+2), also
+    when ``mu_override`` runs ssg at another mu."""
     setup = build_problem(cfg, seed)
-    pilot_rng = RngStream(seed).split(STREAM_PILOT)
     if cfg.acsa_sigma_sq is not None:
         sigma_sq = cfg.acsa_sigma_sq
     elif cfg.batch_size is None:
         sigma_sq = 0.0  # exact oracle
     else:
-        sigma_sq = sv.pilot_sigma_sq(setup.oracle, np.zeros(setup.oracle.dim), pilot_rng)
+        sigma_sq = sv.pilot_sigma_sq(setup.oracle, np.zeros(setup.oracle.dim),
+                                     RngStream(seed).split(STREAM_PILOT))
     sigma = float(np.sqrt(sigma_sq))
-    gamma_star = sv.resolve_acsa_params(setup.oracle, setup.L, cfg.N, pilot_rng,
-                                        sigma_sq=sigma_sq, D=cfg.acsa_d)
+    gamma_star = sv.resolve_acsa_params(setup.L, cfg.N, sigma_sq, D=cfg.acsa_d)
     sreg = smoothed(setup.reg, mu=cfg.mu_override, N=cfg.N)
     bounds = {
         "sigma_sq_pilot": float(sigma_sq),
         "theorem_bound_D": cfg.acsa_d,
         "theorem_bound": sv.theorem_bound(cfg.acsa_d, sigma, setup.L, cfg.N),
-        "theorem_bound_smoothed": sv.theorem_bound_smoothed(
-            cfg.acsa_d, sigma, setup.L, sreg.A_norm, sreg.M, sreg.c, cfg.N
-        ),
+        "theorem_bound_smoothed": sv.theorem_bound_smoothed(cfg.acsa_d, sigma, setup.L,
+                                                            sreg.A_norm, sreg.M, cfg.N),
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +170,7 @@ def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[tuple[dic
         x, trace = solve(solver, setup, sreg, gamma_star, cfg.N, solver_rng, cfg.trace_every)
         wall = time.perf_counter() - started
 
-        trace_path = out / trace_filename(solver, seed)
+        trace_path = out / f"trace_{solver}_{seed}.csv"
         write_trace_csv(trace_path, trace)
         final_objective = setup.smooth_objective(x) + rg.evaluate(setup.reg, x)
         results.append(({
@@ -209,7 +199,7 @@ def execute_run(cfg: RunConfig, out_dir: str) -> tuple[list[dict], list[list[Tra
     and all units run in this process."""
     jobs = [(solver, seed) for solver in cfg.solvers for seed in cfg.seeds]
     workers = min(len(jobs), thread_cap())
-    k = 1 if workers <= 1 else min(len(cfg.solvers), -(-workers // len(cfg.seeds)))
+    k = min(len(cfg.solvers), -(-workers // len(cfg.seeds)))
     cuts = [len(cfg.solvers) * i // k for i in range(k + 1)]
     units = [
         (cfg, seed, cfg.solvers[lo:hi], out_dir)
@@ -309,12 +299,6 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
         bound = sv.theorem_bound(D, cfg.sigma, L, cfg.N)
     else:
         # With no penalty ||A|| = 0 and this is exactly theorem_bound.
-        bound = sv.theorem_bound_smoothed(D, cfg.sigma, L, sreg.A_norm, sreg.M, sreg.c, cfg.N)
+        bound = sv.theorem_bound_smoothed(D, cfg.sigma, L, sreg.A_norm, sreg.M, cfg.N)
     return BoundsReport(mean_gap=mean_gap, bound=float(bound), D=D, L=L,
                         passed=mean_gap <= bound)
-
-
-def generate_dataset(cfg: GenDataConfig, out_path) -> pb.Dataset:
-    dataset = seed_dataset(cfg.problem, cfg.K, cfg.p, cfg.seed)
-    pb.save_dataset_csv(dataset, out_path)
-    return dataset

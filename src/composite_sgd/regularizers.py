@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import (
     Array,
-    CapacityError,
     ConvergenceError,
     DimensionError,
     ParameterError,
@@ -159,7 +158,7 @@ def build_hierarchical(n: int) -> GroupStructure:
         raise ParameterError(f"n must be >= 0, got {n}")
     p = 2**n
     if p * (n + 1) > _MAX_TOTAL_INDICES:
-        raise CapacityError(f"hierarchical structure with n={n} is too large")
+        raise ParameterError(f"hierarchical structure with n={n} is too large")
     groups = []
     weights = []
     for i in range(n + 1):
@@ -366,11 +365,9 @@ def save_group_structure(st: GroupStructure, path) -> None:
             fh.write(f"{w:.17g}: {idx}\n")
 
 
-def load_group_structure(path, p: Optional[int] = None) -> GroupStructure:
-    """Parse the text format written by save_group_structure.
-
-    When ``p`` is omitted it is inferred as the largest index mentioned.
-    """
+def load_group_structure(path, p: int) -> GroupStructure:
+    """Parse the text format written by save_group_structure into groups over
+    ``p`` coordinates."""
     groups = []
     weights = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -392,6 +389,4 @@ def load_group_structure(path, p: Optional[int] = None) -> GroupStructure:
             weights.append(w)
     if not groups:
         raise ParameterError("structure file contains no groups")
-    if p is None:
-        p = int(max(g.max() for g in groups)) + 1
     return GroupStructure(groups, np.array(weights), p)

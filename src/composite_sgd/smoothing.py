@@ -5,7 +5,7 @@ strongly convex term (mu/2) ||v||^2 inside the max yields a value h_mu(x) with
 
     h_mu(x) <= lam * Omega(x) <= h_mu(x) + mu * M,   M = max_{v in Q} (1/2)||v||^2,
 
-whose gradient A^T v_mu(x) is Lipschitz with constant ||A||^2 / (c mu), c = 1.
+whose gradient A^T v_mu(x) is Lipschitz with constant ||A||^2 / mu.
 
 A is never built: for l1 it is lam * I, and for a group norm it maps x to
 (lam * w_g * x_g)_g in the structure's flat block layout, so A x is
@@ -33,7 +33,6 @@ class SmoothedRegularizer:
     mu: float
     A_norm: float
     M: float
-    c: float = 1.0
     # A's entries in flat block layout, derived from ``base``: lam for l1,
     # lam * rep_weights for a group norm.
     a_weights: float | Array = field(init=False, repr=False, compare=False)
@@ -66,7 +65,7 @@ def smoothed(reg: Regularizer, mu: float | None = None, N: int | None = None) ->
         m_const = reg.p / 2.0
     else:
         m_const = len(reg.structure) / 2.0
-    return SmoothedRegularizer(reg, float(mu), a_norm, m_const, 1.0)
+    return SmoothedRegularizer(reg, float(mu), a_norm, m_const)
 
 
 def _apply(s: SmoothedRegularizer, x) -> Array:
@@ -116,7 +115,7 @@ def smoothed_gradient(s: SmoothedRegularizer, x) -> Array:
 
 
 def lipschitz_mu(L: float, s: SmoothedRegularizer) -> float:
-    """Gradient Lipschitz constant of the smoothed composite: L + ||A||^2 / (c mu)."""
+    """Gradient Lipschitz constant of the smoothed composite: L + ||A||^2 / mu."""
     if L < 0:
         raise ParameterError(f"L must be >= 0, got {L}")
-    return float(L + s.A_norm**2 / (s.c * s.mu))
+    return float(L + s.A_norm**2 / s.mu)

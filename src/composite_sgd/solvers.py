@@ -13,7 +13,7 @@ They differ only in the step map and in the prox weight eta(t) = gamma_t L_eff:
          eta(t) = gamma_t L with gamma_t = (2/(t+2)) (N^{3/2}/L + 2).
 ``ssg``  replaces the penalty by its smoothed form: d_t = G(y_t) + A^T v_mu(y_t),
          h = 0, so the prox step is the closed-form z_t - d_t / eta(t); eta(t)
-         is sg's with L replaced by L_mu = L + ||A||^2 / (c mu).
+         is sg's with L replaced by L_mu = L + ||A||^2 / mu.
 ``acsa`` is the sg step map with the baseline weight eta(t) = 2 gamma* / (L (t+1)) L.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, List, Protocol, Tuple
 
 import numpy as np
 
@@ -52,19 +52,12 @@ def pilot_sigma_sq(oracle: StochasticOracle, x0: Array, rng: RngStream,
     return float((centered**2).sum() / (draws - 1))
 
 
-def resolve_acsa_params(oracle: StochasticOracle, L: float, N: int, rng: RngStream,
-                        sigma_sq: Optional[float] = None, D: float = 1.0) -> float:
+def resolve_acsa_params(L: float, N: int, sigma_sq: float, D: float = 1.0) -> float:
     """The baseline step-size scale
     gamma* = max(2L, sqrt(2 sigma^2 N(N+1)(N+2) / (3 D^2))), which ``run_acsa``
-    takes; sigma^2 defaults to a pilot estimate at the origin.
-
-    Pass a dedicated substream for ``rng`` so the pilot draws do not shift the
-    solver's own sample sequence.
-    """
+    takes; ``sigma_sq`` is the oracle's variance, e.g. from ``pilot_sigma_sq``."""
     if D <= 0:
         raise ParameterError(f"D must be > 0, got {D}")
-    if sigma_sq is None:
-        sigma_sq = pilot_sigma_sq(oracle, np.zeros(oracle.dim), rng)
     if sigma_sq < 0:
         raise ParameterError(f"sigma_sq must be >= 0, got {sigma_sq}")
     return max(
@@ -85,14 +78,12 @@ def theorem_bound(D: float, sigma: float, L: float, N: int) -> float:
 
 
 def theorem_bound_smoothed(D: float, sigma: float, L: float, A_norm: float,
-                           M: float, c: float, N: int) -> float:
+                           M: float, N: int) -> float:
     """Guarantee for the smoothed loop under mu = ||A|| / (N+2); adds the
-    smoothing penalty (||A|| / (N+2)) (M + (4 D^2 + 2 sigma^2) / c)."""
+    smoothing penalty (||A|| / (N+2)) (M + 4 D^2 + 2 sigma^2)."""
     _require_nonnegative(D=D, sigma=sigma, L=L, A_norm=A_norm, M=M, N=N)
-    if c <= 0:
-        raise ParameterError(f"c must be > 0, got {c}")
     return theorem_bound(D, sigma, L, N) + (A_norm / (N + 2.0)) * (
-        M + (4.0 * D * D + 2.0 * sigma * sigma) / c
+        M + (4.0 * D * D + 2.0 * sigma * sigma)
     )
 
 
@@ -202,7 +193,7 @@ def run_ssg(oracle: StochasticOracle, sreg: SmoothedRegularizer, L: float, N: in
     """Smoothed variant: closed-form steps against G + A^T v_mu, traced on the
     original (non-smoothed) objective.
 
-    The effective Lipschitz constant is L_mu = L + ||A||^2 / (c mu). A zero
+    The effective Lipschitz constant is L_mu = L + ||A||^2 / mu. A zero
     penalty (A = 0) needs no special case: L_mu = L and A^T v_mu = 0.
     """
     def step(y, g, z, eta):  # h = 0: the prox step is closed-form

@@ -9,7 +9,8 @@ prox is dual block-coordinate ascent on the unscaled duals, gradients are
 checked against central finite differences, random draws come straight from
 Philox one request at a time, normal draws from one whole-array Box-Muller
 transform, the sigmoid from the sign-split masked form, dataset CSVs are read
-back with ``csv`` and ``float``, the square loss from its residual, the
+back with ``csv`` and ``float``, trace and compare CSVs as rows of strings
+with ``csv``, the square loss from its residual, the
 minibatch gradients from their validated formulas, and the solvers' recursion
 is a plain loop over the public, validating functions.
 
@@ -381,6 +382,13 @@ def read_dataset_csv(path):
         header, *rows = csv.reader(fh)
     data = np.array([[float(v) for v in row] for row in rows])
     return header, data[:, 1:], data[:, 0]
+
+
+def read_trace_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a trace or compare CSV, each row as its strings."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def maximizer_formula(sreg, x):

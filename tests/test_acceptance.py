@@ -9,7 +9,6 @@ import numpy as np
 
 from composite_sgd.cli import main
 from composite_sgd.core import RngStream
-from composite_sgd.harness import read_trace_csv
 from composite_sgd.problems import (
     ContinuousLinearOracle,
     ExactOracle,
@@ -41,6 +40,7 @@ from composite_sgd.smoothing import (
     smoothed_value,
 )
 from composite_sgd.solvers import (
+    pilot_sigma_sq,
     run_sg,
     run_ssg,
     resolve_acsa_params,
@@ -49,7 +49,7 @@ from composite_sgd.solvers import (
     theorem_bound_smoothed,
 )
 
-from _reference import central_difference, prox_reference, random_laminar_structure
+from _reference import central_difference, prox_reference, random_laminar_structure, read_trace_csv
 
 
 def report(number, name, ok, detail=""):
@@ -202,7 +202,7 @@ def test_criterion_5_expectation_bound_smoothed_lasso():
     x, _ = run_ssg(oracle, sreg, L, N, RngStream(0), objective, trace_every=0)
     gap = phi(x) - phi(x_star)
     D = float(np.linalg.norm(x_star))
-    bound = theorem_bound_smoothed(D, 0.0, L, sreg.A_norm, p / 2.0, 1.0, N)
+    bound = theorem_bound_smoothed(D, 0.0, L, sreg.A_norm, p / 2.0, N)
 
     elapsed = time.perf_counter() - started
     report(5, "expectation bound, smoothed lasso",
@@ -231,7 +231,7 @@ def test_criterion_6_l1_benchmark_ordering():
     _, tr_sg = run_sg(oracle, reg, L, N, root.split(2), objective, trace_every=500)
     sreg = smoothed(reg, N=N)
     _, tr_ssg = run_ssg(oracle, sreg, L, N, root.split(2), objective, trace_every=500)
-    params = resolve_acsa_params(oracle, L, N, root.split(3))
+    params = resolve_acsa_params(L, N, pilot_sigma_sq(oracle, np.zeros(p), root.split(3)))
     _, tr_acsa = run_acsa(oracle, reg, L, N, params, root.split(2), objective,
                           trace_every=500)
 

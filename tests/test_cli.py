@@ -21,11 +21,10 @@ from composite_sgd.config import (
     physical_memory,
 )
 from composite_sgd.core import DivergenceError, RngStream
-from composite_sgd.harness import read_trace_csv
 from composite_sgd.problems import lipschitz_linear, ortho_lasso_instance
 from composite_sgd.solvers import theorem_bound, theorem_bound_smoothed
 
-from _reference import read_dataset_csv
+from _reference import read_dataset_csv, read_trace_csv
 
 SMALL_RUN = """
 problem = linear-discrete
@@ -221,8 +220,16 @@ class TestRunCommand:
         assert D == cfg.acsa_d
         assert summary["theorem_bound"] == theorem_bound(D, sigma, setup.L, cfg.N)
         assert summary["theorem_bound_smoothed"] == theorem_bound_smoothed(
-            D, sigma, setup.L, sreg.A_norm, sreg.M, sreg.c, cfg.N
+            D, sigma, setup.L, sreg.A_norm, sreg.M, cfg.N
         )
+        # mu_override moves ssg's mu, not the recorded smoothed bound, which
+        # holds only under the scheduled mu = ||A|| / (N+2)
+        scheduled = summary["theorem_bound_smoothed"]
+        text = SMALL_RUN.replace("solver = sg", "solver = ssg") + "mu_override = 0.05\n"
+        main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["mu_override"] == 0.05
+        assert summary["theorem_bound_smoothed"] == scheduled
         text = SMALL_RUN + "acsa_d = 2.5\n"
         main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
@@ -476,12 +483,17 @@ lipschitz_override = 1e-9
         ("gen-data", f"problem = logistic\nK = 10\np = {10**400}\nseed = 0\n",
          f"K: K=10 rows of p={10**400} need 7.45e+392 GiB, more than the 8 GiB "
          "of physical memory"),
-    ], ids=["run", "gen-data"])
+        ("run", SMALL_RUN.replace("linear-discrete", "linear-continuous")
+                         .replace("K = 40\n", "").replace("p = 4", f"p = {10**400}"),
+         f"p: p={10**400} coordinates in draws of 5 need 3.73e+392 GiB, more than "
+         "the 8 GiB of physical memory"),
+    ], ids=["run", "gen-data", "run-continuous"])
     def test_dimension_past_float_range_exits_2_with_one_line(self, tmp_path, capsys,
                                                               monkeypatch, command, text,
                                                               line):
         # p = 2^2000 would be formed before any bound, and 8 * K * p bytes past
-        # 1e308 has no float to print in GiB
+        # 1e308 has no float to print in GiB; a continuous p has no K, so its
+        # draws are checked
         monkeypatch.setattr(config, "physical_memory", lambda: 2**33)
         out = tmp_path / "out"
         assert main([command, str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2

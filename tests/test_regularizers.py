@@ -99,14 +99,7 @@ class TestGroupStructure:
         path = tmp_path / "groups.txt"
         path.write_text(f"1: 1,2\n\n{weight}: 2,3\n")
         with pytest.raises(ParameterError, match="line 3"):
-            load_group_structure(path)
-
-    def test_load_infers_p(self, tmp_path):
-        path = tmp_path / "groups.txt"
-        path.write_text("1.5: 1,2\n2: 3\n")
-        st_out = load_group_structure(path)
-        assert st_out.p == 3
-        assert st_out.weights[1] == 2.0
+            load_group_structure(path, p=3)
 
 
 class TestBuildHierarchical:

@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from composite_sgd.harness import read_trace_csv
+from _reference import read_trace_csv
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_figures.py"
 

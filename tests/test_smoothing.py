@@ -143,7 +143,7 @@ class TestSmoothedGradient:
     def test_gradient_lipschitz_bound(self):
         rng = RngStream(10)
         s = smoothed(group_norm(0.5, build_hierarchical(3)), mu=0.02)
-        constant = s.A_norm**2 / (s.c * s.mu)
+        constant = s.A_norm**2 / s.mu
         for _ in range(200):
             x = 3.0 * rng.normal(8)
             y = 3.0 * rng.normal(8)
@@ -244,9 +244,6 @@ class TestConstants:
     def test_m_constant(self):
         assert smoothed(l1(0.1, 10), mu=1.0).M == 5.0
         assert smoothed(group_norm(0.1, build_hierarchical(2)), mu=1.0).M == 3.5
-
-    def test_c_is_one(self):
-        assert smoothed(l1(0.1, 10), mu=1.0).c == 1.0
 
     def test_default_mu_is_horizon_schedule(self):
         reg = l1(0.2, 6)

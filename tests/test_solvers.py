@@ -249,7 +249,7 @@ class TestRunSsg:
         x, _ = run_ssg(oracle, sreg, 1.0, N, RngStream(0), objective, trace_every=0)
         gap = phi(x) - phi(x_star)
         D = float(np.abs(x_star[0]))
-        assert 0.0 <= gap <= theorem_bound_smoothed(D, 0.0, 1.0, sreg.A_norm, sreg.M, 1.0, N)
+        assert 0.0 <= gap <= theorem_bound_smoothed(D, 0.0, 1.0, sreg.A_norm, sreg.M, N)
 
     def test_default_mu_matches_horizon_schedule(self):
         reg = l1(0.2, 4)
@@ -267,12 +267,10 @@ class TestRunSsg:
 
 class TestRunAcsa:
     def test_gamma_star_exact_branch(self):
-        _, _, oracle = quadratic_problem(2)
-        assert resolve_acsa_params(oracle, 3.0, 10, RngStream(0), sigma_sq=0.0) == 6.0
+        assert resolve_acsa_params(3.0, 10, 0.0) == 6.0
 
     def test_gamma_star_variance_branch(self):
-        _, _, oracle = quadratic_problem(2)
-        gamma_star = resolve_acsa_params(oracle, 1.0, 10, RngStream(0), sigma_sq=1.0, D=1.0)
+        gamma_star = resolve_acsa_params(1.0, 10, 1.0, D=1.0)
         assert np.isclose(gamma_star, np.sqrt(880.0))
 
     def test_shares_sample_sequence_with_sg(self):
@@ -301,7 +299,7 @@ class TestRunAcsa:
 
     def test_converges_on_quadratic(self):
         _, objective, oracle = quadratic_problem(4)
-        gamma_star = resolve_acsa_params(oracle, 1.0, 400, RngStream(1), sigma_sq=0.0)
+        gamma_star = resolve_acsa_params(1.0, 400, 0.0)
         x, _ = run_acsa(oracle, l1(0.0, 4), 1.0, 400, gamma_star, RngStream(2),
                         objective, trace_every=0)
         assert objective(x) < 1e-3
@@ -342,26 +340,26 @@ class TestBounds:
         assert np.isclose(theorem_bound(2.0, 0.0, 1.0, 98), 4 * theorem_bound(1.0, 0.0, 1.0, 98))
 
     def test_smoothed_bound_reduces_when_A_vanishes(self):
-        assert theorem_bound_smoothed(1.0, 0.5, 2.0, 0.0, 3.0, 1.0, 77) == theorem_bound(
+        assert theorem_bound_smoothed(1.0, 0.5, 2.0, 0.0, 3.0, 77) == theorem_bound(
             1.0, 0.5, 2.0, 77
         )
 
     def test_smoothed_bound_hand_value(self):
         assert np.isclose(
-            theorem_bound_smoothed(1.0, 0.0, 1.0, 0.1, 1.0, 1.0, 98), 0.2054
+            theorem_bound_smoothed(1.0, 0.0, 1.0, 0.1, 1.0, 98), 0.2054
         )
 
     def test_smoothed_bound_linear_in_M(self):
-        base = theorem_bound_smoothed(1.0, 0.0, 1.0, 0.2, 0.0, 1.0, 98)
-        one = theorem_bound_smoothed(1.0, 0.0, 1.0, 0.2, 1.0, 1.0, 98)
-        two = theorem_bound_smoothed(1.0, 0.0, 1.0, 0.2, 2.0, 1.0, 98)
+        base = theorem_bound_smoothed(1.0, 0.0, 1.0, 0.2, 0.0, 98)
+        one = theorem_bound_smoothed(1.0, 0.0, 1.0, 0.2, 1.0, 98)
+        two = theorem_bound_smoothed(1.0, 0.0, 1.0, 0.2, 2.0, 98)
         assert np.isclose(two - one, one - base)
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ParameterError):
             theorem_bound(-1.0, 0.0, 1.0, 10)
         with pytest.raises(ParameterError):
-            theorem_bound_smoothed(1.0, 0.0, 1.0, 0.1, 1.0, 0.0, 10)
+            theorem_bound_smoothed(1.0, 0.0, 1.0, -0.1, 1.0, 10)
 
 
 class TestEmpiricalExpectationBound:
@@ -427,7 +425,7 @@ def test_solvers_match_reference_loop_bit_for_bit(solver, penalty, kind):
     elif solver == "ssg":
         sreg = smoothed(reg, N=N)
         x, trace = run_ssg(oracle, sreg, L, N, root.split(2), objective, trace_every)
-        L_mu = L + sreg.A_norm**2 / (sreg.c * sreg.mu)
+        L_mu = L + sreg.A_norm**2 / sreg.mu
         eta = lambda t: (2.0 / (t + 2.0)) * (N**1.5 / L_mu + 2.0) * L_mu
     else:
         x, trace = run_acsa(oracle, reg, L, N, gamma_star, root.split(2), objective,
