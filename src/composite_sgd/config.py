@@ -307,14 +307,12 @@ def parse_bounds_config(text: str) -> BoundsConfig:
         _forbid(pairs, "D", "derived from the closed-form optimum for ortho-lasso")
         if p % 2 != 0:
             raise ConfigError("p", f"ortho-lasso requires even p, got {p}")
-        # The instance is a design of K = p rows, whose Gram is kept.
-        try:
-            _check_footprint(p, p, gram=True)
-        except ConfigError as exc:
-            raise ConfigError("p", exc.message) from None
+        # The instance is a design of K = p rows and its kept Gram, 8 p^2 bytes each.
+        _check_memory("p", f"K={p} rows of p={p}", 16 * p * p)
     else:
         _forbid(pairs, "lambda", "quadratic instance has no penalty")
         given |= _given(pairs, ("D", float, 0.0, True))
+        _check_memory("p", f"p={p} coordinates", 8 * p)
 
     cfg = BoundsConfig(problem=problem, solver=solver, p=p, N=N, **given)
     _check_seed(cfg.seed, cfg.R)

@@ -379,7 +379,7 @@ def load_group_structure(path, p: int) -> GroupStructure:
                 w_part, idx_part = line.split(":", 1)
                 w = float(w_part)
                 idx = np.array([int(t) - 1 for t in idx_part.split(",")], dtype=np.int64)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParameterError(f"line {lineno}: cannot parse {line!r}") from exc
             if not (np.isfinite(w) and w > 0):
                 raise ParameterError(

@@ -93,12 +93,13 @@ def _require_nonnegative(**kwargs):
             raise ParameterError(f"{name} must be >= 0, got {value}")
 
 
-def _check_overflow(z: Array, x: Array, t: int) -> None:
-    # Written as "not <=" so that NaN, which fails every comparison, trips it;
-    # the ufunc reduction propagates NaN as np.max does, without its Python
-    # wrapper on every iteration.
-    if not (np.maximum.reduce(np.abs(z)) <= OVERFLOW_LIMIT
-            and np.maximum.reduce(np.abs(x)) <= OVERFLOW_LIMIT):
+def _check_overflow(z: Array, t: int) -> None:
+    # z alone: x_{t+1} = fl(fl(fl(1 - theta) x_t) + fl(theta z_{t+1})) with x_0 = 0 is
+    # finite while every z passes, and tops the largest max|z| by a factor of at most
+    # (1 + 2^-53)^{3(t+1)}, about 1 + 3.3e-10 at t = 1e6. Written as "not <=" so that
+    # NaN, which fails every comparison, trips it; the ufunc reduction propagates NaN
+    # as np.max does, without its Python wrapper on every iteration.
+    if not np.maximum.reduce(np.abs(z)) <= OVERFLOW_LIMIT:
         raise DivergenceError(
             f"iterate is not finite or exceeded {OVERFLOW_LIMIT:g} at iteration {t}; "
             "is the Lipschitz constant set too small?",
@@ -154,7 +155,7 @@ def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_ev
                 f"prox failed at iteration {t}: {exc}", last_iterate=exc.last_iterate
             ) from exc
         x = x_part + th * z
-        _check_overflow(z, x, t)
+        _check_overflow(z, t)
         if trace_every > 0 and ((t + 1) % trace_every == 0 or t == N):
             record(t + 1, x)
     return x, rows

@@ -487,16 +487,22 @@ lipschitz_override = 1e-9
                          .replace("K = 40\n", "").replace("p = 4", f"p = {10**400}"),
          f"p: p={10**400} coordinates in draws of 5 need 3.73e+392 GiB, more than "
          "the 8 GiB of physical memory"),
-    ], ids=["run", "gen-data", "run-continuous"])
+        ("verify-bounds", f"problem = quadratic\nsolver = sg\np = {10**400}\nN = 10\n",
+         f"p: p={10**400} coordinates need 7.45e+391 GiB, more than the 8 GiB of "
+         "physical memory"),
+    ], ids=["run", "gen-data", "run-continuous", "verify-bounds"])
     def test_dimension_past_float_range_exits_2_with_one_line(self, tmp_path, capsys,
                                                               monkeypatch, command, text,
                                                               line):
         # p = 2^2000 would be formed before any bound, and 8 * K * p bytes past
         # 1e308 has no float to print in GiB; a continuous p has no K, so its
-        # draws are checked
+        # draws are checked, and the quadratic bounds instance holds p-vectors
         monkeypatch.setattr(config, "physical_memory", lambda: 2**33)
         out = tmp_path / "out"
-        assert main([command, str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        args = [command, str(write_cfg(tmp_path, text))]
+        if command != "verify-bounds":  # the one command that writes no files
+            args += ["--out", str(out)]
+        assert main(args) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
         assert not out.exists()
 
@@ -533,6 +539,14 @@ lipschitz_override = 1e-9
         cfg_path = write_cfg(tmp_path, text)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: structure_file: line 1:")
+
+    def test_structure_index_past_int64_exits_2_with_one_line(self, tmp_path, capsys):
+        (tmp_path / "groups.txt").write_text("1: 1,99999999999999999999999\n")
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
+        text += f"structure_file = {tmp_path / 'groups.txt'}\n"
+        assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: structure_file: line 1: cannot parse '1: 1,99999999999999999999999'\n")
 
     @pytest.mark.parametrize(
         "exc",

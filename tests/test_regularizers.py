@@ -101,6 +101,12 @@ class TestGroupStructure:
         with pytest.raises(ParameterError, match="line 3"):
             load_group_structure(path, p=3)
 
+    def test_load_rejects_index_past_int64_naming_line(self, tmp_path):
+        path = tmp_path / "groups.txt"
+        path.write_text("1: 1,99999999999999999999999\n")
+        with pytest.raises(ParameterError, match="^line 1: cannot parse "):
+            load_group_structure(path, p=3)
+
 
 class TestBuildHierarchical:
     def test_trivial_tree(self):

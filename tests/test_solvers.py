@@ -1,7 +1,10 @@
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from _reference import PhiloxStream, minibatch_gradient_linear, two_sequence_loop
 from composite_sgd.core import (
@@ -33,6 +36,7 @@ from composite_sgd.regularizers import (
 from composite_sgd.smoothing import smoothed
 from composite_sgd import solvers
 from composite_sgd.solvers import (
+    OVERFLOW_LIMIT,
     pilot_sigma_sq,
     resolve_acsa_params,
     run_acsa,
@@ -193,17 +197,6 @@ class TestRunSg:
         x2, _ = run_sg(oracle, l1(0.1, 4), 2.0, 50, RngStream(9), objective, trace_every=0)
         assert np.array_equal(x1, x2)
 
-    def test_divergence_guard_names_iteration(self):
-        # curvature ~1e9 with L presented as 1: the step sizes oscillate the
-        # iterates apart and the overflow guard must fire
-        p = 2
-        oracle = ExactOracle(lambda x: 1e9 * x - np.ones(p), p)
-        objective = lambda x: 0.5e9 * float(x @ x) - float(x.sum())
-        with pytest.raises(DivergenceError) as err:
-            run_sg(oracle, l1(0.0, p), 1.0, 50, RngStream(0), objective, trace_every=0)
-        assert err.value.iteration >= 0
-        assert "iteration" in str(err.value)
-
     def test_prox_failure_carries_iteration_index(self, monkeypatch):
         def broken_prox(reg, g, z, eta):
             raise ConvergenceError("stalled", last_iterate=z)
@@ -303,6 +296,80 @@ class TestRunAcsa:
         x, _ = run_acsa(oracle, l1(0.0, 4), 1.0, 400, gamma_star, RngStream(2),
                         objective, trace_every=0)
         assert objective(x) < 1e-3
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("run, iteration", [
+    (lambda oracle, reg, f: run_sg(oracle, reg, 1.0, 50, RngStream(0), f, trace_every=0), 3),
+    (lambda oracle, reg, f: run_ssg(oracle, smoothed(reg, N=50), 1.0, 50, RngStream(0), f,
+                                    trace_every=0), 3),
+    (lambda oracle, reg, f: run_acsa(oracle, reg, 1.0, 50, resolve_acsa_params(1.0, 50, 0.0),
+                                     RngStream(0), f, trace_every=0), 2),
+], ids=["sg", "ssg", "acsa"])
+def test_divergence_guard_names_iteration(run, iteration, lam):
+    # curvature ~1e9 with L presented as 1: the step sizes oscillate the
+    # iterates apart and the overflow guard must fire; z trips it at the
+    # iteration where x would, since x is a convex combination of the z's
+    p = 2
+    oracle = ExactOracle(lambda x: 1e9 * x - np.ones(p), p)
+    objective = lambda x: 0.5e9 * float(x @ x) - float(x.sum())
+    with pytest.raises(DivergenceError) as err:
+        run(oracle, l1(lam, p), objective)
+    assert err.value.iteration == iteration
+    assert str(err.value) == (
+        f"iterate is not finite or exceeded 1e+12 at iteration {iteration}; "
+        "is the Lipschitz constant set too small?")
+
+
+_BOUNDED = st.floats(-OVERFLOW_LIMIT, OVERFLOW_LIMIT)
+_PAST_LIMIT = st.floats(min_value=OVERFLOW_LIMIT, exclude_min=True) | st.just(np.nan)
+
+
+@st.composite
+def _drawn_steps(draw):
+    """The z's a step returns, entries within the limit, and the iteration
+    (or None) at which one entry is pushed past it or made NaN."""
+    p = draw(st.integers(1, 4))
+    zs = draw(st.lists(st.lists(_BOUNDED, min_size=p, max_size=p).map(np.array),
+                       min_size=1, max_size=30))
+    bad_at = draw(st.none() | st.integers(0, len(zs) - 1))
+    if bad_at is not None:
+        zs[bad_at][draw(st.integers(0, p - 1))] = draw(_PAST_LIMIT) * draw(
+            st.sampled_from([1.0, -1.0]))
+    return zs, bad_at
+
+
+@given(_drawn_steps())
+# x_14 = fl(fl(fl(1 - theta) 1e12) + fl(theta 1e12)) rounds up past the limit
+@example(([np.full(1, OVERFLOW_LIMIT) for _ in range(14)], None))
+def test_guard_on_z_keeps_x_within_rounding_of_the_limit(steps):
+    # x_{t+1} is a rounded convex combination of x_t and z_{t+1}, with three
+    # roundings of at most a factor (1 + 2^-53) each, so checking z alone
+    # bounds every x; a z past the limit, or NaN, raises at its own iteration
+    zs, bad_at = steps
+    p = zs[0].size
+    drawn = iter(zs)
+    max_abs = []
+
+    def smooth_objective(x):
+        max_abs.append(float(np.max(np.abs(x))))
+        return 0.0
+
+    def run():
+        return solvers._run_two_sequence(
+            ExactOracle(lambda x: np.zeros(p), p), lambda y, g, z, eta: next(drawn),
+            lambda t: 1.0, len(zs) - 1, l1(0.0, p), RngStream(0), smooth_objective, 1)
+
+    if bad_at is None:
+        run()
+    else:
+        with pytest.raises(DivergenceError) as err:
+            run()
+        assert err.value.iteration == bad_at
+    assert len(max_abs) == (len(zs) if bad_at is None else bad_at) + 1
+    for i, m in enumerate(max_abs):
+        bound = Fraction(OVERFLOW_LIMIT) * (1 + Fraction(1, 2**53)) ** (3 * i)
+        assert np.isfinite(m) and Fraction(m) <= bound
 
 
 @pytest.mark.parametrize("run", [
