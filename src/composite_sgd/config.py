@@ -134,7 +134,7 @@ def _gib(nbytes: int) -> str:
     return f"{Decimal(nbytes) / 2**30:.3g}"
 
 
-def _check_memory(key: str, what: str, need: int) -> None:
+def check_memory(key: str, what: str, need: int) -> None:
     """Refuse ``what`` (config ``key``) if its ``need`` bytes exceed physical memory."""
     have = physical_memory()
     if have is not None and need > have:
@@ -145,7 +145,7 @@ def _check_memory(key: str, what: str, need: int) -> None:
 def _check_footprint(K: int, p: int, gram: bool) -> None:
     """Refuse a dataset that cannot fit in physical memory: K * p doubles for
     the design, plus min(K, p)^2 for the Gram matrix a linear dataset keeps."""
-    _check_memory("K", f"K={K} rows of p={p}", 8 * K * p + (8 * min(K, p) ** 2 if gram else 0))
+    check_memory("K", f"K={K} rows of p={p}", 8 * K * p + (8 * min(K, p) ** 2 if gram else 0))
 
 
 @dataclass(frozen=True)
@@ -250,8 +250,8 @@ def parse_run_config(text: str) -> RunConfig:
     else:
         batch_size = _number(pairs, "batch_size", int, 1)
     if regularizer != "hierarchical":  # one draw; a tree's p is bounded through n
-        _check_memory("p", f"p={p} coordinates in draws of {batch_size or 1}",
-                      8 * p * (batch_size or 1))
+        check_memory("p", f"p={p} coordinates in draws of {batch_size or 1}",
+                     8 * p * (batch_size or 1))
 
     try:
         seeds = tuple(int(tok) for tok in _require(pairs, "seed").split(","))
@@ -308,11 +308,11 @@ def parse_bounds_config(text: str) -> BoundsConfig:
         if p % 2 != 0:
             raise ConfigError("p", f"ortho-lasso requires even p, got {p}")
         # The instance is a design of K = p rows and its kept Gram, 8 p^2 bytes each.
-        _check_memory("p", f"K={p} rows of p={p}", 16 * p * p)
+        check_memory("p", f"K={p} rows of p={p}", 16 * p * p)
     else:
         _forbid(pairs, "lambda", "quadratic instance has no penalty")
         given |= _given(pairs, ("D", float, 0.0, True))
-        _check_memory("p", f"p={p} coordinates", 8 * p)
+        check_memory("p", f"p={p} coordinates", 8 * p)
 
     cfg = BoundsConfig(problem=problem, solver=solver, p=p, N=N, **given)
     _check_seed(cfg.seed, cfg.R)

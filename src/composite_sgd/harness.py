@@ -22,7 +22,7 @@ import numpy as np
 from . import problems as pb
 from . import regularizers as rg
 from . import solvers as sv
-from .config import BoundsConfig, ConfigError, RunConfig
+from .config import BoundsConfig, ConfigError, RunConfig, check_memory
 from .core import ParameterError, RngStream, TraceRecord
 from .smoothing import smoothed
 
@@ -75,40 +75,38 @@ def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
     else:
         if not Path(cfg.structure_file).is_file():
             raise ConfigError("structure_file", f"file not found: {cfg.structure_file}")
+        size = Path(cfg.structure_file).stat().st_size
+        check_memory("structure_file", f"{size} file bytes at {rg.LOAD_BYTES_PER_FILE_BYTE} "
+                     "bytes each to parse", rg.LOAD_BYTES_PER_FILE_BYTE * size)
         try:
             structure = rg.load_group_structure(cfg.structure_file, p=cfg.p)
         except ParameterError as exc:
             raise ConfigError("structure_file", str(exc)) from exc
         reg = rg.group_norm(cfg.lam, structure)
 
-    if cfg.problem == "linear-discrete":
-        dataset = seed_dataset(cfg.problem, cfg.K, cfg.p, seed)
-        L = cfg.lipschitz_override
-        if L is None:
-            L = pb.lipschitz_linear(dataset, cfg.lipschitz_convention)
-        objective = lambda b: pb.exact_objective_linear(dataset, b)
-        if cfg.batch_size is None:
-            oracle = pb.ExactOracle(lambda b: pb.exact_gradient_linear(dataset, b), cfg.p)
-        else:
-            oracle = pb.MinibatchLinearOracle(dataset, cfg.batch_size)
-    elif cfg.problem == "linear-continuous":
+    # Both minibatch oracles take (data, batch): the continuous one draws rows
+    # around beta_hat, the finite one gathers them from the dataset.
+    L = cfg.lipschitz_override
+    if cfg.problem == "linear-continuous":
         beta_hat = pb.ground_truth("linear", cfg.p)
-        L = cfg.lipschitz_override if cfg.lipschitz_override is not None else 1.0
         objective = lambda b: pb.continuous_objective(b, beta_hat)
-        if cfg.batch_size is None:
-            oracle = pb.ExactOracle(lambda b: pb.continuous_gradient(b, beta_hat), cfg.p)
-        else:
-            oracle = pb.ContinuousLinearOracle(beta_hat, cfg.batch_size)
-    else:  # logistic
+        gradient = lambda b: pb.continuous_gradient(b, beta_hat)
+        minibatch, data = pb.ContinuousLinearOracle, beta_hat
+    else:
         dataset = seed_dataset(cfg.problem, cfg.K, cfg.p, seed)
-        L = cfg.lipschitz_override if cfg.lipschitz_override is not None else 1.0
-        objective = lambda b: pb.exact_objective_logistic(dataset, b)
-        if cfg.batch_size is None:
-            oracle = pb.ExactOracle(lambda b: pb.exact_gradient_logistic(dataset, b), cfg.p)
+        if cfg.problem == "linear-discrete":
+            if L is None:
+                L = pb.lipschitz_linear(dataset, cfg.lipschitz_convention)
+            objective = lambda b: pb.exact_objective_linear(dataset, b)
         else:
-            oracle = pb.MinibatchLogisticOracle(dataset, cfg.batch_size)
-
-    return ProblemSetup(oracle, objective, reg, float(L))
+            objective = lambda b: pb.exact_objective_logistic(dataset, b)
+        gradient = lambda b: pb.exact_gradient(dataset, b)
+        minibatch, data = pb.MinibatchLinearOracle, dataset
+    if cfg.batch_size is None:
+        oracle = pb.ExactOracle(gradient, cfg.p)
+    else:
+        oracle = minibatch(data, cfg.batch_size)
+    return ProblemSetup(oracle, objective, reg, 1.0 if L is None else float(L))
 
 
 def write_trace_csv(path, rows: List[TraceRecord]) -> None:
@@ -277,7 +275,7 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
         reg = rg.l1(cfg.lam, cfg.p)
         L = pb.lipschitz_linear(dataset, "scaled")
         objective = lambda x: pb.exact_objective_linear(dataset, x)
-        grad = lambda x: pb.exact_gradient_linear(dataset, x)
+        grad = lambda x: pb.exact_gradient(dataset, x)
         D = float(np.linalg.norm(x_star))
 
     phi = lambda x: objective(x) + rg.evaluate(reg, x)

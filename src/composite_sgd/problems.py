@@ -1,8 +1,11 @@
 """Synthetic regression problems and their stochastic gradient oracles.
 
-Three families: least squares on a fixed design (minibatch oracle), least
-squares against a continuous Gaussian data distribution (fresh-sample oracle,
-closed-form objective), and logistic regression on unit-norm rows.
+Three families: least squares on a fixed design, least squares against a
+continuous Gaussian data distribution (fresh-sample oracle, closed-form
+objective), and logistic regression on unit-norm rows. The two finite-data
+losses act on the linear predictor X x and differ only in its link (identity
+or sigmoid), so one minibatch oracle and one full-data gradient serve both,
+reading the link from the dataset's kind.
 """
 
 from __future__ import annotations
@@ -188,11 +191,6 @@ def exact_objective_linear(d: Dataset, beta) -> float:
     return float((beta @ (gram @ beta) - 2.0 * (xty @ beta) + yty) / (2.0 * d.K))
 
 
-def exact_gradient_linear(d: Dataset, beta) -> Array:
-    beta = _check_beta(d, beta)
-    return d.X.T @ (d.X @ beta - d.y) / d.K
-
-
 def exact_objective_logistic(d: Dataset, beta) -> float:
     """Average negative log-likelihood (1/K) sum log(1 + e^{t_i}) - y_i t_i."""
     beta = _check_beta(d, beta)
@@ -200,9 +198,18 @@ def exact_objective_logistic(d: Dataset, beta) -> float:
     return float(np.mean(_log1p_exp(t) - d.y * t))
 
 
-def exact_gradient_logistic(d: Dataset, beta) -> Array:
+def _link(d: Dataset, t: Array) -> Array:
+    # The mean response at linear predictor t: t itself for a linear dataset,
+    # sigmoid(t) for a logistic one.
+    return sigmoid(t) if d.kind == "logistic" else t
+
+
+def exact_gradient(d: Dataset, beta) -> Array:
+    """Full-data gradient (1/K) X^T (link(X beta) - y) of the dataset's loss:
+    the link is the identity for a linear dataset, the sigmoid for a logistic
+    one."""
     beta = _check_beta(d, beta)
-    return d.X.T @ (sigmoid(d.X @ beta) - d.y) / d.K
+    return d.X.T @ (_link(d, d.X @ beta) - d.y) / d.K
 
 
 def continuous_objective(beta, beta_hat) -> float:
@@ -226,11 +233,11 @@ def continuous_gradient(beta, beta_hat) -> Array:
 
 
 class MinibatchLinearOracle:
-    """Uniform-with-replacement minibatch gradient of the fixed-design square loss."""
+    """Uniform-with-replacement minibatch gradient of a loss on the linear
+    predictor X x: the square loss on a linear dataset, the logistic loss on
+    a logistic one. They differ only in the link applied to X_S x."""
 
     def __init__(self, dataset: Dataset, batch: int):
-        if dataset.kind != "linear":
-            raise ParameterError("dataset kind must be 'linear'")
         if batch < 1:
             raise ParameterError(f"batch must be >= 1, got {batch}")
         self.dataset = dataset
@@ -238,35 +245,13 @@ class MinibatchLinearOracle:
         self.dim = dataset.p
 
     def sample(self, x: Array, rng: RngStream) -> Array:
-        # The minibatch gradient (1/|S|) X_S^T (X_S x - y_S); rng.indices
+        # The minibatch gradient (1/|S|) X_S^T (link(X_S x) - y_S); rng.indices
         # draws S in range, so only x needs a check.
         if x.shape != (self.dim,):
             raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         S = rng.indices(self.batch, self.dataset.K)
         XS = self.dataset.X[S]
-        return XS.T @ (XS @ x - self.dataset.y[S]) / self.batch
-
-
-class MinibatchLogisticOracle:
-    """Uniform-with-replacement minibatch gradient of the logistic loss."""
-
-    def __init__(self, dataset: Dataset, batch: int):
-        if dataset.kind != "logistic":
-            raise ParameterError("dataset kind must be 'logistic'")
-        if batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {batch}")
-        self.dataset = dataset
-        self.batch = batch
-        self.dim = dataset.p
-
-    def sample(self, x: Array, rng: RngStream) -> Array:
-        # The minibatch gradient (1/|S|) X_S^T (sigmoid(X_S x) - y_S);
-        # rng.indices draws S in range, so only x needs a check.
-        if x.shape != (self.dim,):
-            raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
-        S = rng.indices(self.batch, self.dataset.K)
-        XS = self.dataset.X[S]
-        return XS.T @ (sigmoid(XS @ x) - self.dataset.y[S]) / self.batch
+        return XS.T @ (_link(self.dataset, XS @ x) - self.dataset.y[S]) / self.batch
 
 
 class ContinuousLinearOracle:

@@ -365,6 +365,12 @@ def save_group_structure(st: GroupStructure, path) -> None:
             fh.write(f"{w:.17g}: {idx}\n")
 
 
+# Bytes of memory that parsing may take per byte of a structure file, rounded
+# up from tracemalloc peaks over 2e5 groups: 210 for one-index lines "1:1",
+# the most groups per byte, 49 for distinct singletons, 19 for one long line.
+LOAD_BYTES_PER_FILE_BYTE = 256
+
+
 def load_group_structure(path, p: int) -> GroupStructure:
     """Parse the text format written by save_group_structure into groups over
     ``p`` coordinates."""

@@ -14,10 +14,8 @@ from composite_sgd.problems import (
     ExactOracle,
     GaussianNoiseOracle,
     MinibatchLinearOracle,
-    MinibatchLogisticOracle,
     continuous_objective,
-    exact_gradient_linear,
-    exact_gradient_logistic,
+    exact_gradient,
     exact_objective_linear,
     gen_linear_dataset,
     gen_logistic_dataset,
@@ -196,7 +194,7 @@ def test_criterion_5_expectation_bound_smoothed_lasso():
     L = lipschitz_linear(data, "scaled")
     objective = lambda b: exact_objective_linear(data, b)
     phi = lambda b: objective(b) + evaluate(reg, b)
-    oracle = ExactOracle(lambda b: exact_gradient_linear(data, b), p)
+    oracle = ExactOracle(lambda b: exact_gradient(data, b), p)
 
     sreg = smoothed(reg, N=N)  # mu = ||A|| / (N + 2)
     x, _ = run_ssg(oracle, sreg, L, N, RngStream(0), objective, trace_every=0)
@@ -360,10 +358,10 @@ def test_criterion_8_oracle_unbiasedness():
     cases = [
         ("linear", _LinearDraws(lin_data, 10, rng.split(3)),
          MinibatchLinearOracle(lin_data, 10),
-         lambda b: exact_gradient_linear(lin_data, b)),
+         lambda b: exact_gradient(lin_data, b)),
         ("logistic", _LogisticDraws(log_data, 10, rng.split(4)),
-         MinibatchLogisticOracle(log_data, 10),
-         lambda b: exact_gradient_logistic(log_data, b)),
+         MinibatchLinearOracle(log_data, 10),
+         lambda b: exact_gradient(log_data, b)),
         ("continuous", _ContinuousDraws(beta_hat, 5, rng.split(5)),
          ContinuousLinearOracle(beta_hat, 5),
          lambda b: b - beta_hat),

@@ -548,6 +548,27 @@ lipschitz_override = 1e-9
         assert capsys.readouterr().err == (
             "config error: structure_file: line 1: cannot parse '1: 1,99999999999999999999999'\n")
 
+    def test_structure_file_past_physical_memory_exits_2_before_parsing(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        # 100 one-index lines are 400 bytes, allowed 256 bytes each to parse
+        (tmp_path / "groups.txt").write_text("1:1\n" * 100)
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
+        text += f"structure_file = {tmp_path / 'groups.txt'}\n"
+        cfg_path = write_cfg(tmp_path, text)
+        parsed = []
+        load = harness.rg.load_group_structure
+        monkeypatch.setattr(harness.rg, "load_group_structure",
+                            lambda *args, **kw: parsed.append(args) or load(*args, **kw))
+        monkeypatch.setattr(config, "physical_memory", lambda: 400 * 256 - 1)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: structure_file: 400 file bytes at 256 bytes each to parse need "
+            "0.0000954 GiB, more than the 0.0000954 GiB of physical memory\n")
+        assert not parsed
+        monkeypatch.setattr(config, "physical_memory", lambda: 400 * 256)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert len(parsed) == 1
+
     @pytest.mark.parametrize(
         "exc",
         [

@@ -17,8 +17,7 @@ from composite_sgd.problems import (
     ExactOracle,
     GaussianNoiseOracle,
     MinibatchLinearOracle,
-    MinibatchLogisticOracle,
-    exact_gradient_linear,
+    exact_gradient,
     exact_objective_linear,
     exact_objective_logistic,
     gen_linear_dataset,
@@ -180,7 +179,7 @@ class TestRunSg:
 
     def test_objective_monotone_after_warmup(self):
         data = gen_linear_dataset(60, 6, RngStream(12).split(1))
-        oracle = ExactOracle(lambda b: exact_gradient_linear(data, b), 6)
+        oracle = ExactOracle(lambda b: exact_gradient(data, b), 6)
         objective = lambda b: exact_objective_linear(data, b)
         from composite_sgd.problems import lipschitz_linear
 
@@ -448,7 +447,7 @@ class TestEmpiricalExpectationBound:
         gaps = []
         for seed in range(20):
             oracle = GaussianNoiseOracle(
-                ExactOracle(lambda b: exact_gradient_linear(data, b), p), sigma
+                ExactOracle(lambda b: exact_gradient(data, b), p), sigma
             )
             x, _ = run_sg(oracle, reg, L, N, RngStream(seed).split(2), objective,
                           trace_every=0)
@@ -481,7 +480,7 @@ def test_solvers_match_reference_loop_bit_for_bit(solver, penalty, kind):
         L = lipschitz_linear(data)
     else:
         data = gen_logistic_dataset(60, 8, root.split(1))
-        oracle = MinibatchLogisticOracle(data, batch)
+        oracle = MinibatchLinearOracle(data, batch)
         objective = lambda b: exact_objective_logistic(data, b)
         L = 0.25  # unit-norm rows
     reg = PENALTIES[penalty](0.05)
