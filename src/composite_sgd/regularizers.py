@@ -6,6 +6,7 @@ structure's flat block layout."""
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,37 +35,55 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 _HUGE = np.finfo(np.float64).max
 
 
+class GroupIndexError(ParameterError):
+    """A group is empty, holds an index outside [0, p) or repeats one: ``group``
+    is its stored position and ``index`` the index at fault, None when empty."""
+
+    def __init__(self, message: str, group: int, index):
+        super().__init__(message)
+        self.group, self.index = group, index
+
+
 class GroupStructure:
     """An ordered family of index groups over coordinates with positive weights.
 
-    Groups are stored as sorted 0-based index arrays. ``is_laminar`` is true
-    when every pair of groups is either disjoint or nested, which is the case
-    admitting an exact single-pass prox; it is decided in O(total indices).
-    ``layers`` then splits the groups by nesting depth, deepest first; groups
-    of equal depth are disjoint. Each layer is ``(index, offsets, owner, lo,
-    hi)`` in flat block layout. ``index`` gathers the layer's coordinates: it
-    is the basic slice ``slice(a, a + n)`` when they are ``a, ..., a + n - 1``
-    in order, as in every layer of a dyadic tree, so that the prox reads a
-    view and writes a contiguous range, and an int64 array otherwise.
-    ``owner`` gives the position within the layer of the group each gathered
-    coordinate belongs to, so ``scale[owner]`` spreads one value per group
-    over its coordinates, and the layer's weights are ``layer_weights[lo:hi]``,
-    which holds all groups' weights in layer order. ``layers`` and
-    ``layer_weights`` are None for an overlapping family. The flat ``owner``
-    does the same for the stored group order. All of it is built once per
-    structure.
+    Built from the flat layout ``(index, sizes, weights, p)``: ``index`` holds
+    every group's 0-based coordinates, concatenated in group order, and group
+    k is the next ``sizes[k]`` of them. The structure keeps that layout and no
+    array per group: ``flat_index`` (``index`` sorted within each group),
+    ``sizes``, ``offsets`` (where each group's slice starts) and ``owner``
+    (the group of each flat entry, so ``scale[owner]`` spreads one value per
+    group over its block). The first faulty group in stored order raises
+    ``GroupIndexError`` with its first fault of: empty, an index outside
+    [0, p), a repeated index.
+
+    ``is_laminar`` is true when every pair of groups is either disjoint or
+    nested, which is the case admitting an exact single-pass prox; it is
+    decided in O(total indices). ``layers`` then splits the groups by nesting
+    depth, deepest first; groups of equal depth are disjoint. Each layer is
+    ``(index, offsets, owner, lo, hi)`` in flat block layout. ``index``
+    gathers the layer's coordinates: it is the basic slice
+    ``slice(a, a + n)`` when they are ``a, ..., a + n - 1`` in order, as in
+    every layer of a dyadic tree, so that the prox reads a view and writes a
+    contiguous range, and an int64 array otherwise. ``owner`` gives the
+    position within the layer of the group each gathered coordinate belongs
+    to, and the layer's weights are ``layer_weights[lo:hi]``, which holds all
+    groups' weights in layer order. ``layers`` and ``layer_weights`` are None
+    for an overlapping family. All of it is built once per structure.
     """
 
-    def __init__(self, groups, weights, p: int):
+    def __init__(self, index, sizes, weights, p: int):
         p = int(p)
         if p < 1:
             raise ParameterError(f"p must be >= 1, got {p}")
+        index = np.asarray(index, dtype=np.int64)
+        sizes = np.array(sizes, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
-        if len(groups) != weights.shape[0]:
+        if sizes.shape[0] != weights.shape[0]:
             raise DimensionError(
-                f"{len(groups)} groups but {weights.shape[0]} weights"
+                f"{sizes.shape[0]} groups but {weights.shape[0]} weights"
             )
-        if len(groups) == 0:
+        if sizes.shape[0] == 0:
             raise ParameterError("need at least one group")
         bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
         if bad.size:
@@ -72,40 +91,36 @@ class GroupStructure:
                 f"group {bad[0]} has weight {weights[bad[0]]!r}; "
                 "group weights must be finite and strictly positive"
             )
+        if sizes.min() < 0 or index.shape != (sizes.sum(),):
+            raise DimensionError(f"group sizes must be >= 0 and sum to {index.size} indices")
 
-        cleaned = []
-        for k, g in enumerate(groups):
-            idx = np.asarray(g, dtype=np.int64)
-            if idx.size == 0:
-                raise ParameterError(f"group {k} is empty")
-            if idx.min() < 0 or idx.max() >= p:
-                raise ParameterError(f"group {k} has indices outside [0, {p})")
-            idx = np.sort(idx)
-            if np.any(np.diff(idx) == 0):
-                raise ParameterError(f"group {k} repeats an index")
-            cleaned.append(idx)
-
-        self.p = p
-        self.groups = cleaned
-        self.weights = weights
-        self.sizes = np.array([g.size for g in cleaned], dtype=np.int64)
-
+        self.p, self.weights, self.sizes = p, weights, sizes
         # Flat block layout in stored group order, one slice of length |g| per
-        # group: A x = lam * rep_weights * x[flat_index] in smoothing, and the
-        # penalty's block norms in evaluate.
-        self.flat_index = np.concatenate(cleaned)
-        self.offsets = np.zeros(len(cleaned), dtype=np.int64)
-        np.cumsum(self.sizes[:-1], out=self.offsets[1:])
-        self.owner = np.repeat(np.arange(len(cleaned)), self.sizes)
-        self.rep_weights = weights[self.owner]
+        # group, sorted within it: A x = lam * rep_weights * x[flat_index] in
+        # smoothing, and the penalty's block norms in evaluate.
+        owner = self.owner = np.repeat(np.arange(sizes.size), sizes)
+        flat = self.flat_index = index[np.lexsort((index, owner))]
+        # The first faulty group in stored order, with its first fault: empty,
+        # an index outside [0, p), a repeat.
+        faults = [(k, None, "is empty") for k in np.flatnonzero(sizes == 0)[:1]]
+        faults += [(owner[i], int(index[i]), f"has indices outside [0, {p})")
+                   for i in np.flatnonzero((index < 0) | (index >= p))[:1]]
+        faults += [(owner[i], int(flat[i]), "repeats an index")
+                   for i in np.flatnonzero((flat[1:] == flat[:-1]) & (owner[1:] == owner[:-1]))[:1]]
+        if faults:
+            k, i, what = min(faults, key=lambda fault: fault[0])
+            raise GroupIndexError(f"group {k} {what}", int(k), i)
+        self.offsets = np.zeros(sizes.size, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=self.offsets[1:])
+        self.rep_weights = weights[owner]
         # The most groups any one coordinate lies in: the overlapping prox's
         # dual gradient is max_cover / eta Lipschitz.
-        self.max_cover = int(np.bincount(self.flat_index, minlength=p).max())
+        self.max_cover = int(np.bincount(flat, minlength=p).max())
 
         self.layers, self.layer_weights = self._depth_layers()
 
     def __len__(self) -> int:
-        return len(self.groups)
+        return self.sizes.size
 
     @property
     def is_laminar(self) -> bool:
@@ -118,13 +133,14 @@ class GroupStructure:
         # before it exactly when all its coordinates have one innermost group:
         # its parent, or -1 for a root. O(total indices) in all.
         innermost = np.full(self.p, -1, dtype=np.int64)
-        depth = np.full(len(self.groups) + 1, -1, dtype=np.int64)  # depth[-1]: no parent
+        depth = np.full(len(self) + 1, -1, dtype=np.int64)  # depth[-1]: no parent
         for k in np.argsort(-self.sizes, kind="stable"):
-            parents = innermost[self.groups[k]]
+            group = self.flat_index[self.offsets[k]:self.offsets[k] + self.sizes[k]]
+            parents = innermost[group]
             if np.any(parents != parents[0]):
                 return None, None
             depth[k] = depth[parents[0]] + 1
-            innermost[self.groups[k]] = k
+            innermost[group] = k
         # One stable sort by depth, deepest first: a scan per depth would be
         # quadratic for long chains of identical groups.
         depth = depth[:-1]
@@ -135,10 +151,13 @@ class GroupStructure:
             members = order[lo:hi]
             sizes = self.sizes[members]
             offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
-            index = np.concatenate([self.groups[k] for k in members])
+            within = np.repeat(np.arange(members.size), sizes)
+            # the j-th gathered coordinate, of member m, is flat entry
+            # self.offsets[m] + j - offsets[m]
+            at = np.arange(within.size) + (self.offsets[members] - offsets)[within]
+            index = self.flat_index[at]
             if np.all(np.diff(index) == 1):
                 index = slice(int(index[0]), int(index[-1]) + 1)
-            within = np.repeat(np.arange(members.size), sizes)
             layers.append((index, offsets, within, int(lo), int(hi)))
         return layers, self.weights[order]
 
@@ -159,14 +178,9 @@ def build_hierarchical(n: int) -> GroupStructure:
     p = 2**n
     if p * (n + 1) > _MAX_TOTAL_INDICES:
         raise ParameterError(f"hierarchical structure with n={n} is too large")
-    groups = []
-    weights = []
-    for i in range(n + 1):
-        size = 2**i
-        for j in range(2 ** (n - i)):
-            groups.append(np.arange(j * size, (j + 1) * size, dtype=np.int64))
-            weights.append(np.sqrt(size))
-    return GroupStructure(groups, np.array(weights), p)
+    levels = np.arange(n + 1)
+    sizes = np.repeat(2**levels, 2 ** (n - levels))
+    return GroupStructure(np.tile(np.arange(p), n + 1), sizes, np.sqrt(sizes), p)
 
 
 @dataclass(frozen=True)
@@ -360,22 +374,23 @@ def operator_norm(reg: Regularizer) -> float:
 def save_group_structure(st: GroupStructure, path) -> None:
     """Text format: one group per line, ``weight: i1,i2,...,ik`` with 1-based indices."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for g, w in zip(st.groups, st.weights):
+        for g, w in zip(np.split(st.flat_index, st.offsets[1:]), st.weights):
             idx = ",".join(str(i + 1) for i in g)
             fh.write(f"{w:.17g}: {idx}\n")
 
 
 # Bytes of memory that parsing may take per byte of a structure file, rounded
-# up from tracemalloc peaks over 2e5 groups: 210 for one-index lines "1:1",
-# the most groups per byte, 49 for distinct singletons, 19 for one long line.
+# up from tracemalloc peaks over 2e5 groups: 145 for one-index lines "1:1",
+# the most groups per byte, 103 for "1:1,2", 17 for distinct singletons, 21
+# for one long line. Most of the "1:1" peak is its 2e5 laminar layers, one
+# per copy of the same group.
 LOAD_BYTES_PER_FILE_BYTE = 256
 
 
 def load_group_structure(path, p: int) -> GroupStructure:
     """Parse the text format written by save_group_structure into groups over
-    ``p`` coordinates."""
-    groups = []
-    weights = []
+    ``p`` coordinates. A fault names the line that holds it."""
+    index, sizes, weights, lines = array("q"), array("q"), array("d"), array("q")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -384,15 +399,21 @@ def load_group_structure(path, p: int) -> GroupStructure:
             try:
                 w_part, idx_part = line.split(":", 1)
                 w = float(w_part)
-                idx = np.array([int(t) - 1 for t in idx_part.split(",")], dtype=np.int64)
+                idx = [int(t) - 1 for t in idx_part.split(",")]
+                index.extend(idx)
             except (ValueError, OverflowError) as exc:
                 raise ParameterError(f"line {lineno}: cannot parse {line!r}") from exc
             if not (np.isfinite(w) and w > 0):
                 raise ParameterError(
                     f"line {lineno}: weight {w!r} must be finite and strictly positive"
                 )
-            groups.append(idx)
+            sizes.append(len(idx))
             weights.append(w)
-    if not groups:
+            lines.append(lineno)
+    if not sizes:
         raise ParameterError("structure file contains no groups")
-    return GroupStructure(groups, np.array(weights), p)
+    try:
+        return GroupStructure(index, sizes, weights, p)
+    except GroupIndexError as exc:
+        fault = "is repeated" if 0 <= exc.index < p else f"is outside [1, {p}]"
+        raise ParameterError(f"line {lines[exc.group]}: index {exc.index + 1} {fault}") from exc

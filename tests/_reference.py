@@ -17,8 +17,8 @@ is a plain loop over the public, validating functions.
 Some references pin the bits of a fast path instead: the laminar prox in its
 masked form on depth layers rebuilt by dense containment, the overlapping
 prox's dual FISTA and the smoothing's projection spreading their per-group
-scales with ``np.repeat``, and the logistic generator with whole-array row
-norms and a copying divide.
+scales with ``np.repeat``, the logistic generator with whole-array row norms
+and a copying divide, and the group structure built one group at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import math
 
 import numpy as np
 
-from composite_sgd.core import ConvergenceError, DivergenceError, ParameterError, RngStream
+from composite_sgd.core import (ConvergenceError, DimensionError, DivergenceError,
+                                ParameterError, RngStream)
 from composite_sgd.problems import _check_beta, ground_truth, sigmoid
 from composite_sgd.regularizers import (
     DUAL_GAP_RTOL,
@@ -37,6 +38,88 @@ from composite_sgd.regularizers import (
     evaluate,
     prox,
 )
+
+
+def flat_family(groups, weights, p: int):
+    """The ``GroupStructure`` arguments ``(index, sizes, weights, p)`` of a
+    family given as one index sequence per group."""
+    index = np.array([i for g in groups for i in g], dtype=np.int64)
+    return index, [len(g) for g in groups], weights, p
+
+
+def groups_of(st) -> list[np.ndarray]:
+    """Each group's sorted indices, as views of the structure's flat layout."""
+    return np.split(st.flat_index, st.offsets[1:])
+
+
+class PerGroupStructure:
+    """``GroupStructure`` as it was built from one index array per group: each
+    group validated and sorted on its own, the flat layout concatenated from
+    them, and each depth layer's indices concatenated group by group."""
+
+    def __init__(self, groups, weights, p: int):
+        p = int(p)
+        if p < 1:
+            raise ParameterError(f"p must be >= 1, got {p}")
+        weights = np.asarray(weights, dtype=np.float64)
+        if len(groups) != weights.shape[0]:
+            raise DimensionError(
+                f"{len(groups)} groups but {weights.shape[0]} weights"
+            )
+        if len(groups) == 0:
+            raise ParameterError("need at least one group")
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+        if bad.size:
+            raise ParameterError(
+                f"group {bad[0]} has weight {weights[bad[0]]!r}; "
+                "group weights must be finite and strictly positive"
+            )
+        cleaned = []
+        for k, g in enumerate(groups):
+            idx = np.asarray(g, dtype=np.int64)
+            if idx.size == 0:
+                raise ParameterError(f"group {k} is empty")
+            if idx.min() < 0 or idx.max() >= p:
+                raise ParameterError(f"group {k} has indices outside [0, {p})")
+            idx = np.sort(idx)
+            if np.any(np.diff(idx) == 0):
+                raise ParameterError(f"group {k} repeats an index")
+            cleaned.append(idx)
+        self.p = p
+        self.groups = cleaned
+        self.weights = weights
+        self.sizes = np.array([g.size for g in cleaned], dtype=np.int64)
+        self.flat_index = np.concatenate(cleaned)
+        self.offsets = np.zeros(len(cleaned), dtype=np.int64)
+        np.cumsum(self.sizes[:-1], out=self.offsets[1:])
+        self.owner = np.repeat(np.arange(len(cleaned)), self.sizes)
+        self.rep_weights = weights[self.owner]
+        self.max_cover = int(np.bincount(self.flat_index, minlength=p).max())
+        self.layers, self.layer_weights = self._depth_layers()
+
+    def _depth_layers(self):
+        innermost = np.full(self.p, -1, dtype=np.int64)
+        depth = np.full(len(self.groups) + 1, -1, dtype=np.int64)
+        for k in np.argsort(-self.sizes, kind="stable"):
+            parents = innermost[self.groups[k]]
+            if np.any(parents != parents[0]):
+                return None, None
+            depth[k] = depth[parents[0]] + 1
+            innermost[self.groups[k]] = k
+        depth = depth[:-1]
+        order = np.argsort(-depth, kind="stable")
+        bounds = np.cumsum(np.bincount(depth)[::-1])
+        layers = []
+        for lo, hi in zip([0, *bounds[:-1]], bounds):
+            members = order[lo:hi]
+            sizes = self.sizes[members]
+            offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
+            index = np.concatenate([self.groups[k] for k in members])
+            if np.all(np.diff(index) == 1):
+                index = slice(int(index[0]), int(index[-1]) + 1)
+            within = np.repeat(np.arange(members.size), sizes)
+            layers.append((index, offsets, within, int(lo), int(hi)))
+        return layers, self.weights[order]
 
 
 def materialize_map(lam: float, groups, weights, p: int) -> np.ndarray:
@@ -152,18 +235,19 @@ def prox_laminar_loop(u, lam, eta, groups, weights):
 
 def masked_layers(st):
     """The laminar depth layers as ``(index, offsets, sizes, weights)``, rebuilt
-    from ``st.groups`` by dense containment: a group's depth is the number of
-    groups that strictly contain it plus the identical groups stored before it.
-    Deepest layer first, members in stored order."""
-    sets = [frozenset(g.tolist()) for g in st.groups]
+    from ``groups_of(st)`` by dense containment: a group's depth is the number
+    of groups that strictly contain it plus the identical groups stored before
+    it. Deepest layer first, members in stored order."""
+    groups = groups_of(st)
+    sets = [frozenset(g.tolist()) for g in groups]
     depth = [sum(1 for j, h in enumerate(sets) if h > s or (h == s and j < k))
              for k, s in enumerate(sets)]
     layers = []
     for d in sorted(set(depth), reverse=True):
         members = [k for k in range(len(sets)) if depth[k] == d]
-        sizes = np.array([st.groups[k].size for k in members], dtype=np.int64)
+        sizes = np.array([groups[k].size for k in members], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        index = np.concatenate([st.groups[k] for k in members])
+        index = np.concatenate([groups[k] for k in members])
         layers.append((index, offsets, sizes, st.weights[members]))
     return layers
 
@@ -254,7 +338,7 @@ def prox_dual_ascent_loop(u, lam, eta, groups, weights, tol=1e-15, max_sweeps=10
 
 def singleton_structure(p: int) -> GroupStructure:
     """One unit-weight group per coordinate; behaves identically to the l1 norm."""
-    return GroupStructure([np.array([i]) for i in range(p)], np.ones(p), p)
+    return GroupStructure(*flat_family([np.array([i]) for i in range(p)], np.ones(p), p))
 
 
 def random_laminar_structure(p: int, rng: RngStream):

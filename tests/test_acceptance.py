@@ -47,7 +47,8 @@ from composite_sgd.solvers import (
     theorem_bound_smoothed,
 )
 
-from _reference import central_difference, prox_reference, random_laminar_structure, read_trace_csv
+from _reference import (central_difference, flat_family, prox_reference, random_laminar_structure,
+                        read_trace_csv)
 
 
 def report(number, name, ok, detail=""):
@@ -89,7 +90,7 @@ def test_criterion_2_prox_oracle_equivalence():
         else:
             groups, weights = random_laminar_structure(p, rng)
             lam = 0.05 + float(rng.uniform(1)[0])
-            reg = group_norm(lam, GroupStructure(groups, weights, p))
+            reg = group_norm(lam, GroupStructure(*flat_family(groups, weights, p)))
         g = rng.normal(p)
         z = 2.0 * rng.normal(p)
         eta = 0.3 + 3.0 * float(rng.uniform(1)[0])

@@ -548,6 +548,18 @@ lipschitz_override = 1e-9
         assert capsys.readouterr().err == (
             "config error: structure_file: line 1: cannot parse '1: 1,99999999999999999999999'\n")
 
+    @pytest.mark.parametrize("lines, fault", [
+        ("1: 1,2\n\n1: 3,9\n", "line 3: index 9 is outside [1, 4]"),
+        ("1: 1,2\n\n1: 3,2,3\n", "line 3: index 3 is repeated"),
+    ], ids=["outside", "repeated"])
+    def test_structure_index_fault_exits_2_naming_line_and_index(self, tmp_path, capsys,
+                                                                  lines, fault):
+        (tmp_path / "groups.txt").write_text(lines)
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
+        text += f"structure_file = {tmp_path / 'groups.txt'}\n"
+        assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: structure_file: {fault}\n"
+
     def test_structure_file_past_physical_memory_exits_2_before_parsing(self, tmp_path, capsys,
                                                                         monkeypatch):
         # 100 one-index lines are 400 bytes, allowed 256 bytes each to parse

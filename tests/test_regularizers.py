@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -21,6 +23,9 @@ from composite_sgd.regularizers import (
 )
 
 from _reference import (
+    PerGroupStructure,
+    flat_family,
+    groups_of,
     is_laminar_dense,
     materialize_map,
     prox_dual_ascent_loop,
@@ -36,39 +41,77 @@ from _reference import (
 
 def nested_pair_structure():
     # singletons plus the covering pair: laminar, but with overlapping coverage
-    return GroupStructure(
+    return GroupStructure(*flat_family(
         [np.array([0]), np.array([1]), np.array([0, 1])],
         np.array([1.0, 1.0, np.sqrt(2.0)]),
         2,
-    )
+    ))
 
 
 def crossing_structure():
     # {0,1} and {1,2} share coordinate 1 without nesting: not laminar
-    return GroupStructure(
+    return GroupStructure(*flat_family(
         [np.array([0, 1]), np.array([1, 2])],
         np.array([1.0, 1.5]),
         3,
-    )
+    ))
+
+
+def assert_same_bytes(a, b):
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_same_structure(gs, ref):
+    """Every stored array of ``gs`` has the bytes and dtype of ``ref``'s, and
+    its layer plan the same tuples, slices where ``ref`` has slices."""
+    assert gs.p == ref.p and len(gs) == len(ref.groups)
+    assert type(gs.max_cover) is int and gs.max_cover == ref.max_cover
+    for name in ("flat_index", "sizes", "offsets", "owner", "weights", "rep_weights"):
+        assert_same_bytes(getattr(gs, name), getattr(ref, name))
+    if ref.layers is None:
+        assert gs.layers is None and gs.layer_weights is None
+        return
+    assert_same_bytes(gs.layer_weights, ref.layer_weights)
+    assert len(gs.layers) == len(ref.layers)
+    for (index, offsets, owner, lo, hi), ref_layer in zip(gs.layers, ref.layers):
+        ref_index, ref_offsets, ref_owner, ref_lo, ref_hi = ref_layer
+        if isinstance(ref_index, slice):
+            assert isinstance(index, slice) and index == ref_index
+            assert type(index.start) is int and type(index.stop) is int
+        else:
+            assert_same_bytes(index, ref_index)
+        assert_same_bytes(offsets, ref_offsets)
+        assert_same_bytes(owner, ref_owner)
+        assert (type(lo), type(hi), lo, hi) == (int, int, ref_lo, ref_hi)
 
 
 class TestGroupStructure:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            GroupStructure([np.array([0, 2])], np.array([1.0]), 2)
+            GroupStructure(*flat_family([np.array([0, 2])], np.array([1.0]), 2))
         with pytest.raises(ParameterError):
-            GroupStructure([np.array([0])], np.array([0.0]), 1)
+            GroupStructure(*flat_family([np.array([0])], np.array([0.0]), 1))
         with pytest.raises(ParameterError):
-            GroupStructure([np.array([0, 0])], np.array([1.0]), 2)
+            GroupStructure(*flat_family([np.array([0, 0])], np.array([1.0]), 2))
         with pytest.raises(ParameterError):
-            GroupStructure([], np.array([]), 3)
+            GroupStructure(*flat_family([], np.array([]), 3))
+        with pytest.raises(DimensionError):
+            GroupStructure([0, 1], [1, 2], np.ones(2), 2)
+        with pytest.raises(DimensionError):
+            GroupStructure([0, 1], [3, -1], np.ones(2), 2)
+        # the first faulty group in stored order is reported, with its first
+        # fault of: empty, out of range, repeat
+        with pytest.raises(ParameterError, match="^group 1 repeats an index$"):
+            GroupStructure(*flat_family([[0, 1], [2, 2], [3], [1, 9]], np.ones(4), 4))
+        with pytest.raises(ParameterError, match=r"^group 1 has indices outside \[0, 4\)$"):
+            GroupStructure(*flat_family([[0], [3, 3, 4], []], np.ones(3), 4))
 
     def test_laminar_flag(self):
-        nested = GroupStructure(
+        nested = GroupStructure(*flat_family(
             [np.array([0, 1, 2, 3]), np.array([0, 1]), np.array([2, 3])],
             np.ones(3),
             4,
-        )
+        ))
         assert nested.is_laminar
         assert nested_pair_structure().is_laminar
         assert not crossing_structure().is_laminar
@@ -79,7 +122,7 @@ class TestGroupStructure:
         save_group_structure(st_in, path)
         st_out = load_group_structure(path, p=3)
         assert len(st_out) == len(st_in)
-        for a, b in zip(st_out.groups, st_in.groups):
+        for a, b in zip(groups_of(st_out), groups_of(st_in)):
             assert np.array_equal(a, b)
         assert np.allclose(st_out.weights, st_in.weights)
 
@@ -92,7 +135,7 @@ class TestGroupStructure:
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(ParameterError, match="group 1 .*finite"):
-            GroupStructure([np.array([0]), np.array([1])], np.array([1.0, weight]), 2)
+            GroupStructure(*flat_family([[0], [1]], np.array([1.0, weight]), 2))
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0", "-1"])
     def test_load_rejects_bad_weight_naming_line(self, tmp_path, weight):
@@ -100,6 +143,17 @@ class TestGroupStructure:
         path.write_text(f"1: 1,2\n\n{weight}: 2,3\n")
         with pytest.raises(ParameterError, match="line 3"):
             load_group_structure(path, p=3)
+
+    @pytest.mark.parametrize("lines, fault", [
+        ("1: 1,2\n\n1: 3,9\n", "line 3: index 9 is outside [1, 4]"),
+        ("1: 0\n", "line 1: index 0 is outside [1, 4]"),
+        ("1: 4,1,4\n2: 2,2\n", "line 1: index 4 is repeated"),
+    ], ids=["above-p", "zero", "repeated"])
+    def test_load_names_line_and_index_of_fault(self, tmp_path, lines, fault):
+        path = tmp_path / "groups.txt"
+        path.write_text(lines)
+        with pytest.raises(ParameterError, match=f"^{re.escape(fault)}$"):
+            load_group_structure(path, p=4)
 
     def test_load_rejects_index_past_int64_naming_line(self, tmp_path):
         path = tmp_path / "groups.txt"
@@ -113,14 +167,14 @@ class TestBuildHierarchical:
         st0 = build_hierarchical(0)
         assert st0.p == 1
         assert len(st0) == 1
-        assert np.array_equal(st0.groups[0], [0])
+        assert np.array_equal(groups_of(st0)[0], [0])
         assert st0.weights[0] == 1.0
 
     def test_level_one_block(self):
         st2 = build_hierarchical(2)
         assert len(st2) == 7
         # level i=1, j=2 covers 1-based coordinates {3, 4}
-        level1 = [g for g in st2.groups if g.size == 2]
+        level1 = [g for g in groups_of(st2) if g.size == 2]
         assert np.array_equal(level1[1], [2, 3])
         assert st2.is_laminar
 
@@ -133,6 +187,14 @@ class TestBuildHierarchical:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             build_hierarchical(-1)
+
+    def test_equals_per_group_reference(self):
+        for n in range(11):
+            levels = [(2**i, 2 ** (n - i)) for i in range(n + 1)]
+            groups = [np.arange(j * size, (j + 1) * size, dtype=np.int64)
+                      for size, count in levels for j in range(count)]
+            weights = np.array([np.sqrt(size) for size, count in levels for _ in range(count)])
+            assert_same_structure(build_hierarchical(n), PerGroupStructure(groups, weights, 2**n))
 
 
 @st.composite
@@ -183,6 +245,43 @@ def group_families(draw, laminar=False, ordered=False):
     return [groups[k] for k in order], weights, p
 
 
+@st.composite
+def faulty_families(draw):
+    """(groups, weights, p): a ``group_families`` family, laminar or not, with
+    coordinates in order or shuffled, and up to three faults planted in random
+    groups: a group emptied, an index outside [0, p) inserted, an index of the
+    group inserted again."""
+    groups, weights, p = draw(group_families(laminar=draw(st.booleans()),
+                                             ordered=draw(st.booleans())))
+    for fault in draw(st.lists(st.sampled_from(["empty", "outside", "repeat"]), max_size=3)):
+        k = draw(st.integers(0, len(groups) - 1))
+        g = groups[k]
+        if fault == "empty":
+            groups[k] = g[:0]
+        elif fault == "outside":
+            bad = draw(st.sampled_from([-1, p, p + 7, -(2**62), 2**62]))
+            groups[k] = np.insert(g, draw(st.integers(0, g.size)), bad)
+        elif g.size:
+            groups[k] = np.insert(g, draw(st.integers(0, g.size)), draw(st.sampled_from(g)))
+    return groups, weights, p
+
+
+class TestFlatConstructor:
+    @given(faulty_families())
+    @example(([[0, 1], [2, 2], [3], [1, 9]], np.ones(4), 4))
+    @example(([[0], [3, 3, 9], []], np.ones(3), 4))
+    def test_flat_constructor_equals_per_group_reference(self, family):
+        # byte for byte and dtype for dtype, or the same fault message
+        try:
+            ref = PerGroupStructure(*family)
+        except ParameterError as exc:
+            with pytest.raises(ParameterError) as err:
+                GroupStructure(*flat_family(*family))
+            assert str(err.value) == str(exc)
+            return
+        assert_same_structure(GroupStructure(*flat_family(*family)), ref)
+
+
 # Signed zeros, subnormals, the smallest normal and entries near
 # sqrt(smallest_subnormal), where block norms are smallest without being 0.
 EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
@@ -201,12 +300,13 @@ def laminar_prox_inputs(draw):
     if kind == "tree":
         gs = build_hierarchical(draw(st.integers(0, 5)))
     else:
-        gs = GroupStructure(*draw(group_families(laminar=True, ordered=kind == "ordered")))
+        family = draw(group_families(laminar=True, ordered=kind == "ordered"))
+        gs = GroupStructure(*flat_family(*family))
     entries = st.one_of(st.floats(-50.0, 50.0), st.sampled_from(EDGE_ENTRIES),
                         st.floats(-1e-300, 1e-300))
     u = draw(arrays(np.float64, gs.p, elements=entries))
     for k in draw(st.lists(st.integers(0, len(gs) - 1), max_size=3)):
-        u[gs.groups[k]] = draw(st.sampled_from([0.0, -0.0]))
+        u[groups_of(gs)[k]] = draw(st.sampled_from([0.0, -0.0]))
     lam = draw(st.one_of(st.floats(0.01, 5.0),
                          st.floats(5e-324, 1e-300, allow_subnormal=True)))
     eta = 10.0 ** draw(st.floats(-4.0, 4.0))
@@ -223,12 +323,13 @@ class TestDepthLayers:
     @given(group_families())
     def test_is_laminar_matches_dense_reference(self, family):
         groups, weights, p = family
-        assert GroupStructure(groups, weights, p).is_laminar == is_laminar_dense(groups, p)
+        gs = GroupStructure(*flat_family(groups, weights, p))
+        assert gs.is_laminar == is_laminar_dense(groups, p)
 
     @given(group_families(laminar=True))
     def test_layers_partition_groups_into_disjoint_depths(self, family):
         groups, weights, p = family
-        layers = GroupStructure(groups, weights, p).layers
+        layers = GroupStructure(*flat_family(groups, weights, p)).layers
         assert layers is not None
         assert sum(len(offsets) for _, offsets, _, _, _ in layers) == len(groups)
         for index, offsets, owner, _, _ in layers:
@@ -243,7 +344,7 @@ class TestDepthLayers:
         u = data.draw(arrays(np.float64, p, elements=st.floats(-50, 50)))
         lam = data.draw(st.floats(0.01, 5.0))
         eta = data.draw(st.floats(0.1, 10.0))
-        reg = group_norm(lam, GroupStructure(groups, weights, p))
+        reg = group_norm(lam, GroupStructure(*flat_family(groups, weights, p)))
         out = prox(reg, np.zeros(p), u, eta)
         ref = prox_laminar_loop(u, lam, eta, groups, weights)
         assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
@@ -254,7 +355,7 @@ class TestDepthLayers:
         for lam in (0.01, 0.05, 0.1):
             u = 3.0 * rng.normal(2**9)
             out = prox(group_norm(lam, st9), np.zeros(2**9), u, 0.7)
-            ref = prox_laminar_loop(u, lam, 0.7, st9.groups, st9.weights)
+            ref = prox_laminar_loop(u, lam, 0.7, groups_of(st9), st9.weights)
             assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
 
     def test_depth_order_differs_from_size_order(self):
@@ -262,7 +363,7 @@ class TestDepthLayers:
         # order shrinks {4,5} first, the depth order shrinks {0,1,2} first
         groups = [np.arange(6), np.arange(4), np.arange(3), np.array([4, 5])]
         weights = np.array([1.0, 0.7, 0.5, 0.9])
-        st6 = GroupStructure(groups, weights, 6)
+        st6 = GroupStructure(*flat_family(groups, weights, 6))
         gathered = [(np.arange(6)[index], offsets) for index, offsets, _, _, _ in st6.layers]
         layer_sets = [[set(map(int, index[o:o + n]))
                        for o, n in zip(offsets, np.diff(offsets, append=index.size))]
@@ -281,18 +382,18 @@ class TestDepthLayers:
         # blocks meet a zero threshold
         st3 = build_hierarchical(3)
         weights = np.full(len(st3), weight)
-        reg = group_norm(lam, GroupStructure(st3.groups, weights, 8))
+        reg = group_norm(lam, GroupStructure(*flat_family(groups_of(st3), weights, 8)))
         u = np.array([0.0, 0.0, 1.5, -2.0, 0.0, 0.0, 0.0, 3.0])
         with np.errstate(divide="raise", invalid="raise"):
             out = prox(reg, np.zeros(8), u, 1.0)
         assert np.all(out[[0, 1, 4, 5, 6]] == 0.0)
-        assert np.allclose(out, prox_laminar_loop(u, lam, 1.0, reg.structure.groups, weights),
+        assert np.allclose(out, prox_laminar_loop(u, lam, 1.0, groups_of(reg.structure), weights),
                            rtol=0.0, atol=loop_tolerance(u))
 
     @given(laminar_prox_inputs())
     @example((  # layers {1}, {1,2} + {4}, {0..5}: slice(1, 2), an array, slice(0, 6)
-        GroupStructure([np.arange(6), np.array([1, 2]), np.array([4]), np.array([1])],
-                       np.array([1.0, 0.5, 2.0, 0.3]), 6),
+        GroupStructure(*flat_family([np.arange(6), np.array([1, 2]), np.array([4]), np.array([1])],
+                                    np.array([1.0, 0.5, 2.0, 0.3]), 6)),
         0.4, np.array([0.7, -1.5, 0.2, 3.0, -0.1, 0.9]), 0.8,
     ))
     def test_prox_equals_masked_form_bit_for_bit(self, inputs):
@@ -375,15 +476,15 @@ class TestDualFista:
         # the sum of both radii. The allowance of 1e-14 * ||u||_inf covers the
         # rounding of x = u - A^T b / eta in each, which the gaps do not see.
         groups, weights, p, lam, eta, u = instance
-        gs = GroupStructure(groups, weights, p)
+        gs = GroupStructure(*flat_family(groups, weights, p))
         assume(not gs.is_laminar)
         u_in = u.copy()
         out, raised = dual_ascent_outcome(lambda: _prox_dual_fista(gs, lam, u, eta))
         assert np.array_equal(u, u_in) and not np.shares_memory(out, u)
         if raised:
             return
-        radius = certified_radius(lam, eta, gs.groups, gs.weights, out, u)
-        ref, gap = prox_reference(np.zeros(p), u, eta, lam, gs.groups, gs.weights, p,
+        radius = certified_radius(lam, eta, groups_of(gs), gs.weights, out, u)
+        ref, gap = prox_reference(np.zeros(p), u, eta, lam, groups_of(gs), gs.weights, p,
                                   gap_tol=0.5 * eta * radius**2, max_iter=20_000)
         ref_radius = np.sqrt(2.0 * max(gap, 0.0) / eta)
         allowance = 1e-14 * float(np.max(np.abs(u)))
@@ -393,7 +494,7 @@ class TestDualFista:
     def test_equals_repeat_form_bit_for_bit(self, instance):
         # scale[owner] and np.repeat(scale, sizes) spread the same values
         groups, weights, p, lam, eta, u = instance
-        gs = GroupStructure(groups, weights, p)
+        gs = GroupStructure(*flat_family(groups, weights, p))
         assume(not gs.is_laminar)
         out, raised = dual_ascent_outcome(lambda: _prox_dual_fista(gs, lam, u, eta))
         ref, ref_raised = dual_ascent_outcome(lambda: prox_dual_fista_repeat(gs, lam, u, eta))
@@ -403,7 +504,7 @@ class TestDualFista:
     def test_underflowing_radii_leave_u(self):
         # lam * w_g = 1e-400 underflows to 0 for {0, 1} but not for {1, 2};
         # the zero block {0, 1} must not be projected as 0/0
-        gs = GroupStructure(crossing_structure().groups, np.array([1e-200, 1.0]), 3)
+        gs = GroupStructure(*flat_family(groups_of(crossing_structure()), np.array([1e-200, 1.0]), 3))
         u = np.array([0.0, 0.0, 1.5])
         with np.errstate(divide="raise", invalid="raise"):
             out = _prox_dual_fista(gs, 1e-200, u, 1.0)
@@ -415,7 +516,7 @@ class TestDualFista:
         # lam * w_g * ||u_g|| (and, for the weight 10, lam * w_g itself)
         # overflows; every radius exceeds eta * ||u_g||, so the prox is 0, as a
         # laminar structure gives, not the centre u
-        gs = GroupStructure([[0, 1], [1, 2], [2, 3]], weights, 4)
+        gs = GroupStructure(*flat_family([[0, 1], [1, 2], [2, 3]], weights, 4))
         u = np.array([1.0, 2.0, 3.0, 4.0])
         with np.errstate(over="ignore", divide="raise", invalid="raise"):
             out = prox(group_norm(1e308, gs), np.zeros(4), u, 1.0)
@@ -426,10 +527,10 @@ class TestDualFista:
         # the rest is the prox of u zeroed there over the remaining groups
         groups = [[0, 1], [1, 2], [2, 3], [4, 5]]
         u = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        gs = GroupStructure(groups, [1e300, 1.0, 1.0, 1.0], 6)
+        gs = GroupStructure(*flat_family(groups, [1e300, 1.0, 1.0, 1.0], 6))
         with np.errstate(over="ignore", divide="raise", invalid="raise"):
             out = _prox_dual_fista(gs, 1e10, u, 1e11)
-        rest = GroupStructure(groups[1:], [1.0, 1.0, 1.0], 6)
+        rest = GroupStructure(*flat_family(groups[1:], [1.0, 1.0, 1.0], 6))
         ref = _prox_dual_fista(rest, 1e10, np.array([0.0, 0.0, 3.0, 4.0, 5.0, 6.0]), 1e11)
         assert np.array_equal(out[:2], [0.0, 0.0])
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
@@ -455,7 +556,7 @@ class TestEvaluate:
         assert np.isclose(evaluate(l1(0.1, 2), [1.0, -2.0]), 0.3)
 
     def test_group_hand_value(self):
-        reg = group_norm(1.0, GroupStructure([np.array([0, 1])], [np.sqrt(2.0)], 2))
+        reg = group_norm(1.0, GroupStructure(*flat_family([np.array([0, 1])], [np.sqrt(2.0)], 2)))
         assert np.isclose(evaluate(reg, [3.0, 4.0]), 5.0 * np.sqrt(2.0))
 
     def test_zero_vector(self):
@@ -473,7 +574,7 @@ class TestEvaluate:
         for _ in range(20):
             p = 6
             groups, weights = random_laminar_structure(p, rng)
-            reg = group_norm(0.3, GroupStructure(groups, weights, p))
+            reg = group_norm(0.3, GroupStructure(*flat_family(groups, weights, p)))
             beta = rng.normal(p)
             A = materialize_map(0.3, groups, weights, p)
             ab = A @ beta
@@ -518,7 +619,7 @@ class TestProx:
         out = prox(reg, np.zeros(2), np.array([1.0, 1.0]), 1.0)
         ref, gap = prox_reference(
             np.zeros(2), np.array([1.0, 1.0]), 1.0, 0.1,
-            st.groups, st.weights, 2,
+            groups_of(st), st.weights, 2,
         )
         assert gap < 1e-10
         assert np.allclose(out, ref, atol=1e-6)
@@ -531,7 +632,7 @@ class TestProx:
             g = rng.normal(3)
             z = 2.0 * rng.normal(3)
             out = prox(reg, g, z, 0.9)
-            ref, gap = prox_reference(g, z, 0.9, 0.4, st.groups, st.weights, 3)
+            ref, gap = prox_reference(g, z, 0.9, 0.4, groups_of(st), st.weights, 3)
             assert gap < 1e-10
             assert np.allclose(out, ref, atol=1e-6)
 
@@ -540,7 +641,7 @@ class TestProx:
         for _ in range(25):
             p = 2 + int(rng.uniform(1)[0] * 15)
             groups, weights = random_laminar_structure(p, rng)
-            st = GroupStructure(groups, weights, p)
+            st = GroupStructure(*flat_family(groups, weights, p))
             assert st.is_laminar
             reg = group_norm(0.2 + float(rng.uniform(1)[0]), st)
             g = rng.normal(p)
@@ -597,9 +698,9 @@ class TestProx:
     )
     def test_nonexpansive(self, z1, z2):
         g = np.linspace(-1.0, 1.0, 6)
-        reg = group_norm(0.8, GroupStructure(
+        reg = group_norm(0.8, GroupStructure(*flat_family(
             [np.arange(3), np.arange(3, 6), np.arange(6)], np.array([1.0, 2.0, 0.5]), 6
-        ))
+        )))
         p1 = prox(reg, g, z1, 1.3)
         p2 = prox(reg, g, z2, 1.3)
         assert np.linalg.norm(p1 - p2) <= np.linalg.norm(z1 - z2) + 1e-12
@@ -630,15 +731,15 @@ class TestProx:
             start = int(rng.uniform(1)[0] * (p - size + 0.999))
             groups.append(np.arange(start, start + size, dtype=np.int64))
         weights = 0.3 + 1.5 * rng.uniform(k)
-        st = GroupStructure(groups, weights, p)
+        st = GroupStructure(*flat_family(groups, weights, p))
         assert not st.is_laminar
         lam = 0.02 + float(rng.uniform(1)[0])
         g = rng.normal(p)
         z = 3 * rng.normal(p)
         eta = 0.2 + 4 * float(rng.uniform(1)[0])
         out = prox(group_norm(lam, st), g, z, eta)
-        radius = certified_radius(lam, eta, st.groups, st.weights, out, z - g / eta)
-        ref, gap = prox_reference(g, z, eta, lam, st.groups, st.weights, p,
+        radius = certified_radius(lam, eta, groups_of(st), st.weights, out, z - g / eta)
+        ref, gap = prox_reference(g, z, eta, lam, groups_of(st), st.weights, p,
                                   gap_tol=0.5 * eta * radius**2)
         assert gap <= 0.5 * eta * radius**2
         assert np.linalg.norm(out - ref) <= 2.0 * radius
@@ -657,7 +758,7 @@ class TestProx:
             [0, 2, 7, 8, 9, 12, 14, 17, 19, 20, 21, 22, 24, 25, 26, 28, 31, 32],
             [12, 22],
         ]
-        st = GroupStructure([np.array(g) for g in groups], np.full(6, 0.1), 33)
+        st = GroupStructure(*flat_family([np.array(g) for g in groups], np.full(6, 0.1), 33))
         out = prox(group_norm(1.0, st), np.zeros(33), np.full(33, 0.1), 1.0)
         assert np.all(np.isfinite(out))
 
@@ -673,22 +774,22 @@ class TestProx:
             ]
             groups = [np.unique(g) for g in groups]
             weights = 0.5 + rng.uniform(4)
-            st = GroupStructure(groups, weights, p)
+            st = GroupStructure(*flat_family(groups, weights, p))
             reg = group_norm(0.5, st)
             g = rng.normal(p)
             z = rng.normal(p)
             out = prox(reg, g, z, 1.1)
-            ref, gap = prox_reference(g, z, 1.1, 0.5, st.groups, st.weights, p)
+            ref, gap = prox_reference(g, z, 1.1, 0.5, groups_of(st), st.weights, p)
             assert gap < 1e-10
-            f_out = prox_objective(out, g, z, 1.1, 0.5, st.groups, st.weights)
-            f_ref = prox_objective(ref, g, z, 1.1, 0.5, st.groups, st.weights)
+            f_out = prox_objective(out, g, z, 1.1, 0.5, groups_of(st), st.weights)
+            f_ref = prox_objective(ref, g, z, 1.1, 0.5, groups_of(st), st.weights)
             assert f_out <= f_ref + 1e-8
             assert np.allclose(out, ref, atol=1e-5)
             # the loop converges to rounding level here, while the gap stop
             # certifies only sqrt(2 target / eta)
             u = z - g / 1.1
-            loop = prox_dual_ascent_loop(u, 0.5, 1.1, st.groups, st.weights)
-            radius = certified_radius(0.5, 1.1, st.groups, st.weights, out, u)
+            loop = prox_dual_ascent_loop(u, 0.5, 1.1, groups_of(st), st.weights)
+            radius = certified_radius(0.5, 1.1, groups_of(st), st.weights, out, u)
             assert np.linalg.norm(out - loop) <= radius
 
 
@@ -709,18 +810,18 @@ class TestSoftThreshold:
 
 class TestLinearMap:
     def test_entries(self):
-        st = GroupStructure([np.array([0, 1])], np.array([2.0]), 2)
-        A = materialize_map(0.5, st.groups, st.weights, 2)
+        st = GroupStructure(*flat_family([np.array([0, 1])], np.array([2.0]), 2))
+        A = materialize_map(0.5, groups_of(st), st.weights, 2)
         assert A[0, 0] == 0.5 * 2.0 and A[1, 1] == 0.5 * 2.0
         assert A[0, 1] == 0.0 and A[1, 0] == 0.0
 
     def test_gram_is_diagonal_scaling(self):
         st = build_hierarchical(2)
         lam = 0.7
-        A = materialize_map(lam, st.groups, st.weights, st.p)
+        A = materialize_map(lam, groups_of(st), st.weights, st.p)
         gram = A.T @ A
         expected = np.zeros(st.p)
-        for g, w in zip(st.groups, st.weights):
+        for g, w in zip(groups_of(st), st.weights):
             expected[g] += lam**2 * w**2
         assert np.allclose(gram, np.diag(expected), atol=1e-12)
 
@@ -737,7 +838,7 @@ class TestOperatorNorm:
         reg = group_norm(0.1, build_hierarchical(2))
         value = operator_norm(reg)
         assert np.isclose(value, 0.1 * np.sqrt(7.0), rtol=1e-12)
-        A = materialize_map(0.1, reg.structure.groups, reg.structure.weights, 4)
+        A = materialize_map(0.1, groups_of(reg.structure), reg.structure.weights, 4)
         assert np.isclose(value, np.linalg.norm(A, 2), rtol=1e-10)
 
     def test_matches_dense_spectral_norm_on_random_structures(self):
@@ -745,6 +846,6 @@ class TestOperatorNorm:
         for _ in range(10):
             p = 7
             groups, weights = random_laminar_structure(p, rng)
-            reg = group_norm(0.4, GroupStructure(groups, weights, p))
+            reg = group_norm(0.4, GroupStructure(*flat_family(groups, weights, p)))
             A = materialize_map(0.4, groups, weights, p)
             assert np.isclose(operator_norm(reg), np.linalg.norm(A, 2), rtol=1e-10)

@@ -21,12 +21,13 @@ from composite_sgd.smoothing import (
     smoothed_value,
 )
 
-from _reference import central_difference, materialize_map, maximizer_formula
+from _reference import (central_difference, flat_family, groups_of, materialize_map,
+                        maximizer_formula)
 from test_regularizers import overlapping_instances
 
 
 def group_pair():
-    return group_norm(1.0, GroupStructure([np.array([0, 1])], np.array([1.0]), 2))
+    return group_norm(1.0, GroupStructure(*flat_family([np.array([0, 1])], np.array([1.0]), 2)))
 
 
 class TestMaximizer:
@@ -123,11 +124,11 @@ class TestSmoothedGradient:
 
     def test_matches_finite_differences(self):
         rng = RngStream(9)
-        three_blocks = GroupStructure(
+        three_blocks = GroupStructure(*flat_family(
             [np.arange(3), np.arange(3, 6), np.arange(6)],
             np.array([1.0, 1.3, 0.7]),
             6,
-        )
+        ))
         cases = [
             smoothed(l1(0.4, 6), mu=0.07),
             smoothed(group_norm(0.3, three_blocks), mu=0.05),
@@ -154,7 +155,7 @@ class TestSmoothedGradient:
 def random_overlapping_structure(p=12, count=8, seed=5):
     gen = np.random.default_rng(seed)
     groups = [gen.choice(p, size=gen.integers(2, 6), replace=False) for _ in range(count)]
-    st = GroupStructure(groups, gen.uniform(0.5, 2.0, count), p)
+    st = GroupStructure(*flat_family(groups, gen.uniform(0.5, 2.0, count), p))
     assert not st.is_laminar
     return st
 
@@ -170,8 +171,8 @@ class TestDualMap:
         st = structure()
         lam, mu = 0.3, 0.05
         s = smoothed(group_norm(lam, st), mu=mu)
-        A = materialize_map(lam, st.groups, st.weights, st.p)
-        bounds = np.cumsum([0] + [len(g) for g in st.groups])
+        A = materialize_map(lam, groups_of(st), st.weights, st.p)
+        bounds = np.cumsum([0] + [len(g) for g in groups_of(st)])
         rng = RngStream(3)
         for _ in range(20):
             x = 3.0 * rng.normal(st.p)
@@ -192,7 +193,8 @@ class TestProjectionBits:
     @given(overlapping_instances(), hst.floats(-6.0, 2.0))
     def test_equals_repeat_form_on_random_groups(self, instance, log_mu):
         groups, weights, p, lam, _, u = instance
-        s = smoothed(group_norm(lam, GroupStructure(groups, weights, p)), mu=10.0**log_mu)
+        reg = group_norm(lam, GroupStructure(*flat_family(groups, weights, p)))
+        s = smoothed(reg, mu=10.0**log_mu)
         assert maximizer(s, u).tobytes() == maximizer_formula(s, u).tobytes()
 
     @pytest.mark.parametrize("n", [0, 3, 9])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _reference import PhiloxStream, minibatch_gradient_linear, two_sequence_loop
+from _reference import PhiloxStream, flat_family, minibatch_gradient_linear, two_sequence_loop
 from composite_sgd.core import (
     ConvergenceError,
     DivergenceError,
@@ -456,8 +456,8 @@ class TestEmpiricalExpectationBound:
 
 
 # Groups that overlap without nesting, so prox runs the certified dual solver.
-OVERLAPPING = GroupStructure([[0, 1, 2], [2, 3, 4], [4, 5, 6, 7], [0, 7], [1, 5]],
-                             np.array([1.0, 1.5, 2.0, 0.5, 1.0]), 8)
+OVERLAPPING = GroupStructure(*flat_family([[0, 1, 2], [2, 3, 4], [4, 5, 6, 7], [0, 7], [1, 5]],
+                                          np.array([1.0, 1.5, 2.0, 0.5, 1.0]), 8))
 PENALTIES = {
     "l1": lambda lam: l1(lam, 8),
     "tree": lambda lam: group_norm(lam, build_hierarchical(3)),
