@@ -59,10 +59,11 @@ class GroupStructure:
 
     ``is_laminar`` is true when every pair of groups is either disjoint or
     nested, which is the case admitting an exact single-pass prox; it is
-    decided in O(total indices). ``layers`` then splits the groups by nesting
-    depth, deepest first; groups of equal depth are disjoint. Each layer is
-    ``(index, offsets, owner, lo, hi)`` in flat block layout. ``index``
-    gathers the layer's coordinates: it is the basic slice
+    decided, with every group's depth, by two stable sorts of the flat
+    entries, O(n log n) in the total indices n. ``layers`` then splits the
+    groups by nesting depth, deepest first; groups of equal depth are
+    disjoint. Each layer is ``(index, offsets, owner, lo, hi)`` in flat block
+    layout. ``index`` gathers the layer's coordinates: it is the basic slice
     ``slice(a, a + n)`` when they are ``a, ..., a + n - 1`` in order, as in
     every layer of a dyadic tree, so that the prox reads a view and writes a
     contiguous range, and an int64 array otherwise. ``owner`` gives the
@@ -127,38 +128,37 @@ class GroupStructure:
         return self.layers is not None
 
     def _depth_layers(self):
-        # Visit groups largest first (stable, so identical groups nest in stored
-        # order) while ``innermost`` maps each coordinate to the innermost group
-        # visited so far. A group is disjoint from or nested in every group
-        # before it exactly when all its coordinates have one innermost group:
-        # its parent, or -1 for a root. O(total indices) in all.
-        innermost = np.full(self.p, -1, dtype=np.int64)
-        depth = np.full(len(self) + 1, -1, dtype=np.int64)  # depth[-1]: no parent
-        for k in np.argsort(-self.sizes, kind="stable"):
-            group = self.flat_index[self.offsets[k]:self.offsets[k] + self.sizes[k]]
-            parents = innermost[group]
-            if np.any(parents != parents[0]):
-                return None, None
-            depth[k] = depth[parents[0]] + 1
-            innermost[group] = k
-        # One stable sort by depth, deepest first: a scan per depth would be
-        # quadratic for long chains of identical groups.
-        depth = depth[:-1]
+        # Order the flat entries by coordinate, then largest group first, ties
+        # in stored order (lexsort is stable and flat_index group-major), so
+        # that identical groups nest in stored order. An entry's predecessor
+        # in its coordinate's run then lies in the innermost group ordered
+        # before its own that holds the coordinate: its parent, or -1 first in
+        # the run. The family is laminar exactly when each group's entries
+        # have one parent, and a group's depth is then their rank in the runs.
+        e = np.lexsort((-self.sizes[self.owner], self.flat_index))
+        coords, groups = self.flat_index[e], self.owner[e]
+        rank = np.arange(e.size) - np.searchsorted(coords, coords)
+        parent = np.empty_like(e)
+        parent[e] = np.where(rank > 0, np.roll(groups, 1), -1)
+        if np.any(parent != parent[self.offsets][self.owner]):
+            return None, None
+        depth = np.empty_like(self.sizes)
+        depth[groups] = rank
+        del e, coords, groups, rank, parent  # there may be a layer per group
+        # Deepest first, stably: the groups in layer order and, flat_index
+        # being group-major, every layer's flat entries in that same order.
         order = np.argsort(-depth, kind="stable")
         bounds = np.cumsum(np.bincount(depth)[::-1])
+        at = np.argsort(-depth[self.owner], kind="stable")
+        starts = np.concatenate(([0], np.cumsum(self.sizes[order])))
+        within = np.repeat(np.arange(len(self)), self.sizes[order])
         layers = []
         for lo, hi in zip([0, *bounds[:-1]], bounds):
-            members = order[lo:hi]
-            sizes = self.sizes[members]
-            offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
-            within = np.repeat(np.arange(members.size), sizes)
-            # the j-th gathered coordinate, of member m, is flat entry
-            # self.offsets[m] + j - offsets[m]
-            at = np.arange(within.size) + (self.offsets[members] - offsets)[within]
-            index = self.flat_index[at]
+            a, b = starts[lo], starts[hi]
+            index = self.flat_index[at[a:b]]
             if np.all(np.diff(index) == 1):
                 index = slice(int(index[0]), int(index[-1]) + 1)
-            layers.append((index, offsets, within, int(lo), int(hi)))
+            layers.append((index, starts[lo:hi] - a, within[a:b] - lo, int(lo), int(hi)))
         return layers, self.weights[order]
 
     def block_norms(self, flat: Array) -> Array:
@@ -380,8 +380,8 @@ def save_group_structure(st: GroupStructure, path) -> None:
 
 
 # Bytes of memory that parsing may take per byte of a structure file, rounded
-# up from tracemalloc peaks over 2e5 groups: 145 for one-index lines "1:1",
-# the most groups per byte, 103 for "1:1,2", 17 for distinct singletons, 21
+# up from tracemalloc peaks over 2e5 groups: 151 for one-index lines "1:1",
+# the most groups per byte, 110 for "1:1,2", 17 for distinct singletons, 23
 # for one long line. Most of the "1:1" peak is its 2e5 laminar layers, one
 # per copy of the same group.
 LOAD_BYTES_PER_FILE_BYTE = 256

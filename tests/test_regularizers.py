@@ -266,10 +266,21 @@ def faulty_families(draw):
     return groups, weights, p
 
 
+# {1, 2} crosses both {0, 1} and {2, 3}, yet all three are roots: a check on
+# depths alone would call the family laminar.
+CROSSING_AT_EQUAL_DEPTH = ([[0, 1], [2, 3], [1, 2]], np.ones(3), 4)
+# A root holding a chain of three identical groups and their sibling, stored
+# out of order: the copies nest in stored order, one layer each.
+IDENTICAL_CHAIN = ([[0, 1], [0, 1, 2, 3], [2, 3], [0, 1], [0, 1]],
+                   np.array([0.5, 1.0, 2.0, 0.7, 0.9]), 4)
+
+
 class TestFlatConstructor:
     @given(faulty_families())
     @example(([[0, 1], [2, 2], [3], [1, 9]], np.ones(4), 4))
     @example(([[0], [3, 3, 9], []], np.ones(3), 4))
+    @example(CROSSING_AT_EQUAL_DEPTH)
+    @example(IDENTICAL_CHAIN)
     def test_flat_constructor_equals_per_group_reference(self, family):
         # byte for byte and dtype for dtype, or the same fault message
         try:
@@ -280,6 +291,25 @@ class TestFlatConstructor:
             assert str(err.value) == str(exc)
             return
         assert_same_structure(GroupStructure(*flat_family(*family)), ref)
+
+    @pytest.mark.parametrize("case", ["singletons", "copies", "tree"])
+    def test_large_families_equal_per_group_reference(self, case):
+        # one layer of 2e4 groups; a root over 500 copies of one group, one
+        # layer per copy; the 13 layers of a dyadic tree's 8191 groups
+        if case == "tree":
+            p = 2**12
+            groups = [np.arange(j, j + size) for size in 2 ** np.arange(13)
+                      for j in range(0, p, size)]
+            weights = np.sqrt([len(g) for g in groups])
+            gs = build_hierarchical(12)
+        else:
+            if case == "singletons":
+                groups, p = [[i] for i in range(20_000)], 20_000
+            else:
+                groups, p = [list(range(6))] + [[1, 3, 4]] * 500, 6
+            weights = np.linspace(0.5, 2.0, len(groups))
+            gs = GroupStructure(*flat_family(groups, weights, p))
+        assert_same_structure(gs, PerGroupStructure(groups, weights, p))
 
 
 # Signed zeros, subnormals, the smallest normal and entries near
@@ -321,6 +351,8 @@ def loop_tolerance(u):
 
 class TestDepthLayers:
     @given(group_families())
+    @example(CROSSING_AT_EQUAL_DEPTH)
+    @example(IDENTICAL_CHAIN)
     def test_is_laminar_matches_dense_reference(self, family):
         groups, weights, p = family
         gs = GroupStructure(*flat_family(groups, weights, p))
