@@ -305,7 +305,7 @@ def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Ar
     radii = np.maximum(lam * st.weights, _TINY)
     step = eta / st.max_cover
     norms_u = st.block_norms(u[index])
-    pen_u = radii @ norms_u
+    pen_u = float(radii.dot(norms_u))
     zeroed = None
     if not math.isfinite(pen_u):
         # lam * w_g or c_g * ||u_g|| overflowed. A block whose radius c_g is
@@ -318,42 +318,66 @@ def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Ar
         u = u.copy()
         u[zeroed] = 0.0
         radii = np.where(big, _TINY, radii)
-        pen_u = radii @ st.block_norms(u[index])
-    b = np.zeros(index.size)
-    x = u.copy()
-    xf = x[index]
-    b_prev, xf_prev, y = b, xf, b
+        pen_u = float(radii.dot(st.block_norms(u[index])))
+    # At k = 0, b = 0 and x = u: the gap is pen_u and the target
+    # DUAL_GAP_RTOL * 2 pen_u, so the stop test passes there exactly when
+    # pen_u == 0 (then every zeroed block of u is 0 already), and the loop
+    # starts at the first ascent step.
+    if pen_u == 0.0:
+        return u.copy()
+    # The loop costs numpy calls on a few hundred floats, not arithmetic, so it
+    # allocates what it can avoid allocating: b, b_prev, y, v and a scratch
+    # array are work buffers of this call, written in place with the same
+    # operations in the same order as fresh arrays would be (every iterate
+    # keeps its bits), and b and b_prev swap by name. x stays fresh, since it
+    # is what the call returns or the error carries; so do the gather
+    # xf = x[index] and the per-group reduceat sums, which are slower written
+    # into a buffer. ndarray.dot runs the same BLAS ddot as @, with less
+    # overhead per call.
+    b, b_prev, y, v, work = (np.zeros(index.size) for _ in range(5))
+    x = u
+    xf = xf_prev = u[index]
+    # 0 . xf is nan where a block of u is not finite, as 0 * inf is.
+    gap = pen_u if math.isfinite(pen_u) else pen_u - float(b.dot(xf))
+    target = DUAL_GAP_RTOL * (pen_u + pen_u)
     t = 1.0
-    for k in range(DUAL_MAX_ITER + 1):
-        pen_x = radii @ st.block_norms(xf)
-        gap = pen_x - b @ xf
+    for _ in range(DUAL_MAX_ITER):
+        # Restart when the last step's ascent direction b - y opposes the
+        # momentum db = b - b_prev.
+        db = np.subtract(b, b_prev, out=work)
+        if np.subtract(b, y, out=v).dot(db) < 0.0:
+            t = 1.0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        t = t_next
+        # y = b + beta * db, v = y + step * (xf + beta * (xf - xf_prev))
+        np.add(b, np.multiply(db, beta, out=y), out=y)
+        np.subtract(xf, xf_prev, out=v)
+        v *= beta
+        np.add(xf, v, out=v)
+        v *= step
+        np.add(y, v, out=v)
+        nrm = np.add.reduceat(np.multiply(v, v, out=work), offsets)
+        np.sqrt(nrm, out=nrm)
+        scale = np.divide(radii, np.maximum(nrm, radii, out=nrm), out=nrm)
+        b, b_prev, xf_prev = b_prev, b, xf
+        np.multiply(v, scale[owner], out=b)
+        x = np.bincount(index, weights=b, minlength=st.p)
+        x /= eta
+        np.subtract(u, x, out=x)
+        xf = x[index]
+        nrm = np.add.reduceat(np.multiply(xf, xf, out=work), offsets)
+        pen_x = float(radii.dot(np.sqrt(nrm, out=nrm)))
+        gap = pen_x - float(b.dot(xf))
         target = DUAL_GAP_RTOL * (pen_x + pen_u)
         if gap <= target and math.isfinite(gap) and math.isfinite(target):
             if zeroed is not None:
                 x[zeroed] = 0.0
             return x
-        if k == DUAL_MAX_ITER:
-            break
-        # Restart when the last step's ascent direction b - y opposes the
-        # momentum b - b_prev.
-        db = b - b_prev
-        if (b - y) @ db < 0.0:
-            t = 1.0
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        t = t_next
-        y = b + beta * db
-        v = y + step * (xf + beta * (xf - xf_prev))
-        nrm = np.sqrt(np.add.reduceat(v * v, offsets))
-        scale = radii / np.maximum(nrm, radii)
-        b_prev, xf_prev = b, xf
-        b = v * scale[owner]
-        x = u - np.bincount(index, weights=b, minlength=st.p) / eta
-        xf = x[index]
     raise ConvergenceError(
         f"overlapping prox: dual gap {gap:.3e} above target {target:.3e} "
         f"after {DUAL_MAX_ITER} dual iterations",
-        last_iterate=x,
+        last_iterate=x.copy(),  # x is u itself when the budget is 0
     )
 
 

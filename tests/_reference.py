@@ -268,9 +268,10 @@ def prox_laminar_masked(st, lam, u, eta):
     return x
 
 
-def prox_dual_fista_repeat(st, lam, u, eta):
+def prox_dual_fista_repeat(st, lam, u, eta, max_iter=DUAL_MAX_ITER):
     """The overlapping prox's restarted dual FISTA, spreading each group's
-    projection scale over its block with ``np.repeat`` over the block sizes."""
+    projection scale over its block with ``np.repeat`` over the block sizes,
+    with fresh arrays at every step; ``max_iter`` ascent steps are the budget."""
     index, offsets, sizes = st.flat_index, st.offsets, st.sizes
     radii = np.maximum(lam * st.weights, np.finfo(np.float64).smallest_subnormal)
     step = eta / st.max_cover
@@ -280,12 +281,12 @@ def prox_dual_fista_repeat(st, lam, u, eta):
     xf = x[index]
     b_prev, xf_prev, y = b, xf, b
     t = 1.0
-    for k in range(DUAL_MAX_ITER + 1):
+    for k in range(max_iter + 1):
         pen_x = radii @ st.block_norms(xf)
         gap = pen_x - b @ xf
         if gap <= DUAL_GAP_RTOL * (pen_x + pen_u):
             return x
-        if k == DUAL_MAX_ITER:
+        if k == max_iter:
             break
         db = b - b_prev
         if (b - y) @ db < 0.0:

@@ -500,6 +500,16 @@ def certified_radius(lam, eta, groups, weights, x, u):
     return np.sqrt(2.0 * 1e-15 * (penalty(x) + penalty(u)) / eta)
 
 
+def truncation_instance(case):
+    """(structure, lam, u, eta) on which the overlapping prox needs more than
+    five ascent steps: the crossing pair, or six groups of four over p = 12."""
+    if case == "crossing":
+        return crossing_structure(), 0.4, np.array([1.0, -2.0, 0.5]), 1.0
+    groups = [[2, 5, 8, 10], [2, 4, 10, 11], [5, 8, 9, 10], [2, 4, 5, 8], [0, 1, 6, 9], [0, 3, 7, 11]]
+    weights = [1.4, 1.3, 0.7, 1.6, 1.4, 1.2]
+    return GroupStructure(*flat_family(groups, weights, 12)), 0.3, RngStream(20).normal(12), 1.0
+
+
 class TestDualFista:
     @given(overlapping_instances())
     def test_within_certified_radius_of_oracle(self, instance):
@@ -581,6 +591,55 @@ class TestDualFista:
         assert np.array_equal(err.value.last_iterate, u)
         assert not np.shares_memory(err.value.last_iterate, u)
         assert np.array_equal(u, [1.0, -2.0, 0.5])
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5])
+    @pytest.mark.parametrize("case", ["crossing", "random"])
+    def test_truncated_iterate_equals_repeat_form(self, monkeypatch, case, budget):
+        # both instances need more than 5 ascent steps, so each budget runs out
+        # and the iterate carried must be the reference's after as many steps
+        from composite_sgd import regularizers as rg
+
+        gs, lam, u, eta = truncation_instance(case)
+        monkeypatch.setattr(rg, "DUAL_MAX_ITER", budget)
+        with pytest.raises(ConvergenceError) as err:
+            _prox_dual_fista(gs, lam, u, eta)
+        with pytest.raises(ConvergenceError) as ref:
+            prox_dual_fista_repeat(gs, lam, u, eta, max_iter=budget)
+        assert_same_bytes(err.value.last_iterate, ref.value.last_iterate)
+        assert f"after {budget} dual iterations" in str(err.value)
+
+    @pytest.mark.parametrize("case", ["crossing", "random"])
+    def test_budget_zero_names_the_gap_at_the_centre(self, monkeypatch, case):
+        # at b = 0, x = u: the gap P(u) - D(0) is the penalty at u, and the
+        # target DUAL_GAP_RTOL * (pen_x + pen_u) is twice 1e-15 of it
+        from composite_sgd import regularizers as rg
+
+        gs, lam, u, eta = truncation_instance(case)
+        pen_u = lam * sum(w * np.linalg.norm(u[g]) for g, w in zip(groups_of(gs), gs.weights))
+        monkeypatch.setattr(rg, "DUAL_MAX_ITER", 0)
+        with pytest.raises(ConvergenceError) as err:
+            _prox_dual_fista(gs, lam, u, eta)
+        assert str(err.value) == (f"overlapping prox: dual gap {pen_u:.3e} above target "
+                                  f"{2e-15 * pen_u:.3e} after 0 dual iterations")
+
+    def test_outputs_are_fresh(self, monkeypatch):
+        # no work buffer may leave the call: two returns and the iterate of an
+        # exhausted budget share memory with nothing, u included
+        from composite_sgd import regularizers as rg
+
+        gs, lam, u, eta = truncation_instance("random")
+        u_in = u.copy()
+        first = _prox_dual_fista(gs, lam, u, eta)
+        second = _prox_dual_fista(gs, lam, u, eta)
+        monkeypatch.setattr(rg, "DUAL_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError) as err:
+            _prox_dual_fista(gs, lam, u, eta)
+        outs = [first, second, err.value.last_iterate, u]
+        for i in range(len(outs)):
+            for j in range(i):
+                assert not np.shares_memory(outs[i], outs[j])
+        assert_same_bytes(first, second)
+        assert_same_bytes(u, u_in)
 
 
 class TestEvaluate:
