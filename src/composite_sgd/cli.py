@@ -1,10 +1,10 @@
 """Command-line experiment harness.
 
 Subcommands: ``run <config>`` executes solver jobs and writes traces plus a
-summary, ``compare <dir>`` runs sibling configs on a shared instance and merges
-the traces those runs return, ``verify-bounds <config>`` checks the convergence
-bounds on a closed-form instance, ``gen-data <config>`` writes the dataset a
-``run`` of the same problem, K, p and seed uses.
+summary, ``compare <dir>`` runs sibling configs as one run on a shared
+instance and merges the traces it returns, ``verify-bounds <config>`` checks
+the convergence bounds on a closed-form instance, ``gen-data <config>`` writes
+the dataset a ``run`` of the same problem, K, p and seed uses.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _default_out(config_path: str) -> Path:
 def cmd_run(args) -> int:
     cfg = parse_run_config(_read(args.config))
     out_dir = Path(args.out) if args.out else _default_out(args.config)
-    summaries, _ = execute_run(cfg, str(out_dir))
+    [(summaries, _)] = execute_run({Path(args.config).name: (cfg, str(out_dir))})
     for s in summaries:
         print(f"{s['trace_file']}: final objective {s['final_objective']:.17g}")
     print(f"wrote {out_dir / 'summary.json'}")
@@ -60,22 +60,13 @@ def cmd_compare(args) -> int:
     if len(config_paths) < 2:
         raise ConfigError(str(directory), "compare needs at least 2 run configs")
 
-    configs = [(p, parse_run_config(p.read_text(encoding="utf-8"))) for p in config_paths]
-    first_path, first = configs[0]
-    first_key = first.instance_key()
-    for path, cfg in configs[1:]:
-        for label, b in cfg.instance_key().items():
-            a = first_key[label]
-            if a != b:
-                raise ConfigError(
-                    label,
-                    f"mismatch between {first_path.name} ({a!r}) and {path.name} ({b!r})",
-                )
-
-    job_traces = {}
-    finals = {}
-    for path, cfg in configs:
-        summaries, traces = execute_run(cfg, str(directory / f"{path.stem}_out"))
+    runs = {
+        path.name: (parse_run_config(path.read_text(encoding="utf-8")),
+                    str(directory / f"{path.stem}_out"))
+        for path in config_paths
+    }
+    job_traces, finals = {}, {}
+    for path, (summaries, traces) in zip(config_paths, execute_run(runs)):
         for s, trace in zip(summaries, traces):
             name = f"{path.stem}_{Path(s['trace_file']).stem.removeprefix('trace_')}"
             job_traces[name] = trace

@@ -182,8 +182,8 @@ class RunConfig:
         }
 
     def instance_key(self) -> dict:
-        """The fields that pin the problem instance, by config key; compare
-        requires these equal."""
+        """The fields that pin the problem instance, by config key; configs
+        run together (``compare``) must have these equal."""
         echo = self.echo()
         return {key: echo[key] for key in _INSTANCE_KEYS}
 

@@ -2,9 +2,11 @@
 CSVs and summary JSON, merges runs for comparison, checks the convergence
 bounds on instances with closed-form optima, and draws a seed's dataset.
 
-``run`` and ``verify-bounds`` build a ``ProblemSetup`` and hand it to one
-solver dispatch, ``solve``; ``run`` and ``gen-data`` draw a seed's dataset
-through one generator choice, ``seed_dataset``."""
+A seed's ``Instance`` (objective, penalty, ``L`` and the oracle maker) is
+built once per unit of work and shared by every config and solver in it;
+``run`` and ``verify-bounds`` hand it to one solver dispatch, ``solve``;
+``run`` and ``gen-data`` draw a seed's dataset through one generator choice,
+``seed_dataset``."""
 
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, List
 
@@ -47,11 +51,14 @@ def thread_cap() -> int:
 
 
 @dataclass
-class ProblemSetup:
-    oracle: object
+class Instance:
+    """One seed's problem: the smooth objective, the penalty, ``L``, and
+    ``oracle(batch_size)``, the gradient oracle a config makes of it (exact
+    for ``batch_size`` None)."""
     smooth_objective: Callable
     reg: rg.Regularizer
     L: float
+    oracle: Callable
 
 
 def seed_dataset(problem: str, K: int, p: int, seed: int) -> pb.Dataset:
@@ -63,7 +70,7 @@ def seed_dataset(problem: str, K: int, p: int, seed: int) -> pb.Dataset:
     return pb.gen_logistic_dataset(K, p, rng)
 
 
-def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
+def build_problem(cfg: RunConfig, seed: int) -> Instance:
     if cfg.regularizer == "l1":
         reg = rg.l1(cfg.lam, cfg.p)
     elif cfg.regularizer == "hierarchical":
@@ -102,11 +109,9 @@ def build_problem(cfg: RunConfig, seed: int) -> ProblemSetup:
             objective = lambda b: pb.exact_objective_logistic(dataset, b)
         gradient = lambda b: pb.exact_gradient(dataset, b)
         minibatch, data = pb.MinibatchLinearOracle, dataset
-    if cfg.batch_size is None:
-        oracle = pb.ExactOracle(gradient, cfg.p)
-    else:
-        oracle = minibatch(data, cfg.batch_size)
-    return ProblemSetup(oracle, objective, reg, 1.0 if L is None else float(L))
+    oracle = lambda batch: (pb.ExactOracle(gradient, cfg.p) if batch is None
+                            else minibatch(data, batch))
+    return Instance(objective, reg, 1.0 if L is None else float(L), oracle)
 
 
 def write_trace_csv(path, rows: List[TraceRecord]) -> None:
@@ -120,102 +125,110 @@ def write_trace_csv(path, rows: List[TraceRecord]) -> None:
             )
 
 
-def solve(solver: str, setup: ProblemSetup, sreg, gamma_star, N: int, rng: RngStream,
+def solve(solver: str, inst: Instance, oracle, sreg, gamma_star, N: int, rng: RngStream,
           trace_every: int):
-    """Run ``solver`` for N iterations on ``setup``: ssg on the smoothed penalty
-    ``sreg``, acsa with step scale ``gamma_star``. Returns (x, trace)."""
+    """Run ``solver`` for N iterations on ``inst`` with ``oracle``: ssg on the
+    smoothed penalty ``sreg``, acsa with step scale ``gamma_star``. Returns
+    (x, trace)."""
     if solver == "sg":
-        return sv.run_sg(setup.oracle, setup.reg, setup.L, N, rng, setup.smooth_objective,
+        return sv.run_sg(oracle, inst.reg, inst.L, N, rng, inst.smooth_objective,
                          trace_every=trace_every)
     if solver == "ssg":
-        return sv.run_ssg(setup.oracle, sreg, setup.L, N, rng, setup.smooth_objective,
+        return sv.run_ssg(oracle, sreg, inst.L, N, rng, inst.smooth_objective,
                           trace_every=trace_every)
-    return sv.run_acsa(setup.oracle, setup.reg, setup.L, N, gamma_star, rng,
-                       setup.smooth_objective, trace_every=trace_every)
+    return sv.run_acsa(oracle, inst.reg, inst.L, N, gamma_star, rng,
+                       inst.smooth_objective, trace_every=trace_every)
 
 
-def run_seed(cfg: RunConfig, seed: int, solvers, out_dir: str) -> list[tuple[dict, list]]:
-    """Build one seed's instance, pilot sigma^2, acsa's gamma* and smoothed
-    penalty once, run each of ``solvers`` on them and write its trace; returns
-    (summary, trace rows) per solver, in ``solvers`` order. The recorded
+def run_seed(pairs, seed: int, jobs) -> list[tuple[dict, list]]:
+    """Build one seed's instance once and run each ``(r, solver)`` of ``jobs``
+    on it under config ``pairs[r] = (cfg, out_dir)``, writing its trace; returns
+    (summary, trace rows) per job, in ``jobs`` order. A config's jobs are
+    consecutive, and its oracle, pilot sigma^2, acsa's gamma* and smoothed
+    penalty are made once, before the first. The recorded
     ``theorem_bound_smoothed`` assumes the scheduled mu = ||A|| / (N+2), also
     when ``mu_override`` runs ssg at another mu."""
-    setup = build_problem(cfg, seed)
-    if cfg.acsa_sigma_sq is not None:
-        sigma_sq = cfg.acsa_sigma_sq
-    elif cfg.batch_size is None:
-        sigma_sq = 0.0  # exact oracle
-    else:
-        sigma_sq = sv.pilot_sigma_sq(setup.oracle, np.zeros(setup.oracle.dim),
-                                     RngStream(seed).split(STREAM_PILOT))
-    sigma = float(np.sqrt(sigma_sq))
-    gamma_star = sv.resolve_acsa_params(setup.L, cfg.N, sigma_sq, D=cfg.acsa_d)
-    sreg = smoothed(setup.reg, mu=cfg.mu_override, N=cfg.N)
-    bounds = {
-        "sigma_sq_pilot": float(sigma_sq),
-        "theorem_bound_D": cfg.acsa_d,
-        "theorem_bound": sv.theorem_bound(cfg.acsa_d, sigma, setup.L, cfg.N),
-        "theorem_bound_smoothed": sv.theorem_bound_smoothed(cfg.acsa_d, sigma, setup.L,
-                                                            sreg.A_norm, sreg.M, cfg.N),
-    }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    inst = build_problem(pairs[0][0], seed)
     results = []
-    for solver in solvers:
-        solver_rng = RngStream(seed).split(STREAM_SOLVER)
-        started = time.perf_counter()
-        x, trace = solve(solver, setup, sreg, gamma_star, cfg.N, solver_rng, cfg.trace_every)
-        wall = time.perf_counter() - started
+    for r, group in groupby(jobs, key=itemgetter(0)):
+        cfg, out_dir = pairs[r]
+        oracle = inst.oracle(cfg.batch_size)
+        sigma_sq = cfg.acsa_sigma_sq
+        if sigma_sq is None:  # the exact oracle's is 0
+            sigma_sq = 0.0 if cfg.batch_size is None else sv.pilot_sigma_sq(
+                oracle, np.zeros(oracle.dim), RngStream(seed).split(STREAM_PILOT))
+        sigma = float(np.sqrt(sigma_sq))
+        gamma_star = sv.resolve_acsa_params(inst.L, cfg.N, sigma_sq, D=cfg.acsa_d)
+        sreg = smoothed(inst.reg, mu=cfg.mu_override, N=cfg.N)
+        bounds = {
+            "sigma_sq_pilot": float(sigma_sq),
+            "theorem_bound_D": cfg.acsa_d,
+            "theorem_bound": sv.theorem_bound(cfg.acsa_d, sigma, inst.L, cfg.N),
+            "theorem_bound_smoothed": sv.theorem_bound_smoothed(cfg.acsa_d, sigma, inst.L,
+                                                                sreg.A_norm, sreg.M, cfg.N),
+        }
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
 
-        trace_path = out / f"trace_{solver}_{seed}.csv"
-        write_trace_csv(trace_path, trace)
-        final_objective = setup.smooth_objective(x) + rg.evaluate(setup.reg, x)
-        results.append(({
-            "config": cfg.echo(),
-            "final_objective": float(final_objective),
-            "wall_clock_seconds": wall,
-            **bounds,
-            "trace_file": str(trace_path),
-        }, trace))
+        for _, solver in group:
+            solver_rng = RngStream(seed).split(STREAM_SOLVER)
+            started = time.perf_counter()
+            x, trace = solve(solver, inst, oracle, sreg, gamma_star, cfg.N, solver_rng,
+                             cfg.trace_every)
+            wall = time.perf_counter() - started
+
+            trace_path = out / f"trace_{solver}_{seed}.csv"
+            write_trace_csv(trace_path, trace)
+            final_objective = inst.smooth_objective(x) + rg.evaluate(inst.reg, x)
+            results.append(({
+                "config": cfg.echo(),
+                "final_objective": float(final_objective),
+                "wall_clock_seconds": wall,
+                **bounds,
+                "trace_file": str(trace_path),
+            }, trace))
     return results
 
 
-def _seed_worker(args):
-    return run_seed(*args)
+def execute_run(runs: dict[str, tuple[RunConfig, str]]) -> list[tuple[list[dict], list]]:
+    """All (solver, seed) jobs of the ``(config, out_dir)`` pairs in ``runs``,
+    keyed by config name; the configs must share an instance key. Writes each
+    config's ``summary.json`` and returns, per config, its summaries and trace
+    rows in job order (solver-major), identical however the jobs are spread.
 
-
-def execute_run(cfg: RunConfig, out_dir: str) -> tuple[list[dict], list[list[TraceRecord]]]:
-    """All (solver, seed) jobs of a config; the summaries and the trace rows
-    come back in job order (solver-major), identical however the jobs are
-    spread.
-
-    A unit of work is one seed's instance and a contiguous slice of the
-    solvers. Each seed's solvers are cut into ``k`` slices, enough to give
-    every worker a unit, so a run builds at most one instance per job and runs
-    ``min(jobs, workers)`` units at once; with one worker each seed is one unit
+    A unit of work is one seed's instance and a contiguous slice of that
+    seed's (config, solver) jobs, cut into ``k`` slices: enough to give every
+    worker a unit, so a command builds at most one instance per job and runs
+    ``min(jobs, workers)`` units at once. With one worker each seed is one unit
     and all units run in this process."""
-    jobs = [(solver, seed) for solver in cfg.solvers for seed in cfg.seeds]
-    workers = min(len(jobs), thread_cap())
-    k = min(len(cfg.solvers), -(-workers // len(cfg.seeds)))
-    cuts = [len(cfg.solvers) * i // k for i in range(k + 1)]
-    units = [
-        (cfg, seed, cfg.solvers[lo:hi], out_dir)
-        for seed in cfg.seeds for lo, hi in zip(cuts, cuts[1:])
-    ]
+    (first_name, (first, _)), *rest = runs.items()
+    for name, (cfg, _) in rest:
+        for label, b in cfg.instance_key().items():
+            a = first.instance_key()[label]
+            if a != b:
+                raise ConfigError(
+                    label, f"mismatch between {first_name} ({a!r}) and {name} ({b!r})")
+    pairs = list(runs.values())
+    seed_jobs = [(r, solver) for r, (cfg, _) in enumerate(pairs) for solver in cfg.solvers]
+    workers = min(len(seed_jobs) * len(first.seeds), thread_cap())
+    k = min(len(seed_jobs), -(-workers // len(first.seeds)))
+    cuts = [len(seed_jobs) * i // k for i in range(k + 1)]
+    units = [(pairs, seed, seed_jobs[lo:hi]) for seed in first.seeds
+             for lo, hi in zip(cuts, cuts[1:])]
     if workers <= 1:
-        results = [_seed_worker(unit) for unit in units]
+        results = list(map(run_seed, *zip(*units)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_seed_worker, units))
-    by_job = {
-        (solver, unit[1]): result
-        for unit, unit_results in zip(units, results)
-        for solver, result in zip(unit[2], unit_results)
-    }
-    summaries = [by_job[job][0] for job in jobs]
-    write_summary(Path(out_dir) / "summary.json", summaries)
-    return summaries, [by_job[job][1] for job in jobs]
+            results = list(pool.map(run_seed, *zip(*units)))
+    # Units are seed-major and each seed's slices are in job order.
+    done = dict(zip([(seed, *job) for seed in first.seeds for job in seed_jobs],
+                    chain.from_iterable(results)))
+    outputs = []
+    for r, (cfg, out_dir) in enumerate(pairs):
+        jobs = [done[seed, r, solver] for solver in cfg.solvers for seed in cfg.seeds]
+        outputs.append(([summary for summary, _ in jobs], [trace for _, trace in jobs]))
+        write_summary(Path(out_dir) / "summary.json", outputs[-1][0])
+    return outputs
 
 
 def write_summary(path, summaries: list[dict]) -> None:
@@ -228,23 +241,16 @@ def write_summary(path, summaries: list[dict]) -> None:
 def merge_compare(job_traces: dict[str, list[TraceRecord]]) -> tuple[list[str], list[list[str]]]:
     """Inner-join traces on iteration; one objective column per job plus a gap
     column against the best final objective across jobs (empirical best)."""
-    names = list(job_traces)
-    iter_sets = [set(r.iteration for r in rows) for rows in job_traces.values()]
-    common = sorted(set.intersection(*iter_sets))
+    by_iter = {name: {r.iteration: r.objective for r in rows} for name, rows in job_traces.items()}
+    common = sorted(set.intersection(*(set(objs) for objs in by_iter.values())))
     best_final = min(rows[-1].objective for rows in job_traces.values())
-    by_iter = {
-        name: {r.iteration: r.objective for r in rows}
-        for name, rows in job_traces.items()
-    }
-    header = ["iteration"]
-    header += [f"objective_{n}" for n in names]
-    header += [f"gap_vs_empirical_best_{n}" for n in names]
+    header = ["iteration"] + [f"objective_{n}" for n in by_iter]
+    header += [f"gap_vs_empirical_best_{n}" for n in by_iter]
     table = []
     for it in common:
-        row = [str(it)]
-        row += [f"{by_iter[n][it]:.17g}" for n in names]
-        row += [f"{by_iter[n][it] - best_final:.17g}" for n in names]
-        table.append(row)
+        objs = [by_iter[n][it] for n in by_iter]
+        table.append([str(it)] + [f"{v:.17g}" for v in objs]
+                     + [f"{v - best_final:.17g}" for v in objs])
     return header, table
 
 
@@ -284,12 +290,12 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
     oracle = pb.ExactOracle(grad, cfg.p)
     if cfg.sigma > 0:
         oracle = pb.GaussianNoiseOracle(oracle, cfg.sigma)
-    setup = ProblemSetup(oracle, objective, reg, L)
+    inst = Instance(objective, reg, L, lambda batch: oracle)
     sreg = smoothed(reg, N=cfg.N)
     gaps = []
     for r in range(cfg.R):
         rng = RngStream(cfg.seed + r).split(STREAM_SOLVER)
-        x, _ = solve(cfg.solver, setup, sreg, None, cfg.N, rng, trace_every=0)
+        x, _ = solve(cfg.solver, inst, oracle, sreg, None, cfg.N, rng, trace_every=0)
         gaps.append(phi(x) - phi_star)
     mean_gap = float(np.mean(gaps))
 

@@ -246,12 +246,13 @@ class MinibatchLinearOracle:
 
     def sample(self, x: Array, rng: RngStream) -> Array:
         # The minibatch gradient (1/|S|) X_S^T (link(X_S x) - y_S); rng.indices
-        # draws S in range, so only x needs a check.
+        # draws S in range, so only x needs a check. ndarray.dot gives the bits
+        # of @ at about half its per-call cost.
         if x.shape != (self.dim,):
             raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         S = rng.indices(self.batch, self.dataset.K)
         XS = self.dataset.X[S]
-        return XS.T @ (_link(self.dataset, XS @ x) - self.dataset.y[S]) / self.batch
+        return XS.T.dot(_link(self.dataset, XS.dot(x)) - self.dataset.y[S]) / self.batch
 
 
 class ContinuousLinearOracle:
@@ -272,8 +273,8 @@ class ContinuousLinearOracle:
             raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         X = rng.normal(self.batch * self.dim).reshape(self.batch, self.dim)
         eps = rng.normal(self.batch)
-        y = X @ self.beta_hat + eps
-        return X.T @ (X @ x - y) / self.batch
+        y = X.dot(self.beta_hat) + eps
+        return X.T.dot(X.dot(x) - y) / self.batch
 
 
 class ExactOracle:

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -44,6 +45,34 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def masked_outputs(out_dir):
+    """Every file a run wrote to ``out_dir``, as text by name, with the trace
+    CSVs' elapsed_seconds column and summary.json's wall_clock_seconds values
+    cut out: the parts of a run's outputs that must repeat byte for byte."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".csv":
+            text = "".join(",".join(line.split(",")[::2]) + "\n" for line in text.splitlines())
+        else:
+            text = re.sub(r'"wall_clock_seconds": [^,\n]+', '"wall_clock_seconds": _', text)
+        files[path.name] = text
+    return files
+
+
+def counting_builds(monkeypatch, log):
+    """Patch harness.build_problem to append each seed it builds to ``log``, a
+    file, so that builds in forked pool workers are counted too."""
+    real_build = harness.build_problem
+
+    def counted_build(cfg, seed):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{seed}\n")
+        return real_build(cfg, seed)
+
+    monkeypatch.setattr(harness, "build_problem", counted_build)
 
 
 class TestConfigParsing:
@@ -308,15 +337,7 @@ trace_every = 20
 """
         cfg_path = write_cfg(tmp_path, text)
         built_log = tmp_path / "built.txt"
-        real_build = harness.build_problem
-
-        def counted_build(cfg, seed):
-            # a file, so that builds in pool workers are counted too
-            with open(built_log, "a", encoding="utf-8") as fh:
-                fh.write(f"{seed}\n")
-            return real_build(cfg, seed)
-
-        monkeypatch.setattr(harness, "build_problem", counted_build)
+        counting_builds(monkeypatch, built_log)
         inherits_patch = multiprocessing.get_start_method() == "fork"
         outputs = {}
         for threads in (1, 2, 3):
@@ -525,7 +546,7 @@ lipschitz_override = 1e-9
         assert parse_run_config(text.replace("linear-discrete", "logistic")).K == 100
 
     def test_memory_error_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
-        def exhausted(cfg, out_dir):
+        def exhausted(*args):
             raise MemoryError("Unable to allocate 7.11 PiB for an array")
 
         monkeypatch.setattr(cli, "execute_run", exhausted)
@@ -689,6 +710,74 @@ class TestCompareCommand:
         assert 0 in iters and 151 in iters  # start and final always shared
         assert all(it % 50 == 0 or it % 30 == 0 or it == 151 for it in iters)
 
+    # Two configs on one hierarchical instance per seed; b differs in every
+    # per-config part: oracle (batch_size), N, mu_override, acsa_sigma_sq.
+    TREE_PAIR = """
+problem = linear-discrete
+regularizer = hierarchical
+solver = sg,acsa
+K = 60
+n = 3
+lambda = 0.1
+N = 80
+batch_size = 5
+seed = 7,8
+trace_every = 20
+"""
+
+    def _write_tree_pair(self, tmp_path):
+        (tmp_path / "a.cfg").write_text(self.TREE_PAIR)
+        b = self.TREE_PAIR.replace("solver = sg,acsa", "solver = ssg").replace(
+            "batch_size = 5", "batch_size = 10").replace("N = 80", "N = 60")
+        (tmp_path / "b.cfg").write_text(b + "mu_override = 0.05\nacsa_sigma_sq = 0.5\n")
+
+    def test_builds_each_seed_instance_once(self, tmp_path, monkeypatch):
+        self._write_tree_pair(tmp_path)
+        monkeypatch.setenv("COMPOSITE_SGD_THREADS", "1")
+        log = tmp_path / "built.log"
+        counting_builds(monkeypatch, log)
+        log.write_text("")
+        assert main(["compare", str(tmp_path)]) == 0
+        assert sorted(int(s) for s in log.read_text().split()) == [7, 8]
+
+    def test_outputs_identical_serial_and_pooled(self, tmp_path, monkeypatch):
+        self._write_tree_pair(tmp_path)
+        log = tmp_path / "built.log"
+        counting_builds(monkeypatch, log)
+        inherits_patch = multiprocessing.get_start_method() == "fork"
+        outputs = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setenv("COMPOSITE_SGD_THREADS", str(threads))
+            log.write_text("")
+            assert main(["compare", str(tmp_path)]) == 0
+            built = sorted(int(s) for s in log.read_text().split())
+            if threads == 1 or inherits_patch:
+                # each seed's 3 jobs (a's sg, acsa; b's ssg) cut into
+                # min(3, ceil(threads / 2 seeds)) units, each one build
+                assert built == sorted([7, 8] * min(3, -(-threads // 2)))
+            outputs[threads] = (masked_outputs(tmp_path / "a_out"),
+                                masked_outputs(tmp_path / "b_out"),
+                                (tmp_path / "compare.csv").read_text(encoding="utf-8"))
+        a, b, _ = outputs[1]
+        assert sorted(a) == ["summary.json"] + [
+            f"trace_{solver}_{seed}.csv" for solver in ("acsa", "sg") for seed in (7, 8)]
+        assert sorted(b) == ["summary.json", "trace_ssg_7.csv", "trace_ssg_8.csv"]
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_config_equals_its_standalone_run(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("COMPOSITE_SGD_THREADS", threads)
+        self._write_tree_pair(tmp_path)
+        assert main(["compare", str(tmp_path)]) == 0
+        compared = {stem: masked_outputs(tmp_path / f"{stem}_out") for stem in ("a", "b")}
+        for stem in ("a", "b"):
+            for path in (tmp_path / f"{stem}_out").iterdir():
+                path.unlink()
+            # run's default output directory is the one compare wrote to
+            assert main(["run", str(tmp_path / f"{stem}.cfg")]) == 0
+            assert masked_outputs(tmp_path / f"{stem}_out") == compared[stem]
+
 
 class TestVerifyBoundsCommand:
     def test_quadratic_passes(self, tmp_path, capsys):
@@ -790,7 +879,7 @@ class TestGenDataCommand:
         _, X, y = read_dataset_csv(out / "dataset.csv")
         run = parse_run_config(body + "regularizer = l1\nsolver = sg\nlambda = 0.1\n"
                                       "N = 10\nbatch_size = 3\n")
-        dataset = harness.build_problem(run, 5).oracle.dataset
+        dataset = harness.build_problem(run, 5).oracle(run.batch_size).dataset
         assert np.array_equal(X, dataset.X) and np.array_equal(y, dataset.y)
 
     def test_continuous_rejected(self, tmp_path, capsys):
