@@ -34,7 +34,11 @@ def _read(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(str(path), "config file not found")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # read_text decodes the whole file at once
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(str(path), f"line {line}: not UTF-8 ({exc.reason})") from None
 
 
 def _default_out(config_path: str) -> Path:
@@ -61,7 +65,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(str(directory), "compare needs at least 2 run configs")
 
     runs = {
-        path.name: (parse_run_config(path.read_text(encoding="utf-8")),
+        path.name: (parse_run_config(_read(path)),
                     str(directory / f"{path.stem}_out"))
         for path in config_paths
     }

@@ -2,11 +2,11 @@
 CSVs and summary JSON, merges runs for comparison, checks the convergence
 bounds on instances with closed-form optima, and draws a seed's dataset.
 
-A seed's ``Instance`` (objective, penalty, ``L`` and the oracle maker) is
-built once per unit of work and shared by every config and solver in it;
-``run`` and ``verify-bounds`` hand it to one solver dispatch, ``solve``;
-``run`` and ``gen-data`` draw a seed's dataset through one generator choice,
-``seed_dataset``."""
+A seed's ``Instance`` (objective, penalty, ``L``, oracle maker and any known
+optimum) is built once per unit of work and shared by every config and solver
+in it; ``run`` and ``verify-bounds`` make finite-data instances with one
+builder, ``finite_instance``, and run them through one dispatch, ``solve``;
+``run`` and ``gen-data`` draw a seed's dataset with ``seed_dataset``."""
 
 from __future__ import annotations
 
@@ -52,13 +52,18 @@ def thread_cap() -> int:
 
 @dataclass
 class Instance:
-    """One seed's problem: the smooth objective, the penalty, ``L``, and
+    """One seed's problem: the smooth objective, the penalty, ``L``,
     ``oracle(batch_size)``, the gradient oracle a config makes of it (exact
-    for ``batch_size`` None)."""
+    for ``batch_size`` None), and the optimum ``x_star`` where it is known."""
     smooth_objective: Callable
     reg: rg.Regularizer
     L: float
     oracle: Callable
+    x_star: np.ndarray | None = None
+
+    def phi(self, x) -> float:
+        """The composite objective: smooth part plus penalty."""
+        return self.smooth_objective(x) + rg.evaluate(self.reg, x)
 
 
 def seed_dataset(problem: str, K: int, p: int, seed: int) -> pb.Dataset:
@@ -68,6 +73,16 @@ def seed_dataset(problem: str, K: int, p: int, seed: int) -> pb.Dataset:
     if problem == "linear-discrete":
         return pb.gen_linear_dataset(K, p, rng)
     return pb.gen_logistic_dataset(K, p, rng)
+
+
+def finite_instance(dataset: pb.Dataset, reg, L: float, x_star=None) -> Instance:
+    """The instance of a finite ``dataset`` under penalty ``reg``: its loss by
+    ``dataset.kind``, the full-data gradient for ``batch_size`` None and
+    minibatches drawn from the dataset otherwise."""
+    loss = pb.exact_objective_linear if dataset.kind == "linear" else pb.exact_objective_logistic
+    oracle = lambda batch: (pb.ExactOracle(lambda b: pb.exact_gradient(dataset, b), dataset.p)
+                            if batch is None else pb.MinibatchLinearOracle(dataset, batch))
+    return Instance(lambda b: loss(dataset, b), reg, L, oracle, x_star)
 
 
 def build_problem(cfg: RunConfig, seed: int) -> Instance:
@@ -89,29 +104,21 @@ def build_problem(cfg: RunConfig, seed: int) -> Instance:
             structure = rg.load_group_structure(cfg.structure_file, p=cfg.p)
         except ParameterError as exc:
             raise ConfigError("structure_file", str(exc)) from exc
+        except UnicodeDecodeError as exc:  # decoded in blocks, so no cheap line number
+            raise ConfigError("structure_file", f"not UTF-8 ({exc.reason})") from None
         reg = rg.group_norm(cfg.lam, structure)
 
-    # Both minibatch oracles take (data, batch): the continuous one draws rows
-    # around beta_hat, the finite one gathers them from the dataset.
     L = cfg.lipschitz_override
-    if cfg.problem == "linear-continuous":
-        beta_hat = pb.ground_truth("linear", cfg.p)
-        objective = lambda b: pb.continuous_objective(b, beta_hat)
-        gradient = lambda b: pb.continuous_gradient(b, beta_hat)
-        minibatch, data = pb.ContinuousLinearOracle, beta_hat
-    else:
+    if cfg.problem != "linear-continuous":
         dataset = seed_dataset(cfg.problem, cfg.K, cfg.p, seed)
-        if cfg.problem == "linear-discrete":
-            if L is None:
-                L = pb.lipschitz_linear(dataset, cfg.lipschitz_convention)
-            objective = lambda b: pb.exact_objective_linear(dataset, b)
-        else:
-            objective = lambda b: pb.exact_objective_logistic(dataset, b)
-        gradient = lambda b: pb.exact_gradient(dataset, b)
-        minibatch, data = pb.MinibatchLinearOracle, dataset
-    oracle = lambda batch: (pb.ExactOracle(gradient, cfg.p) if batch is None
-                            else minibatch(data, batch))
-    return Instance(objective, reg, 1.0 if L is None else float(L), oracle)
+        if L is None and cfg.problem == "linear-discrete":
+            L = pb.lipschitz_linear(dataset, cfg.lipschitz_convention)
+        return finite_instance(dataset, reg, 1.0 if L is None else float(L))
+    beta_hat = pb.ground_truth("linear", cfg.p)
+    oracle = lambda batch: (pb.ExactOracle(lambda b: pb.continuous_gradient(b, beta_hat), cfg.p)
+                            if batch is None else pb.ContinuousLinearOracle(beta_hat, batch))
+    return Instance(lambda b: pb.continuous_objective(b, beta_hat), reg,
+                    1.0 if L is None else float(L), oracle)
 
 
 def write_trace_csv(path, rows: List[TraceRecord]) -> None:
@@ -179,10 +186,9 @@ def run_seed(pairs, seed: int, jobs) -> list[tuple[dict, list]]:
 
             trace_path = out / f"trace_{solver}_{seed}.csv"
             write_trace_csv(trace_path, trace)
-            final_objective = inst.smooth_objective(x) + rg.evaluate(inst.reg, x)
             results.append(({
                 "config": cfg.echo(),
-                "final_objective": float(final_objective),
+                "final_objective": float(inst.phi(x)),
                 "wall_clock_seconds": wall,
                 **bounds,
                 "trace_file": str(trace_path),
@@ -269,40 +275,29 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
     if cfg.problem == "quadratic":
         target = np.zeros(cfg.p)
         target[0] = cfg.D
-        reg = rg.l1(0.0, cfg.p)
-        L = 1.0
-        objective = lambda x: 0.5 * float((x - target) @ (x - target))
-        grad = lambda x: x - target
-        x_star = target
+        inst = Instance(lambda x: 0.5 * float((x - target) @ (x - target)), rg.l1(0.0, cfg.p),
+                        1.0, lambda batch: pb.ExactOracle(lambda x: x - target, cfg.p), target)
         D = cfg.D
     else:
         data_rng = RngStream(cfg.seed).split(STREAM_DATA)
         dataset, x_star = pb.ortho_lasso_instance(cfg.p, cfg.lam, data_rng)
-        reg = rg.l1(cfg.lam, cfg.p)
-        L = pb.lipschitz_linear(dataset, "scaled")
-        objective = lambda x: pb.exact_objective_linear(dataset, x)
-        grad = lambda x: pb.exact_gradient(dataset, x)
+        inst = finite_instance(dataset, rg.l1(cfg.lam, cfg.p),
+                               pb.lipschitz_linear(dataset, "scaled"), x_star)
         D = float(np.linalg.norm(x_star))
 
-    phi = lambda x: objective(x) + rg.evaluate(reg, x)
-    phi_star = phi(x_star)
-
-    oracle = pb.ExactOracle(grad, cfg.p)
-    if cfg.sigma > 0:
-        oracle = pb.GaussianNoiseOracle(oracle, cfg.sigma)
-    inst = Instance(objective, reg, L, lambda batch: oracle)
-    sreg = smoothed(reg, N=cfg.N)
-    gaps = []
-    for r in range(cfg.R):
-        rng = RngStream(cfg.seed + r).split(STREAM_SOLVER)
-        x, _ = solve(cfg.solver, inst, oracle, sreg, None, cfg.N, rng, trace_every=0)
-        gaps.append(phi(x) - phi_star)
-    mean_gap = float(np.mean(gaps))
+    phi_star = inst.phi(inst.x_star)
+    # At sigma = 0 the noise oracle returns the exact gradient and draws nothing.
+    oracle = pb.GaussianNoiseOracle(inst.oracle(None), cfg.sigma)
+    sreg = smoothed(inst.reg, N=cfg.N)
+    runs = (solve(cfg.solver, inst, oracle, sreg, None, cfg.N,
+                  RngStream(cfg.seed + r).split(STREAM_SOLVER), trace_every=0)
+            for r in range(cfg.R))
+    mean_gap = float(np.mean([inst.phi(x) - phi_star for x, _ in runs]))
 
     if cfg.solver == "sg":
-        bound = sv.theorem_bound(D, cfg.sigma, L, cfg.N)
+        bound = sv.theorem_bound(D, cfg.sigma, inst.L, cfg.N)
     else:
         # With no penalty ||A|| = 0 and this is exactly theorem_bound.
-        bound = sv.theorem_bound_smoothed(D, cfg.sigma, L, sreg.A_norm, sreg.M, cfg.N)
-    return BoundsReport(mean_gap=mean_gap, bound=float(bound), D=D, L=L,
+        bound = sv.theorem_bound_smoothed(D, cfg.sigma, inst.L, sreg.A_norm, sreg.M, cfg.N)
+    return BoundsReport(mean_gap=mean_gap, bound=float(bound), D=D, L=inst.L,
                         passed=mean_gap <= bound)

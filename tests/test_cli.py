@@ -561,6 +561,14 @@ lipschitz_override = 1e-9
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: structure_file: line 1:")
 
+    def test_structure_file_not_utf8_exits_2(self, tmp_path, capsys):
+        (tmp_path / "groups.txt").write_bytes(b"\xff\xfe: 3\n")
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
+        text += f"structure_file = {tmp_path / 'groups.txt'}\n"
+        assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: structure_file: not UTF-8 (invalid start byte)\n")
+
     def test_structure_index_past_int64_exits_2_with_one_line(self, tmp_path, capsys):
         (tmp_path / "groups.txt").write_text("1: 1,99999999999999999999999\n")
         text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
@@ -825,6 +833,27 @@ class TestVerifyBoundsCommand:
             f"verify-bounds: problem=ortho-lasso solver=sg R=1 N=50 sigma=0 D={D:.17g} L={L:.17g}"
         )
 
+    @pytest.mark.parametrize("text, D, L, gap, bound", [
+        ("problem = quadratic\nsolver = sg\np = 8\nN = 98\nR = 3\n",
+         1.0, 1.0, 0.012413663354527829, 0.20040000000000002),
+        ("problem = quadratic\nsolver = ssg\np = 6\nN = 98\nsigma = 0.5\nD = 2.5\nR = 4\n",
+         2.5, 1.0, 0.072958187630141752, 1.27755),
+        ("problem = ortho-lasso\nsolver = ssg\np = 8\nN = 1000\nlambda = 0.1\nR = 3\n"
+         "seed = 5\n", 1.7461408997391477, 1.0000000000000004, 0.02088032731491668,
+         0.19427217076395645),
+        ("problem = ortho-lasso\nsolver = sg\np = 10\nN = 300\nlambda = 0.05\nsigma = 0.3\n"
+         "R = 5\n", 2.078451912598311, 1.0, 0.0091273718572693792, 0.50254215440322558),
+    ], ids=["quadratic-sg", "noisy-quadratic-ssg", "ortho-lasso-ssg", "noisy-ortho-lasso-sg"])
+    def test_report_matches_pinned_values(self, tmp_path, capsys, text, D, L, gap, bound):
+        # BLAS kernels differ by CPU, so the printed digits are pinned at
+        # perfbench's rtol 1e-9, not byte for byte
+        assert main(["verify-bounds", str(write_cfg(tmp_path, text))]) == 0
+        out = capsys.readouterr().out
+        printed = [float(re.search(rf"\b{key}=(\S+)", out).group(1))
+                   for key in ("D", "L", "mean_final_gap", "bound")]
+        np.testing.assert_allclose(printed, [D, L, gap, bound], rtol=1e-9, atol=0)
+        assert out.endswith("result: PASS\n")
+
     def test_unsupported_instance_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "problem = logistic\nsolver = sg\np = 4\nN = 10\n")
         assert main(["verify-bounds", str(cfg)]) == 2
@@ -858,6 +887,19 @@ def test_non_finite_float_exits_2_naming_key(tmp_path, capsys, command, base, ke
     argv = [command, str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
     assert main(argv) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "verify-bounds", "gen-data"])
+def test_non_utf8_config_exits_2_naming_path_and_line(tmp_path, capsys, command):
+    # every command reads its config through one decoder, before any key
+    path = tmp_path / "a.cfg"
+    path.write_bytes(SMALL_RUN.encode() + b"# \xff\n")
+    (tmp_path / "b.cfg").write_text(SMALL_RUN)
+    assert main([command, str(tmp_path if command == "compare" else path)]) == 2
+    line = SMALL_RUN.count("\n") + 1
+    assert capsys.readouterr().err == (
+        f"config error: {path}: line {line}: not UTF-8 (invalid start byte)\n")
+    assert not (tmp_path / "a_out").exists()
 
 
 class TestGenDataCommand:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from composite_sgd.core import DimensionError, ParameterError, RngStream
+from composite_sgd.harness import seed_dataset
 from composite_sgd.problems import (
     ContinuousLinearOracle,
     Dataset,
@@ -392,6 +393,15 @@ class TestLipschitz:
         with pytest.raises(ParameterError):
             lipschitz_linear(d, "verbatim")
 
+    @pytest.mark.xfail(strict=True, reason="power iteration stops 1.9e-7 (relative) below "
+                                           "lambda_max on this instance")
+    def test_upper_bounds_lambda_max_on_lasso_small(self):
+        # the benchmark's lasso-small instance: L = 1236.98967266919 against
+        # lambda_max = 1236.98990698035, so the step-size hypothesis L >= lambda_max
+        # fails; an eigvalsh-based L passes, and moves the pinned final objectives
+        d = seed_dataset("linear-discrete", 1000, 20, 1)
+        assert lipschitz_linear(d, "paper") >= np.linalg.eigvalsh(d.moments.gram)[-1]
+
 
 class TestOracles:
     def test_minibatch_oracle_uses_with_replacement_stream(self):
@@ -422,6 +432,14 @@ class TestOracles:
         draws = np.stack([noisy.sample(np.zeros(5), rng) for _ in range(20000)])
         mean_sq_norm = (draws**2).sum(axis=1).mean()
         assert abs(mean_sq_norm - 4.0) < 0.1
+
+    def test_noiseless_oracle_returns_base_gradient_and_draws_nothing(self):
+        g = RngStream(26).normal(5)
+        noisy = GaussianNoiseOracle(ExactOracle(lambda x: g, 5), 0.0)
+        rng = RngStream(27)
+        assert noisy.sample(np.zeros(5), rng) is g
+        # the stream's next draws are a fresh stream's first
+        assert rng.normal(7).tobytes() == RngStream(27).normal(7).tobytes()
 
 
 class TestOrthoLasso:
