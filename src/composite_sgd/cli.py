@@ -10,8 +10,8 @@ the dataset a ``run`` of the same problem, K, p and seed uses.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from itertools import product
 from pathlib import Path
 
 from .config import (
@@ -21,8 +21,8 @@ from .config import (
     parse_run_config,
 )
 from .core import ConvergenceError, DivergenceError
-from .harness import execute_run, merge_compare, seed_dataset, verify_bounds
-from .problems import save_dataset_csv
+from .harness import (execute_run, merge_compare, seed_dataset, verify_bounds, write_csv,
+                      write_dataset_csv)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,25 +64,17 @@ def cmd_compare(args) -> int:
     if len(config_paths) < 2:
         raise ConfigError(str(directory), "compare needs at least 2 run configs")
 
-    runs = {
-        path.name: (parse_run_config(_read(path)),
-                    str(directory / f"{path.stem}_out"))
-        for path in config_paths
-    }
+    cfgs = [parse_run_config(_read(path)) for path in config_paths]
+    runs = {path.name: (cfg, str(_default_out(path))) for path, cfg in zip(config_paths, cfgs)}
     job_traces, finals = {}, {}
-    for path, (summaries, traces) in zip(config_paths, execute_run(runs)):
-        for s, trace in zip(summaries, traces):
-            name = f"{path.stem}_{Path(s['trace_file']).stem.removeprefix('trace_')}"
-            job_traces[name] = trace
-            finals[name] = s["final_objective"]
+    for path, cfg, (summaries, traces) in zip(config_paths, cfgs, execute_run(runs)):
+        # execute_run returns each config's jobs solver-major.
+        for (solver, seed), s, trace in zip(product(cfg.solvers, cfg.seeds), summaries, traces):
+            name = f"{path.stem}_{solver}_{seed}"
+            job_traces[name], finals[name] = trace, s["final_objective"]
 
-    header, table = merge_compare(job_traces)
     merged = directory / "compare.csv"
-    with open(merged, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(table)
-
+    write_csv(merged, *merge_compare(job_traces))
     print(f"wrote {merged}")
     print(f"{'job':40s} final objective")
     for name, value in finals.items():
@@ -111,7 +103,7 @@ def cmd_gen_data(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "dataset.csv"
     dataset = seed_dataset(cfg.problem, cfg.K, cfg.p, cfg.seed)
-    save_dataset_csv(dataset, out_path)
+    write_dataset_csv(out_path, dataset)
     print(f"wrote {out_path} ({dataset.K} rows, p={dataset.p})")
     return EXIT_OK
 

@@ -73,9 +73,9 @@ def _forbid(pairs, key, why):
         raise ConfigError(key, why)
 
 
-def _number(pairs, key, kind, minimum=None, strict=False):
+def _number(pairs, key, kind, minimum=None, strict=False, maximum=None):
     """The required int or finite float ``key``, at least ``minimum`` (above
-    it when ``strict``)."""
+    it when ``strict``) and at most ``maximum``."""
     text = _require(pairs, key)
     try:
         value = kind(text)
@@ -87,6 +87,8 @@ def _number(pairs, key, kind, minimum=None, strict=False):
     if minimum is not None and (value <= minimum if strict else value < minimum):
         op = ">" if strict else ">="
         raise ConfigError(key, f"must be {op} {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(key, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -197,6 +199,11 @@ _INSTANCE_KEYS = (
 # The deepest tree a config may name: p = 2^n must fit a signed 64-bit index.
 # Checked before 2^n is formed, which for a huge n is itself a huge allocation.
 _MAX_N = 62
+# The most iterations a config may ask for: up to 2^53, float(N) is exact and
+# every step-size formula finite (at 1 us per iteration, over 280 years).
+_MAX_ITERATIONS = 2**53
+# The least acsa_d: acsa's gamma* divides by 3 acsa_d^2, which is 0 below 9.1e-163.
+_MIN_ACSA_D = 1e-162
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -244,7 +251,7 @@ def parse_run_config(text: str) -> RunConfig:
         _check_footprint(K, p, gram=problem == "linear-discrete")
 
     lam = _number(pairs, "lambda", float, 0.0)
-    N = _number(pairs, "N", int, 1)
+    N = _number(pairs, "N", int, 1, maximum=_MAX_ITERATIONS)
     if _require(pairs, "batch_size") == "full":
         batch_size = None
     else:
@@ -264,7 +271,7 @@ def parse_run_config(text: str) -> RunConfig:
 
     given = _given(
         pairs, ("trace_every", int, 1), ("mu_override", float, 0.0, True),
-        ("acsa_sigma_sq", float, 0.0), ("acsa_d", float, 0.0, True),
+        ("acsa_sigma_sq", float, 0.0), ("acsa_d", float, _MIN_ACSA_D),
         ("lipschitz_override", float, 0.0, True),
     )
     if "lipschitz_convention" in pairs:
@@ -299,7 +306,7 @@ def parse_bounds_config(text: str) -> BoundsConfig:
                       why="verify-bounds needs a closed-form optimum: ")
     solver = _choice(pairs, "solver", ("sg", "ssg"))
     p = _number(pairs, "p", int, 1)
-    N = _number(pairs, "N", int, 1)
+    N = _number(pairs, "N", int, 1, maximum=_MAX_ITERATIONS)
     given = _given(pairs, ("sigma", float, 0.0), ("R", int, 1), ("seed", int))
 
     if problem == "ortho-lasso":

@@ -1,6 +1,7 @@
 """Experiment harness: executes run configurations, writes convergence-trace
 CSVs and summary JSON, merges runs for comparison, checks the convergence
-bounds on instances with closed-form optima, and draws a seed's dataset.
+bounds on instances with closed-form optima, and draws and writes a seed's
+dataset. Every CSV a command writes goes through ``write_csv``.
 
 A seed's ``Instance`` (objective, penalty, ``L``, oracle maker and any known
 optimum) is built once per unit of work and shared by every config and solver
@@ -121,15 +122,32 @@ def build_problem(cfg: RunConfig, seed: int) -> Instance:
                     1.0 if L is None else float(L), oracle)
 
 
-def write_trace_csv(path, rows: List[TraceRecord]) -> None:
-    """Header iteration,elapsed_seconds,objective; 17 significant digits, LF."""
+def check_smoothable(reg, solvers) -> None:
+    """Refuse ssg among ``solvers`` when ||A||^2 of the penalty ``reg``, in
+    ssg's L + ||A||^2 / mu, is past the largest double."""
+    if "ssg" in solvers and not rg.operator_norm(reg) <= np.sqrt(np.finfo(float).max):
+        raise ConfigError("lambda", "too large for ssg: ||A||^2 of the penalty is past "
+                                    "the largest double")
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` (lists of strings) as UTF-8 CSV with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "elapsed_seconds", "objective"])
-        for r in rows:
-            writer.writerow(
-                [str(r.iteration), f"{r.elapsed_seconds:.17g}", f"{r.objective:.17g}"]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trace_csv(path, rows: List[TraceRecord]) -> None:
+    """Header iteration,elapsed_seconds,objective; 17 significant digits."""
+    write_csv(path, ["iteration", "elapsed_seconds", "objective"], (
+        [str(r.iteration), f"{r.elapsed_seconds:.17g}", f"{r.objective:.17g}"] for r in rows))
+
+
+def write_dataset_csv(path, d: pb.Dataset) -> None:
+    """Header ``y,x1,...,xp``, then one row per sample; 17 significant digits."""
+    write_csv(path, ["y"] + [f"x{j + 1}" for j in range(d.p)],
+              ([f"{y:.17g}"] + [f"{v:.17g}" for v in row] for y, row in zip(d.y, d.X)))
 
 
 def solve(solver: str, inst: Instance, oracle, sreg, gamma_star, N: int, rng: RngStream,
@@ -156,6 +174,7 @@ def run_seed(pairs, seed: int, jobs) -> list[tuple[dict, list]]:
     ``theorem_bound_smoothed`` assumes the scheduled mu = ||A|| / (N+2), also
     when ``mu_override`` runs ssg at another mu."""
     inst = build_problem(pairs[0][0], seed)
+    check_smoothable(inst.reg, {solver for cfg, _ in pairs for solver in cfg.solvers})
     results = []
     for r, group in groupby(jobs, key=itemgetter(0)):
         cfg, out_dir = pairs[r]
@@ -285,6 +304,7 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
                                pb.lipschitz_linear(dataset, "scaled"), x_star)
         D = float(np.linalg.norm(x_star))
 
+    check_smoothable(inst.reg, (cfg.solver,))
     phi_star = inst.phi(inst.x_star)
     # At sigma = 0 the noise oracle returns the exact gradient and draws nothing.
     oracle = pb.GaussianNoiseOracle(inst.oracle(None), cfg.sigma)

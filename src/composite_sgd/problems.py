@@ -10,7 +10,6 @@ reading the link from the dataset's kind.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -358,15 +357,3 @@ def ortho_lasso_instance(p: int, lam: float, rng: RngStream):
     b = Q.T @ y / np.sqrt(p)
     x_star = soft_threshold(b, lam)
     return Dataset(X, y, "linear"), x_star
-
-
-def save_dataset_csv(d: Dataset, path) -> None:
-    """Header ``y,x1,...,xp``; 17 significant digits, LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(d.p)])
-        for i in range(d.K):
-            writer.writerow(
-                [f"{d.y[i]:.17g}"] + [f"{v:.17g}" for v in d.X[i]]
-            )
-

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -22,7 +23,14 @@ from composite_sgd.config import (
     physical_memory,
 )
 from composite_sgd.core import DivergenceError, RngStream
-from composite_sgd.problems import lipschitz_linear, ortho_lasso_instance
+from composite_sgd.problems import (
+    continuous_objective,
+    ground_truth,
+    lipschitz_linear,
+    ortho_lasso_instance,
+)
+from composite_sgd.regularizers import build_hierarchical, evaluate, group_norm, l1, prox
+from composite_sgd.smoothing import lipschitz_mu, smoothed
 from composite_sgd.solvers import theorem_bound, theorem_bound_smoothed
 
 from _reference import read_dataset_csv, read_trace_csv
@@ -372,6 +380,39 @@ trace_every = 20
         ]
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
+
+    @pytest.mark.parametrize("regularizer, dim, reg", [
+        ("l1", "p = 8", l1(0.1, 8)),
+        ("hierarchical", "n = 3", group_norm(0.1, build_hierarchical(3))),
+    ])
+    def test_continuous_full_batch_ends_near_the_optimum(self, tmp_path, regularizer, dim, reg):
+        # The continuous loss is (1/2)(||x - beta_hat||^2 + 1), so the composite
+        # optimum is the prox of beta_hat, exact for l1 and for a tree.
+        text = (f"problem = linear-continuous\nregularizer = {regularizer}\n"
+                f"solver = sg,ssg,acsa\n{dim}\nlambda = 0.1\nN = 2000\n"
+                "batch_size = full\nseed = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+        beta_hat = ground_truth("linear", 8)
+        x_star = prox(reg, np.zeros(8), beta_hat, 1.0)
+        phi_star = continuous_objective(x_star, beta_hat) + evaluate(reg, x_star)
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert [Path(run["trace_file"]).name for run in runs] == [
+            "trace_sg_1.csv", "trace_ssg_1.csv", "trace_acsa_1.csv"]
+        for run in runs:
+            assert phi_star - 1e-12 <= run["final_objective"] <= phi_star + 5e-3
+
+    def test_continuous_minibatch_replay_identical_except_elapsed(self, tmp_path):
+        text = SMALL_RUN.replace("linear-discrete", "linear-continuous").replace("K = 40\n", "")
+        cfg_path = write_cfg(tmp_path, text.replace("solver = sg", "solver = sg,ssg,acsa"))
+        out = tmp_path / "out"
+        replays = []
+        for _ in range(2):
+            assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+            replays.append(masked_outputs(out))
+        assert sorted(replays[0]) == [
+            "summary.json", "trace_acsa_3.csv", "trace_sg_3.csv", "trace_ssg_3.csv"]
+        assert replays[1] == replays[0]
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, "problem = linear-discrete\n")
@@ -887,6 +928,96 @@ def test_non_finite_float_exits_2_naming_key(tmp_path, capsys, command, base, ke
     argv = [command, str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
     assert main(argv) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
+
+
+HUGE_LAMBDA_SSG = {
+    "l1": SMALL_RUN.replace("lambda = 0.1", "lambda = 1e160")
+                   .replace("solver = sg", "solver = sg,ssg,acsa"),
+    "tree": SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
+                     .replace("p = 4", "n = 2").replace("lambda = 0.1", "lambda = 1e154")
+                     .replace("solver = sg", "solver = ssg"),
+    "logistic": SMALL_RUN.replace("linear-discrete", "logistic")
+                         .replace("lambda = 0.1", "lambda = 1e300")
+                         .replace("solver = sg", "solver = ssg"),
+    "continuous": SMALL_RUN.replace("linear-discrete", "linear-continuous")
+                           .replace("K = 40\n", "").replace("lambda = 0.1", "lambda = 1e300")
+                           .replace("solver = sg", "solver = ssg"),
+}
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("run", text, id=f"run-{name}") for name, text in HUGE_LAMBDA_SSG.items()
+] + [
+    pytest.param("compare", HUGE_LAMBDA_SSG["l1"], id="compare"),
+    pytest.param("verify-bounds", ORTHO_BOUNDS.replace("solver = sg", "solver = ssg")
+                 + "lambda = 1e300\n", id="bounds"),
+])
+def test_huge_lambda_with_ssg_exits_2_naming_lambda(tmp_path, capsys, monkeypatch, command,
+                                                    text):
+    # ||A||^2 in ssg's L + ||A||^2 / mu overflows; the same config without ssg runs
+    monkeypatch.setenv("COMPOSITE_SGD_THREADS", "2")
+    sg_only = re.sub(r"solver = .*", "solver = sg", text)
+    if command == "compare":  # only b runs ssg; a, in its own units, starts no job either
+        write_cfg(tmp_path, sg_only, "a.cfg")
+        write_cfg(tmp_path, sg_only.replace("solver = sg", "solver = ssg"), "b.cfg")
+        argv = ["compare", str(tmp_path)]
+    else:
+        argv = [command, str(write_cfg(tmp_path, text))]
+    out = tmp_path / "out"
+    if command == "run":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: lambda: too large for ssg: ||A||^2 of the penalty is past the "
+        "largest double\n")
+    assert not any(path.name.endswith("out") for path in tmp_path.iterdir())
+    if command != "compare":
+        argv[1] = str(write_cfg(tmp_path, sg_only))
+        assert main(argv) == 0
+
+
+def test_ssg_accepts_every_penalty_norm_that_squares_to_a_double():
+    limit = float(np.sqrt(np.finfo(float).max))
+    harness.check_smoothable(l1(limit, 4), ("sg", "ssg"))
+    assert math.isfinite(lipschitz_mu(1.0, smoothed(l1(limit, 4), N=10)))
+    past = math.nextafter(limit, math.inf)
+    with pytest.raises(OverflowError):
+        past**2
+    harness.check_smoothable(l1(past, 4), ("sg", "acsa"))
+    with pytest.raises(ConfigError) as err:
+        harness.check_smoothable(l1(past, 4), ("ssg",))
+    assert err.value.key == "lambda"
+
+
+@pytest.mark.parametrize("N", [2**53 + 1, 10**400])
+@pytest.mark.parametrize("command, base, parse", [
+    ("run", SMALL_RUN, parse_run_config),
+    ("verify-bounds", QUADRATIC_BOUNDS, parse_bounds_config),
+])
+def test_N_past_2_to_53_exits_2_naming_N(tmp_path, capsys, command, base, parse, N):
+    # up to 2^53 float(N) is exact and every step size finite; N is checked
+    # while parsing, before any file is written
+    out = tmp_path / "out"
+    argv = [command, str(write_cfg(tmp_path, re.sub(r"N = \d+", f"N = {N}", base)))]
+    if command == "run":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: N: must be <= {2**53}, got {N}\n")
+    assert not out.exists()
+    assert parse(re.sub(r"N = \d+", f"N = {2**53}", base)).N == 2**53
+
+
+def test_acsa_d_whose_square_underflows_exits_2_naming_acsa_d(tmp_path, capsys):
+    # gamma* divides by 3 acsa_d^2, which is 0 at 1e-170; every run makes gamma*
+    out = tmp_path / "out"
+    argv = ["run", str(write_cfg(tmp_path, SMALL_RUN + "acsa_d = 1e-170\n")), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: acsa_d: must be >= 1e-162, got 1e-170\n"
+    assert not out.exists()
+    argv[1] = str(write_cfg(tmp_path, SMALL_RUN + "acsa_d = 1e-162\n"))
+    assert main(argv) == 0
+    assert json.loads((out / "summary.json").read_text())["theorem_bound_D"] == 1e-162
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "verify-bounds", "gen-data"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from composite_sgd.core import DimensionError, ParameterError, RngStream
-from composite_sgd.harness import seed_dataset
+from composite_sgd.harness import seed_dataset, write_dataset_csv
 from composite_sgd.problems import (
     ContinuousLinearOracle,
     Dataset,
@@ -24,7 +24,6 @@ from composite_sgd.problems import (
     ground_truth,
     lipschitz_linear,
     ortho_lasso_instance,
-    save_dataset_csv,
     sigmoid,
 )
 
@@ -469,7 +468,7 @@ class TestDatasetCsv:
     def test_roundtrip_linear(self, tmp_path):
         d = gen_linear_dataset(15, 4, RngStream(31))
         path = tmp_path / "data.csv"
-        save_dataset_csv(d, path)
+        write_dataset_csv(path, d)
         header, X, y = read_dataset_csv(path)
         assert header == ["y", "x1", "x2", "x3", "x4"]
         assert np.array_equal(X, d.X)
@@ -481,7 +480,7 @@ class TestDatasetCsv:
     def test_roundtrip_logistic_validates(self, tmp_path):
         d = gen_logistic_dataset(10, 3, RngStream(32))
         path = tmp_path / "data.csv"
-        save_dataset_csv(d, path)
+        write_dataset_csv(path, d)
         header, X, y = read_dataset_csv(path)
         assert header == ["y", "x1", "x2", "x3"]
         assert np.array_equal(X, d.X)

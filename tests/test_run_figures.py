@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from _reference import read_trace_csv
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_figures.py"
@@ -38,17 +40,31 @@ def test_scaled_text_floors_N_and_K_only():
         ]
 
 
-def test_scaled_recipe_writes_traces_and_summary(tmp_path, monkeypatch):
+# Each recipe's N at --scale 0.01: a hundredth of it, floored at 100.
+SCALED_N = {
+    "fig1_left": 500, "fig1_right": 500, "fig2_left": 100, "fig2_right": 100,
+    "fig3_continuous_l1": 100, "fig4_continuous_tree": 100, "fig5_logistic_l1": 500,
+    "fig6_logistic_tree": 500,
+}
+
+
+@pytest.mark.parametrize("figure", SCALED_N)
+def test_scaled_recipe_writes_traces_and_summary(tmp_path, monkeypatch, figure):
+    N = SCALED_N[figure]
     monkeypatch.setenv("COMPOSITE_SGD_THREADS", "1")
     out = tmp_path / "runs"
-    assert run_figures.run(["--figures", "fig1_left", "--scale", "0.01", "--out", str(out)]) == 0
-    assert "N = 500\n" in (out / "fig1_left.cfg").read_text()
-    run_dir = out / "fig1_left"
+    assert run_figures.run(["--figures", figure, "--scale", "0.01", "--out", str(out)]) == 0
+    assert f"N = {N}\n" in (out / f"{figure}.cfg").read_text()
+    run_dir = out / figure
     traces = sorted(path.name for path in run_dir.glob("trace_*.csv"))
     assert traces == ["trace_acsa_1.csv", "trace_sg_1.csv", "trace_ssg_1.csv"]
     for name in traces:
         header, rows = read_trace_csv(run_dir / name)
         assert header == ["iteration", "elapsed_seconds", "objective"]
-        assert rows[-1][0] == "501"
+        assert rows[-1][0] == str(N + 1)
     summary = json.loads((run_dir / "summary.json").read_text())
-    assert [run["config"]["N"] for run in summary["runs"]] == [500, 500, 500]
+    assert [run["config"]["N"] for run in summary["runs"]] == [N, N, N]
+
+
+def test_every_recipe_is_covered():
+    assert sorted(path.stem for path in run_figures.FIGURES_DIR.glob("*.cfg")) == sorted(SCALED_N)
