@@ -29,7 +29,7 @@ from . import regularizers as rg
 from . import solvers as sv
 from .config import BoundsConfig, ConfigError, RunConfig, check_memory
 from .core import ParameterError, RngStream, TraceRecord
-from .smoothing import smoothed
+from .smoothing import lipschitz_mu, smoothed
 
 THREADS_ENV = "COMPOSITE_SGD_THREADS"
 
@@ -122,12 +122,20 @@ def build_problem(cfg: RunConfig, seed: int) -> Instance:
                     1.0 if L is None else float(L), oracle)
 
 
-def check_smoothable(reg, solvers) -> None:
-    """Refuse ssg among ``solvers`` when ||A||^2 of the penalty ``reg``, in
-    ssg's L + ||A||^2 / mu, is past the largest double."""
-    if "ssg" in solvers and not rg.operator_norm(reg) <= np.sqrt(np.finfo(float).max):
-        raise ConfigError("lambda", "too large for ssg: ||A||^2 of the penalty is past "
-                                    "the largest double")
+def check_smoothable(L: float, runs) -> None:
+    """Refuse ssg among the solvers of any ``(solvers, sreg)`` in ``runs`` when
+    ssg's L + ||A||^2 / mu on the smoothed penalty ``sreg`` is past the largest
+    double: through ||A||^2 (``lambda``), or else through the quotient by a
+    small ``mu``, which only ``mu_override`` sets that small."""
+    for solvers, sreg in runs:
+        if "ssg" not in solvers:
+            continue
+        if not sreg.A_norm <= np.sqrt(np.finfo(float).max):
+            raise ConfigError("lambda", "too large for ssg: ||A||^2 of the penalty is past "
+                                        "the largest double")
+        if not np.isfinite(lipschitz_mu(L, sreg)):
+            raise ConfigError("mu_override", f"too small for ssg: L + ||A||^2 / mu is past "
+                                             f"the largest double at mu = {sreg.mu:g}")
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -170,11 +178,13 @@ def run_seed(pairs, seed: int, jobs) -> list[tuple[dict, list]]:
     on it under config ``pairs[r] = (cfg, out_dir)``, writing its trace; returns
     (summary, trace rows) per job, in ``jobs`` order. A config's jobs are
     consecutive, and its oracle, pilot sigma^2, acsa's gamma* and smoothed
-    penalty are made once, before the first. The recorded
+    penalty are made once, before the first; a config that runs acsa with a
+    gamma* past the largest double writes no trace. The recorded
     ``theorem_bound_smoothed`` assumes the scheduled mu = ||A|| / (N+2), also
     when ``mu_override`` runs ssg at another mu."""
     inst = build_problem(pairs[0][0], seed)
-    check_smoothable(inst.reg, {solver for cfg, _ in pairs for solver in cfg.solvers})
+    sregs = [smoothed(inst.reg, mu=cfg.mu_override, N=cfg.N) for cfg, _ in pairs]
+    check_smoothable(inst.L, [(cfg.solvers, sreg) for (cfg, _), sreg in zip(pairs, sregs)])
     results = []
     for r, group in groupby(jobs, key=itemgetter(0)):
         cfg, out_dir = pairs[r]
@@ -185,7 +195,13 @@ def run_seed(pairs, seed: int, jobs) -> list[tuple[dict, list]]:
                 oracle, np.zeros(oracle.dim), RngStream(seed).split(STREAM_PILOT))
         sigma = float(np.sqrt(sigma_sq))
         gamma_star = sv.resolve_acsa_params(inst.L, cfg.N, sigma_sq, D=cfg.acsa_d)
-        sreg = smoothed(inst.reg, mu=cfg.mu_override, N=cfg.N)
+        if "acsa" in cfg.solvers and not np.isfinite(gamma_star):
+            key, size = (("acsa_d", "small") if np.isfinite(2.0 * inst.L)
+                         else ("lipschitz_override", "large"))
+            raise ConfigError(key, f"too {size} for acsa: gamma* = max(2L, sqrt(2 sigma^2 "
+                                   "N(N+1)(N+2) / (3 acsa_d^2))) is past the largest double "
+                                   f"at sigma^2 = {sigma_sq:g}")
+        sreg = sregs[r]
         bounds = {
             "sigma_sq_pilot": float(sigma_sq),
             "theorem_bound_D": cfg.acsa_d,
@@ -304,11 +320,11 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
                                pb.lipschitz_linear(dataset, "scaled"), x_star)
         D = float(np.linalg.norm(x_star))
 
-    check_smoothable(inst.reg, (cfg.solver,))
+    sreg = smoothed(inst.reg, N=cfg.N)
+    check_smoothable(inst.L, [((cfg.solver,), sreg)])
     phi_star = inst.phi(inst.x_star)
     # At sigma = 0 the noise oracle returns the exact gradient and draws nothing.
     oracle = pb.GaussianNoiseOracle(inst.oracle(None), cfg.sigma)
-    sreg = smoothed(inst.reg, N=cfg.N)
     runs = (solve(cfg.solver, inst, oracle, sreg, None, cfg.N,
                   RngStream(cfg.seed + r).split(STREAM_SOLVER), trace_every=0)
             for r in range(cfg.R))

@@ -224,8 +224,16 @@ def evaluate(reg: Regularizer, beta) -> float:
 
 
 def soft_threshold(u: Array, thr: float) -> Array:
-    """Coordinate-wise shrinkage sign(u) * max(|u| - thr, 0)."""
-    return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
+    """Coordinate-wise shrinkage sign(u) * max(|u| - thr, 0), returning +0.0
+    wherever a finite u has |u| <= thr.
+
+    Computed as u minus u clamped to [-thr, thr] (three ufuncs, not five):
+    fl(u - thr) and fl(u + thr) outside the band are the sign form's values,
+    as are NaN and +-inf; inside it u - u is +0.0 where the sign form gives
+    -0.0 for negative u. Clamping to thr before -thr keeps u = -0.0 at
+    thr = 0 at +0.0 too, whichever zero np.minimum and np.maximum return on a
+    tie."""
+    return u - np.maximum(np.minimum(u, thr), -thr)
 
 
 def prox(reg: Regularizer, g, z, eta: float) -> Array:

@@ -12,7 +12,8 @@ transform, the sigmoid from the sign-split masked form, dataset CSVs are read
 back with ``csv`` and ``float``, trace and compare CSVs as rows of strings
 with ``csv``, the square loss from its residual, the
 minibatch gradients from their validated formulas, and the solvers' recursion
-is a plain loop over the public, validating functions.
+is a plain loop over the public, validating functions, with the l1 shrink in
+its sign form.
 
 Some references pin the bits of a fast path instead: the laminar prox in its
 masked form on depth layers rebuilt by dense containment, the overlapping
@@ -497,13 +498,20 @@ def smoothed_gradient_formula(sreg, x):
     return np.bincount(st.flat_index, weights=reg.lam * st.rep_weights * a, minlength=st.p)
 
 
+def soft_threshold_sign(u, thr) -> np.ndarray:
+    """The l1 shrink in its sign form sign(u) * max(|u| - thr, 0), which
+    gives -0.0 where a negative u has |u| <= thr."""
+    return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
+
+
 def two_sequence_loop(data, batch, reg, eta, N, rng, objective, trace_every, sreg=None):
     """The solvers' recursion from x_0 = z_0 = 0, one validating call at a time.
 
     Each iteration draws S with ``rng.indices`` (pass a ``PhiloxStream`` to
     draw without the stream's block) and takes the minibatch
     gradient through ``minibatch_gradient_*``; the step is ``prox`` (``sreg``
-    None) or the closed-form smoothed step against ``smoothed_gradient_formula``;
+    None; for l1 the shrink ``soft_threshold_sign`` of z - g / eta) or the
+    closed-form smoothed step against ``smoothed_gradient_formula``;
     a coordinate of z or x that is not finite or exceeds 1e12 raises
     ``DivergenceError``. Returns x_{N+1} and the (iteration, objective +
     penalty) rows at x_0, every ``trace_every``-th iterate and the last.
@@ -516,7 +524,9 @@ def two_sequence_loop(data, batch, reg, eta, N, rng, objective, trace_every, sre
         th = 2.0 / (2.0 + t)
         y = (1.0 - th) * x + th * z
         g = gradient(data, y, rng.indices(batch, data.K))
-        if sreg is None:
+        if sreg is None and reg.structure is None:
+            z = soft_threshold_sign(z - g / eta(t), reg.lam / eta(t))
+        elif sreg is None:
             z = prox(reg, g, z, eta(t))
         else:
             z = z - (g + smoothed_gradient_formula(sreg, y)) / eta(t)

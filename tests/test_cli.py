@@ -978,15 +978,64 @@ def test_huge_lambda_with_ssg_exits_2_naming_lambda(tmp_path, capsys, monkeypatc
 
 def test_ssg_accepts_every_penalty_norm_that_squares_to_a_double():
     limit = float(np.sqrt(np.finfo(float).max))
-    harness.check_smoothable(l1(limit, 4), ("sg", "ssg"))
+    harness.check_smoothable(1.0, [(("sg", "ssg"), smoothed(l1(limit, 4), N=10))])
     assert math.isfinite(lipschitz_mu(1.0, smoothed(l1(limit, 4), N=10)))
     past = math.nextafter(limit, math.inf)
     with pytest.raises(OverflowError):
         past**2
-    harness.check_smoothable(l1(past, 4), ("sg", "acsa"))
+    harness.check_smoothable(1.0, [(("sg", "acsa"), smoothed(l1(past, 4), N=10))])
     with pytest.raises(ConfigError) as err:
-        harness.check_smoothable(l1(past, 4), ("ssg",))
+        harness.check_smoothable(1.0, [(("ssg",), smoothed(l1(past, 4), N=10))])
     assert err.value.key == "lambda"
+
+
+MU_OVERRIDE_SSG = SMALL_RUN.replace("solver = sg", "solver = sg,ssg") + "mu_override = 1e-320\n"
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_mu_override_whose_quotient_overflows_exits_2_naming_mu_override(
+        tmp_path, capsys, monkeypatch, command):
+    # ||A||^2 / mu = 0.01 / 1e-320 is past the largest double, so ssg's steps
+    # would all be 0; the config is refused before any job starts, in every unit
+    monkeypatch.setenv("COMPOSITE_SGD_THREADS", "2")
+    if command == "compare":  # only b runs ssg
+        write_cfg(tmp_path, MU_OVERRIDE_SSG.replace("solver = sg,ssg", "solver = sg"), "a.cfg")
+        write_cfg(tmp_path, MU_OVERRIDE_SSG, "b.cfg")
+        argv = ["compare", str(tmp_path)]
+    else:
+        argv = ["run", str(write_cfg(tmp_path, MU_OVERRIDE_SSG)), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: mu_override: too small for ssg: L + ||A||^2 / mu is past the "
+        "largest double at mu = 9.99989e-321\n")
+    assert not any(path.name.endswith("out") for path in tmp_path.iterdir())
+    # at 1e-300 the quotient is a double
+    write_cfg(tmp_path, MU_OVERRIDE_SSG.replace("1e-320", "1e-300"),
+              "b.cfg" if command == "compare" else "run.cfg")
+    assert main(argv) == 0
+
+
+def test_acsa_d_whose_gamma_star_overflows_exits_2_naming_acsa_d(tmp_path, capsys,
+                                                                 monkeypatch):
+    # with a minibatch oracle gamma* = sqrt(2 sigma^2 N(N+1)(N+2) / (3 acsa_d^2))
+    # is inf at acsa_d = 1e-162, so acsa's iterate would never leave 0; the
+    # config writes no trace, and each of its two units refuses it
+    monkeypatch.setenv("COMPOSITE_SGD_THREADS", "2")
+    out = tmp_path / "out"
+    text = SMALL_RUN.replace("solver = sg", "solver = sg,acsa") + "acsa_d = 1e-162\n"
+    argv = ["run", str(write_cfg(tmp_path, text)), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: acsa_d: too small for acsa: gamma* = max(2L, ")
+    assert not list(out.glob("trace_*")) and not (out / "summary.json").exists()
+    write_cfg(tmp_path, text.replace("1e-162", "1e-150"))
+    assert main(argv) == 0
+    assert (out / "trace_acsa_3.csv").is_file()
+    # 2L past the largest double makes gamma* inf through L, not acsa_d
+    write_cfg(tmp_path, text.replace("acsa_d = 1e-162", "lipschitz_override = 1e308"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: lipschitz_override: too large for acsa: gamma* = max(2L, ")
 
 
 @pytest.mark.parametrize("N", [2**53 + 1, 10**400])

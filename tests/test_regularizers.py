@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -36,6 +37,7 @@ from _reference import (
     prox_reference,
     random_laminar_structure,
     singleton_structure,
+    soft_threshold_sign,
 )
 
 
@@ -884,9 +886,43 @@ class TestProx:
             assert np.linalg.norm(out - loop) <= radius
 
 
+_TINY_NORMAL = float(np.finfo(np.float64).tiny)
+_THRESHOLDS = (st.just(0.0)
+               | st.floats(min_value=5e-324, max_value=_TINY_NORMAL, exclude_max=True)
+               | st.floats(min_value=_TINY_NORMAL, allow_infinity=False)
+               | st.just(np.inf))
+
+
+@st.composite
+def _shrink_inputs(draw):
+    """A threshold (0, subnormal, normal or inf) and a vector of any doubles,
+    +-0, subnormals, +-inf and NaN among them, mixed with the threshold's
+    neighbours on both sides of the band."""
+    thr = draw(_THRESHOLDS)
+    edges = [sign * v for sign in (1.0, -1.0) for v in
+             (thr, math.nextafter(thr, 0.0), math.nextafter(thr, math.inf), 0.0, 5e-324)]
+    u = draw(arrays(np.float64, st.integers(1, 12),
+                    elements=st.floats() | st.sampled_from(edges + [np.nan])))
+    return u, thr
+
+
 class TestSoftThreshold:
     def test_hand_values(self):
         assert np.allclose(soft_threshold(np.array([2.0, -0.5, 0.1]), 1.0), [1.0, 0.0, 0.0])
+        out = soft_threshold(np.array([-0.5, -0.0, 0.5, -1.0]), 1.0)
+        assert out.tobytes() == np.zeros(4).tobytes()
+
+    @given(_shrink_inputs())
+    def test_equals_sign_form_up_to_zero_signs(self, inputs):
+        # the clamp form has the sign form's values, NaN in the same places,
+        # and +0.0 wherever the sign form gives -0.0
+        u, thr = inputs
+        with np.errstate(invalid="ignore"):  # inf - inf where |u| = thr = inf
+            out = soft_threshold(u, thr)
+            ref = soft_threshold_sign(u, thr) + 0.0
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(out), nan)
+        assert out[~nan].tobytes() == ref[~nan].tobytes()
 
     @given(arrays(np.float64, 4, elements=st.floats(-10, 10)), st.floats(0, 5))
     def test_is_prox_of_l1(self, u, thr):

@@ -1,4 +1,6 @@
+import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -369,6 +371,48 @@ def test_guard_on_z_keeps_x_within_rounding_of_the_limit(steps):
     for i, m in enumerate(max_abs):
         bound = Fraction(OVERFLOW_LIMIT) * (1 + Fraction(1, 2**53)) ** (3 * i)
         assert np.isfinite(m) and Fraction(m) <= bound
+
+
+_LIMIT_EDGES = [math.nextafter(OVERFLOW_LIMIT, 0.0), OVERFLOW_LIMIT,
+                math.nextafter(OVERFLOW_LIMIT, math.inf)]
+
+
+@st.composite
+def _guarded_z(draw):
+    """A z of p up to 3000 entries: a fill near 1e12 / sqrt(p) or 1e12 /
+    sqrt(2p), where ||z||^2 sits at the fast path's threshold, or near 0,
+    with a few entries set one ulp either side of 1e12, up to 1.8e308, to
+    +-inf or to NaN; and an iteration."""
+    p = draw(st.integers(1, 3000))
+    fill = draw(st.sampled_from([OVERFLOW_LIMIT / math.sqrt(p),
+                                 OVERFLOW_LIMIT / math.sqrt(2.0 * p), 1.0]))
+    z = fill * draw(st.just(1.0) | st.floats(0.999, 1.001)) * np.where(
+        np.arange(p) % draw(st.integers(1, 3)) == 0, -1.0, 1.0)
+    special = st.sampled_from(_LIMIT_EDGES + [np.inf, np.nan]) | st.floats(0.0, 1.8e308)
+    for _ in range(draw(st.integers(0, 3))):
+        z[draw(st.integers(0, p - 1))] = draw(special) * draw(st.sampled_from([1.0, -1.0]))
+    return z, draw(st.integers(0, 10**6))
+
+
+@given(_guarded_z())
+@example((np.full(1, _LIMIT_EDGES[1]), 7))
+@example((np.full(1, _LIMIT_EDGES[2]), 7))
+@example((np.full(2, OVERFLOW_LIMIT / math.sqrt(2.0)), 0))
+def test_guard_raises_exactly_when_max_abs_test_fails(case):
+    # the vdot fast path may only pass a z the max-abs test passes; every other
+    # z gets that test's verdict, message and iteration, with no warning
+    z, t = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.max(np.abs(z)) <= OVERFLOW_LIMIT:
+            solvers._check_overflow(z, t)
+            return
+        with pytest.raises(DivergenceError) as err:
+            solvers._check_overflow(z, t)
+    assert err.value.iteration == t
+    assert str(err.value) == (
+        f"iterate is not finite or exceeded 1e+12 at iteration {t}; "
+        "is the Lipschitz constant set too small?")
 
 
 @pytest.mark.parametrize("run", [
