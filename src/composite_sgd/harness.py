@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
@@ -259,6 +258,10 @@ def execute_run(runs: dict[str, tuple[RunConfig, str]]) -> list[tuple[list[dict]
     if workers <= 1:
         results = list(map(run_seed, *zip(*units)))
     else:
+        # Imported here, as only a pool needs it: concurrent.futures and its
+        # multiprocessing imports cost a single-worker run about 1.6 MB.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_seed, *zip(*units)))
     # Units are seed-major and each seed's slices are in job order.

@@ -65,12 +65,21 @@ class GroupStructure:
     disjoint. Each layer is ``(index, offsets, owner, lo, hi)`` in flat block
     layout. ``index`` gathers the layer's coordinates: it is the basic slice
     ``slice(a, a + n)`` when they are ``a, ..., a + n - 1`` in order, as in
-    every layer of a dyadic tree, so that the prox reads a view and writes a
-    contiguous range, and an int64 array otherwise. ``owner`` gives the
-    position within the layer of the group each gathered coordinate belongs
-    to, and the layer's weights are ``layer_weights[lo:hi]``, which holds all
-    groups' weights in layer order. ``layers`` and ``layer_weights`` are None
-    for an overlapping family. All of it is built once per structure.
+    every layer of a dyadic tree, so that the prox reads a view and scales it
+    in place, and an int64 array otherwise. ``owner`` gives the position
+    within the layer of the group each gathered coordinate belongs to, and
+    the layer's weights are ``layer_weights[lo:hi]``, which holds all groups'
+    weights in layer order. ``layers`` and ``layer_weights`` are None for an
+    overlapping family.
+
+    ``covers`` is L when ``flat_index`` is ``0, ..., p-1`` repeated L times,
+    L full covers in order, and p >= 2, as in every ``build_hierarchical(n)``
+    with n >= 1; it is 0 otherwise. The smoothing then reads the flat layout
+    as an ``(L, p)`` array: A x is a broadcast product and A^T v a sum over
+    axis 0, with the bits of the gather and of ``np.bincount``. At p = 1
+    numpy's axis-0 sum adds in another order than bincount, so L copies of
+    one coordinate keep the general path. All of it is built once per
+    structure.
     """
 
     def __init__(self, index, sizes, weights, p: int):
@@ -117,6 +126,8 @@ class GroupStructure:
         # The most groups any one coordinate lies in: the overlapping prox's
         # dual gradient is max_cover / eta Lipschitz.
         self.max_cover = int(np.bincount(flat, minlength=p).max())
+        tiled = p >= 2 and flat.size % p == 0 and np.all(flat.reshape(-1, p) == np.arange(p))
+        self.covers = flat.size // p if tiled else 0
 
         self.layers, self.layer_weights = self._depth_layers()
 
@@ -298,7 +309,10 @@ def _prox_laminar(st: GroupStructure, lam: float, u: Array, eta: float) -> Array
         nrm = np.sqrt(np.add.reduceat(block * block, offsets))
         t = thr[lo:hi]
         scale = 1.0 - t / np.maximum(nrm, t)
-        x[index] = block * scale[owner]
+        if isinstance(index, slice):  # block is a view of x: scale it in place
+            np.multiply(block, scale[owner], out=block)
+        else:
+            x[index] = block * scale[owner]
     return x
 
 

@@ -10,7 +10,11 @@ whose gradient A^T v_mu(x) is Lipschitz with constant ||A||^2 / mu.
 A is never built: for l1 it is lam * I, and for a group norm it maps x to
 (lam * w_g * x_g)_g in the structure's flat block layout, so A x is
 ``lam * rep_weights * x[flat_index]`` and A^T v scatters back with
-``np.bincount`` over ``flat_index``.
+``np.bincount`` over ``flat_index``. When that layout is L full covers of
+0..p-1 in order (``GroupStructure.covers``, every dyadic tree's), A x is a
+broadcast product of x with the ``(L, p)`` view of the weights, with no
+gather, and A^T v the sum over axis 0 of that view times v, which adds in
+bincount's order: the same bits, with neither copy of the layout.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ class SmoothedRegularizer:
     A_norm: float
     M: float
     # A's entries in flat block layout, derived from ``base``: lam for l1,
-    # lam * rep_weights for a group norm.
+    # lam * rep_weights for a group norm, shaped (covers, p) when the layout
+    # is covers full covers of 0..p-1.
     a_weights: float | Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -42,6 +47,8 @@ class SmoothedRegularizer:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
         st = self.base.structure
         a_weights = self.base.lam if st is None else self.base.lam * st.rep_weights
+        if st is not None and st.covers:
+            a_weights = a_weights.reshape(st.covers, st.p)
         object.__setattr__(self, "a_weights", a_weights)
 
 
@@ -74,19 +81,24 @@ def _apply(s: SmoothedRegularizer, x) -> Array:
     reg = s.base
     if x.shape[0] != reg.p:
         raise DimensionError(f"x has length {x.shape[0]}, expected {reg.p}")
-    if reg.structure is None:
+    st = reg.structure
+    if st is None:
         return s.a_weights * x
-    return s.a_weights * x[reg.structure.flat_index]
+    if st.covers:
+        return (s.a_weights * x).ravel()
+    return s.a_weights * x[st.flat_index]
 
 
 def _project(s: SmoothedRegularizer, ax: Array) -> Array:
     # v_mu: A x / mu projected onto Q, one unit ball per coordinate (l1) or group.
-    t = ax / s.mu
+    # A group norm's v is written over ax, which the caller gives up: the divide
+    # and the scaling allocate no array of the flat layout's length.
     st = s.base.structure
     if st is None:  # np.clip's bits, NaN included, without its Python wrappers
-        return np.minimum(np.maximum(t, -1.0), 1.0)
-    factor = 1.0 / np.maximum(st.block_norms(t), 1.0)
-    return t * factor[st.owner]
+        return np.minimum(np.maximum(ax / s.mu, -1.0), 1.0)
+    ax /= s.mu
+    ax *= (1.0 / np.maximum(st.block_norms(ax), 1.0))[st.owner]
+    return ax
 
 
 def maximizer(s: SmoothedRegularizer, x) -> Array:
@@ -101,7 +113,7 @@ def maximizer(s: SmoothedRegularizer, x) -> Array:
 def smoothed_value(s: SmoothedRegularizer, x) -> float:
     """h_mu(x) = v^T A x - (mu/2) ||v||^2 at the maximizing v."""
     ax = _apply(s, x)
-    v = _project(s, ax)
+    v = _project(s, ax.copy())
     return float(v @ ax - 0.5 * s.mu * (v @ v))
 
 
@@ -111,7 +123,11 @@ def smoothed_gradient(s: SmoothedRegularizer, x) -> Array:
     st = s.base.structure
     if st is None:
         return s.a_weights * v
-    return np.bincount(st.flat_index, weights=s.a_weights * v, minlength=st.p)
+    w = v.reshape(s.a_weights.shape)
+    w *= s.a_weights  # v is this call's own array
+    if st.covers:
+        return np.add.reduce(w, axis=0)
+    return np.bincount(st.flat_index, weights=w, minlength=st.p)
 
 
 def lipschitz_mu(L: float, s: SmoothedRegularizer) -> float:

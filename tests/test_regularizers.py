@@ -320,6 +320,14 @@ EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
                 1e-162, -3e-161, 1e-150]
 
 
+# Laminar over the coordinate order 3, 0, 5, 1, 4, 2: the layers {1, 4} + {0}
+# and {0, 3} + {1, 4, 5} are int64 index arrays, and {0..5} a slice.
+SHUFFLED_LAMINAR = GroupStructure(*flat_family(
+    [np.array([3, 0, 5, 1, 4, 2]), np.array([3, 0]), np.array([5, 1, 4]), np.array([1, 4]),
+     np.array([0])],
+    np.array([0.8, 0.5, 1.2, 0.3, 0.9]), 6))
+
+
 @st.composite
 def laminar_prox_inputs(draw):
     """(structure, lam, u, eta): a laminar family over shuffled coordinates,
@@ -438,6 +446,22 @@ class TestDepthLayers:
             out = _prox_laminar(gs, lam, u, eta)
             ref = prox_laminar_masked(gs, lam, u, eta)
         assert out.tobytes() == ref.tobytes()
+
+    def test_array_layers_scatter_like_masked_form(self):
+        # whatever the strategy draws, the prox's scatter of int64 array
+        # layers stays covered next to its in-place scaling of slice layers
+        kinds = [type(index) for index, _, _, _, _ in SHUFFLED_LAMINAR.layers]
+        assert kinds == [np.ndarray, np.ndarray, slice]
+        assert all(index.dtype == np.int64 for index, _, _, _, _ in SHUFFLED_LAMINAR.layers[:2])
+        rng = RngStream(26)
+        for lam in (0.05, 0.6, 3.0):
+            for _ in range(30):
+                u = 2.0 * rng.normal(6)
+                u[rng.indices(2, 6)] = -0.0
+                with np.errstate(divide="raise", invalid="raise"):
+                    out = _prox_laminar(SHUFFLED_LAMINAR, lam, u, 1.3)
+                    ref = prox_laminar_masked(SHUFFLED_LAMINAR, lam, u, 1.3)
+                assert out.tobytes() == ref.tobytes()
 
     def test_overflowing_thresholds_zero_blocks_like_masked_form(self):
         # lam * w / eta overflows to inf for every group: the masked form

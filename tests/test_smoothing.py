@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from composite_sgd.core import DimensionError, ParameterError, RngStream
 from composite_sgd.regularizers import (
@@ -22,7 +23,7 @@ from composite_sgd.smoothing import (
 )
 
 from _reference import (central_difference, flat_family, groups_of, materialize_map,
-                        maximizer_formula)
+                        maximizer_formula, smoothed_gradient_formula)
 from test_regularizers import overlapping_instances
 
 
@@ -204,6 +205,87 @@ class TestProjectionBits:
         for _ in range(5):
             x = 3.0 * rng.normal(2**n)
             assert maximizer(s, x).tobytes() == maximizer_formula(s, x).tobytes()
+
+
+# Signed zeros, subnormals, entries near 1e300, whose A x overflows, and NaN.
+TILED_EDGES = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e300, -3e300, 1.7e308, float("nan")]
+
+
+@hst.composite
+def tiled_smoothings(draw):
+    """(smoothed penalty, x) on a flat layout of full covers of 0..p-1 in
+    order: a dyadic tree with n = 1..7, or up to 30 covers of p = 2..12
+    coordinates, each cut into consecutive groups at its own cuts; x mixes
+    ordinary entries with ``TILED_EDGES``."""
+    if draw(hst.booleans()):
+        gs = build_hierarchical(draw(hst.integers(1, 7)))
+    else:
+        p = draw(hst.integers(2, 12))
+        groups = []
+        for _ in range(draw(hst.integers(1, 30))):
+            cuts = sorted(draw(hst.sets(hst.integers(1, p - 1))))
+            groups += [np.arange(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, p])]
+        weights = draw(arrays(np.float64, len(groups), elements=hst.floats(0.1, 3.0)))
+        gs = GroupStructure(*flat_family(groups, weights, p))
+    entries = hst.one_of(hst.floats(-50.0, 50.0), hst.sampled_from(TILED_EDGES))
+    x = draw(arrays(np.float64, gs.p, elements=entries))
+    lam, log_mu = draw(hst.floats(0.01, 5.0)), draw(hst.floats(-6.0, 2.0))
+    return smoothed(group_norm(lam, gs), mu=10.0**log_mu), x
+
+
+def formula_value(s, x):
+    """h_mu(x) at ``maximizer_formula``'s v, with A x gathered."""
+    st = s.base.structure
+    ax = s.base.lam * st.rep_weights * x[st.flat_index]
+    v = maximizer_formula(s, x)
+    return float(v @ ax - 0.5 * s.mu * (v @ v))
+
+
+def assert_smoothing_equals_formulas(s, x):
+    # bytes compare NaN payloads and zero signs too; A x overflows near 1e300
+    with np.errstate(all="ignore"):
+        pairs = [(smoothed_gradient(s, x), smoothed_gradient_formula(s, x)),
+                 (maximizer(s, x), maximizer_formula(s, x)),
+                 (np.float64(smoothed_value(s, x)), np.float64(formula_value(s, x)))]
+    for out, ref in pairs:
+        assert out.tobytes() == ref.tobytes()
+
+
+class TestTiledLayout:
+    """A flat layout of L full covers of 0..p-1, p >= 2, is read as an (L, p)
+    array: A x broadcast, A^T v summed over axis 0, with the bits of the
+    gather and of bincount."""
+
+    @given(tiled_smoothings())
+    def test_covers_path_equals_gather_and_bincount_bit_for_bit(self, case):
+        s, x = case
+        st = s.base.structure
+        assert st.covers == st.flat_index.size // st.p >= 1
+        assert_smoothing_equals_formulas(s, x)
+
+    def test_tiled_shapes_off_the_covers_path_keep_the_general_bytes(self):
+        # At p = 1 an axis-0 sum of 20 rows adds pairwise, not in bincount's
+        # order; the others are no run of full covers in order.
+        families = {
+            "20 copies of 1:1": ([np.array([0])] * 20, 1),
+            "a partition out of coordinate order": ([np.array([2, 3]), np.array([0, 1])], 4),
+            "a partial cover": ([np.arange(6), np.arange(3)], 6),
+            "a non-cover of L * p entries": ([np.arange(4), np.arange(2), np.arange(2)], 4),
+        }
+        rng = RngStream(25)
+        for groups, p in families.values():
+            weights = np.linspace(0.3, 2.0, len(groups))
+            st = GroupStructure(*flat_family(groups, weights, p))
+            assert st.covers == 0
+            for mu in (1e-3, 1e2):
+                s = smoothed(group_norm(0.7, st), mu=mu)
+                for _ in range(30):
+                    assert_smoothing_equals_formulas(s, rng.normal(p))
+
+    def test_every_dyadic_tree_of_two_or_more_coordinates_is_tiled(self):
+        assert build_hierarchical(0).covers == 0
+        for n in range(1, 10):
+            assert build_hierarchical(n).covers == n + 1
 
 
 @pytest.mark.parametrize("fn", [maximizer, smoothed_value, smoothed_gradient])
