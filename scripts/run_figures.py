@@ -7,7 +7,6 @@ CSVs are ready for any plotting tool (objective vs elapsed_seconds).
 """
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
@@ -17,12 +16,25 @@ FIGURES_DIR = Path(__file__).parent / "figures"
 
 
 def scaled_text(text: str, scale: float) -> str:
-    def shrink(match):
-        key, value = match.group(1), int(match.group(2))
+    """``text`` with its N and K values scaled by ``scale`` and floored at 100
+    and 50. Each line is read as ``config.parse_kv`` reads it: key and value
+    around the first ``=``, spaces stripped, before any ``#`` comment, which
+    is kept. Other lines, and an N or K that is not an integer (the config
+    parser reports it), are left as they are."""
+    def scaled(line):
+        body, hash_, comment = line.partition("#")
+        key, eq, value = body.partition("=")
+        key = key.strip()
+        if not eq or key not in ("N", "K"):
+            return line
+        try:
+            count = int(value)
+        except ValueError:
+            return line
         floor = 100 if key == "N" else 50
-        return f"{key} = {max(floor, int(value * scale))}"
+        return f"{key} = {max(floor, int(count * scale))}" + (f"  #{comment}" if hash_ else "")
 
-    return re.sub(r"^(N|K) = (\d+)$", shrink, text, flags=re.MULTILINE)
+    return "".join(scaled(line) + "\n" for line in text.splitlines())
 
 
 def run(argv=None) -> int:

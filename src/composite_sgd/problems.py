@@ -242,6 +242,8 @@ class MinibatchLinearOracle:
         self.dataset = dataset
         self.batch = batch
         self.dim = dataset.p
+        # 0-d: numpy converts a Python int operand on every call, not a 0-d array
+        self._divisor = np.array(float(batch))
 
     def sample(self, x: Array, rng: RngStream) -> Array:
         # The minibatch gradient (1/|S|) X_S^T (link(X_S x) - y_S); rng.indices
@@ -252,7 +254,7 @@ class MinibatchLinearOracle:
             raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         S = rng.indices(self.batch, self.dataset.K)
         XS = self.dataset.X.take(S, axis=0)
-        return XS.T.dot(_link(self.dataset, XS.dot(x)) - self.dataset.y[S]) / self.batch
+        return XS.T.dot(_link(self.dataset, XS.dot(x)) - self.dataset.y[S]) / self._divisor
 
 
 class ContinuousLinearOracle:
@@ -267,6 +269,7 @@ class ContinuousLinearOracle:
         self.beta_hat = as_vector(beta_hat)
         self.batch = batch
         self.dim = self.beta_hat.shape[0]
+        self._divisor = np.array(float(batch))  # 0-d, as in MinibatchLinearOracle
 
     def sample(self, x: Array, rng: RngStream) -> Array:
         if x.shape != (self.dim,):
@@ -274,7 +277,7 @@ class ContinuousLinearOracle:
         X = rng.normal(self.batch * self.dim).reshape(self.batch, self.dim)
         eps = rng.normal(self.batch)
         y = X.dot(self.beta_hat) + eps
-        return X.T.dot(X.dot(x) - y) / self.batch
+        return X.T.dot(X.dot(x) - y) / self._divisor
 
 
 class ExactOracle:
@@ -297,12 +300,13 @@ class GaussianNoiseOracle:
         self.base = base
         self.sigma = sigma
         self.dim = base.dim
+        self._scale = np.array(sigma / np.sqrt(self.dim))  # 0-d, as the batch divisors
 
     def sample(self, x: Array, rng: RngStream) -> Array:
         g = self.base.sample(x, rng)
         if self.sigma == 0.0:
             return g
-        return g + (self.sigma / np.sqrt(self.dim)) * rng.normal(self.dim)
+        return g + self._scale * rng.normal(self.dim)
 
 
 def lipschitz_linear(d: Dataset, convention: str = "scaled") -> float:

@@ -30,9 +30,12 @@ DUAL_MAX_ITER = 100_000
 # Refuse hierarchical structures whose index storage would exceed this.
 _MAX_TOTAL_INDICES = 2**28
 
-# Floor and ceiling of the group prox thresholds and radii.
-_TINY = np.finfo(np.float64).smallest_subnormal
-_HUGE = np.finfo(np.float64).max
+# Floor and ceiling of the group prox thresholds and radii, and the 1 of the
+# laminar scale, as 0-d arrays: a ufunc takes a 0-d operand faster than a
+# Python float or np.float64, with the same bits.
+_TINY = np.array(np.finfo(np.float64).smallest_subnormal)
+_HUGE = np.array(np.finfo(np.float64).max)
+_ONE = np.array(1.0)
 
 
 class GroupIndexError(ParameterError):
@@ -308,7 +311,7 @@ def _prox_laminar(st: GroupStructure, lam: float, u: Array, eta: float) -> Array
         block = x[index]
         nrm = np.sqrt(np.add.reduceat(block * block, offsets))
         t = thr[lo:hi]
-        scale = 1.0 - t / np.maximum(nrm, t)
+        scale = _ONE - t / np.maximum(nrm, t)
         if isinstance(index, slice):  # block is a view of x: scale it in place
             np.multiply(block, scale[owner], out=block)
         else:
@@ -355,8 +358,11 @@ def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Ar
     # is what the call returns or the error carries; so do the gather
     # xf = x[index] and the per-group reduceat sums, which are slower written
     # into a buffer. ndarray.dot runs the same BLAS ddot as @, with less
-    # overhead per call.
+    # overhead per call. beta, the step and eta are ufunc operands as 0-d
+    # registers, which numpy takes faster than Python floats: each value is
+    # computed as a float and written in.
     b, b_prev, y, v, work = (np.zeros(index.size) for _ in range(5))
+    beta_0d, step_0d, eta_0d = np.empty(()), np.array(step), np.array(float(eta))
     x = u
     xf = xf_prev = u[index]
     # 0 . xf is nan where a block of u is not finite, as 0 * inf is.
@@ -370,14 +376,14 @@ def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Ar
         if np.subtract(b, y, out=v).dot(db) < 0.0:
             t = 1.0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
+        beta_0d[()] = (t - 1.0) / t_next
         t = t_next
         # y = b + beta * db, v = y + step * (xf + beta * (xf - xf_prev))
-        np.add(b, np.multiply(db, beta, out=y), out=y)
+        np.add(b, np.multiply(db, beta_0d, out=y), out=y)
         np.subtract(xf, xf_prev, out=v)
-        v *= beta
+        v *= beta_0d
         np.add(xf, v, out=v)
-        v *= step
+        v *= step_0d
         np.add(y, v, out=v)
         nrm = np.add.reduceat(np.multiply(v, v, out=work), offsets)
         np.sqrt(nrm, out=nrm)
@@ -385,7 +391,7 @@ def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Ar
         b, b_prev, xf_prev = b_prev, b, xf
         np.multiply(v, scale[owner], out=b)
         x = np.bincount(index, weights=b, minlength=st.p)
-        x /= eta
+        x /= eta_0d
         np.subtract(u, x, out=x)
         xf = x[index]
         nrm = np.add.reduceat(np.multiply(xf, xf, out=work), offsets)

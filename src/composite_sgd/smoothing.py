@@ -14,7 +14,8 @@ A is never built: for l1 it is lam * I, and for a group norm it maps x to
 0..p-1 in order (``GroupStructure.covers``, every dyadic tree's), A x is a
 broadcast product of x with the ``(L, p)`` view of the weights, with no
 gather, and A^T v the sum over axis 0 of that view times v, which adds in
-bincount's order: the same bits, with neither copy of the layout.
+bincount's order: the same bits, with neither copy of the layout. A sum
+that holds a NaN is redone by bincount, which keeps its own choice of NaN.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .regularizers import Regularizer, operator_norm
 # otherwise divide by it. A = 0 then, so L_mu = L and the smoothed gradient is 0.
 MU_FLOOR = 1e-12
 
+# The l1 clamp's bounds, and the group projection's floor, as 0-d operands.
+_ONE, _MINUS_ONE = np.array(1.0), np.array(-1.0)
+
 
 @dataclass(frozen=True)
 class SmoothedRegularizer:
@@ -37,19 +41,24 @@ class SmoothedRegularizer:
     mu: float
     A_norm: float
     M: float
-    # A's entries in flat block layout, derived from ``base``: lam for l1,
-    # lam * rep_weights for a group norm, shaped (covers, p) when the layout
-    # is covers full covers of 0..p-1.
-    a_weights: float | Array = field(init=False, repr=False, compare=False)
+    # Derived from the fields, as 0-d copies of scalars: a ufunc takes a 0-d
+    # array operand faster than a Python float, with the same bits. A's
+    # entries in flat block layout: lam for l1, lam * rep_weights for a group
+    # norm, shaped (covers, p) when the layout is covers full covers of
+    # 0..p-1; and mu.
+    a_weights: Array = field(init=False, repr=False, compare=False)
+    mu_0d: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
         st = self.base.structure
-        a_weights = self.base.lam if st is None else self.base.lam * st.rep_weights
+        lam = self.base.lam
+        a_weights = np.array(float(lam)) if st is None else lam * st.rep_weights
         if st is not None and st.covers:
             a_weights = a_weights.reshape(st.covers, st.p)
         object.__setattr__(self, "a_weights", a_weights)
+        object.__setattr__(self, "mu_0d", np.array(float(self.mu)))
 
 
 def mu_schedule(A_norm: float, N: int) -> float:
@@ -94,10 +103,10 @@ def _project(s: SmoothedRegularizer, ax: Array) -> Array:
     # A group norm's v is written over ax, which the caller gives up: the divide
     # and the scaling allocate no array of the flat layout's length.
     st = s.base.structure
-    if st is None:  # np.clip's bits, NaN included, without its Python wrappers
-        return np.minimum(np.maximum(ax / s.mu, -1.0), 1.0)
-    ax /= s.mu
-    ax *= (1.0 / np.maximum(st.block_norms(ax), 1.0))[st.owner]
+    if st is None:  # np.clip(ax / mu, -1.0, 1.0)'s bits, NaN included, in two ufuncs
+        return np.minimum(np.maximum(ax / s.mu_0d, _MINUS_ONE), _ONE)
+    ax /= s.mu_0d
+    ax *= (_ONE / np.maximum(st.block_norms(ax), _ONE))[st.owner]
     return ax
 
 
@@ -124,10 +133,17 @@ def smoothed_gradient(s: SmoothedRegularizer, x) -> Array:
     if st is None:
         return s.a_weights * v
     w = v.reshape(s.a_weights.shape)
-    w *= s.a_weights  # v is this call's own array
+    w *= s.a_weights  # v is this call's own array, and w a view of it
     if st.covers:
-        return np.add.reduce(w, axis=0)
-    return np.bincount(st.flat_index, weights=w, minlength=st.p)
+        # Where two NaNs of different bits meet, numpy's vector loop and its
+        # scalar tail keep different operands' NaN, and bincount the first
+        # one's. A NaN anywhere makes the vdot NaN: that rare case, and only
+        # that, takes bincount's path.
+        out = np.add.reduce(w, axis=0)
+        sq = np.vdot(out, out)
+        if sq == sq:
+            return out
+    return np.bincount(st.flat_index, weights=v, minlength=st.p)
 
 
 def lipschitz_mu(L: float, s: SmoothedRegularizer) -> float:

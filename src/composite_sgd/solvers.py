@@ -153,10 +153,16 @@ def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_ev
 
     if trace_every > 0:
         record(0, x)
+    # theta_t and 1 - theta_t are computed as floats and written into 0-d
+    # registers: a ufunc takes a 0-d array operand faster than a Python float
+    # or np.float64, with the same bits.
+    theta_0d, rest_0d = np.empty(()), np.empty(())
     for t in range(N + 1):
         th = 2.0 / (2.0 + t)
-        x_part = (1.0 - th) * x  # (1 - theta_t) x_t, shared by y_t and x_{t+1}
-        y = x_part + th * z
+        theta_0d[()] = th
+        rest_0d[()] = 1.0 - th
+        x_part = rest_0d * x  # (1 - theta_t) x_t, shared by y_t and x_{t+1}
+        y = x_part + theta_0d * z
         g = oracle.sample(y, rng)
         try:
             z = step(y, g, z, eta(t))
@@ -164,7 +170,7 @@ def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_ev
             raise ConvergenceError(
                 f"prox failed at iteration {t}: {exc}", last_iterate=exc.last_iterate
             ) from exc
-        x = x_part + th * z
+        x = x_part + theta_0d * z
         _check_overflow(z, t)
         if trace_every > 0 and ((t + 1) % trace_every == 0 or t == N):
             record(t + 1, x)
@@ -207,8 +213,11 @@ def run_ssg(oracle: StochasticOracle, sreg: SmoothedRegularizer, L: float, N: in
     The effective Lipschitz constant is L_mu = L + ||A||^2 / mu. A zero
     penalty (A = 0) needs no special case: L_mu = L and A^T v_mu = 0.
     """
+    eta_0d = np.empty(())  # eta as a 0-d operand, as in _run_two_sequence
+
     def step(y, g, z, eta):  # h = 0: the prox step is closed-form
-        return z - (g + smoothed_gradient(sreg, y)) / eta
+        eta_0d[()] = eta
+        return z - (g + smoothed_gradient(sreg, y)) / eta_0d
 
     return _run_two_sequence(oracle, step, _horizon_eta(N, lipschitz_mu(L, sreg)), N,
                              sreg.base, rng, smooth_objective, trace_every)

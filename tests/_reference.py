@@ -478,10 +478,13 @@ def read_trace_csv(path) -> tuple[list[str], list[list[str]]]:
 
 
 def maximizer_formula(sreg, x):
-    """v_mu(x) of a group norm written out from the penalty: a = lam * w_g *
-    x_g / mu projected onto each group's unit ball, the projection's factor
-    spread over the block with ``np.repeat`` over the block sizes."""
+    """v_mu(x) written out from the penalty: for l1, clip(lam * x / mu, -1, 1)
+    with Python-float bounds; for a group norm, a = lam * w_g * x_g / mu
+    projected onto each group's unit ball, the projection's factor spread
+    over the block with ``np.repeat`` over the block sizes."""
     st = sreg.base.structure
+    if st is None:
+        return np.clip(sreg.base.lam * x / sreg.mu, -1.0, 1.0)
     a = sreg.base.lam * st.rep_weights * x[st.flat_index] / sreg.mu
     return a * np.repeat(1.0 / np.maximum(st.block_norms(a), 1.0), st.sizes)
 
@@ -492,9 +495,9 @@ def smoothed_gradient_formula(sreg, x):
     summed back per coordinate."""
     reg = sreg.base
     st = reg.structure
-    if st is None:
-        return reg.lam * np.clip(reg.lam * x / sreg.mu, -1.0, 1.0)
     a = maximizer_formula(sreg, x)
+    if st is None:
+        return reg.lam * a
     return np.bincount(st.flat_index, weights=reg.lam * st.rep_weights * a, minlength=st.p)
 
 

@@ -10,3 +10,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def pytest_configure(config):
+    # CI selects these with -m deep --strict-markers and reruns them at 500
+    # hypothesis examples.
+    config.addinivalue_line(
+        "markers", "deep: a property test that CI reruns at 500 hypothesis examples")

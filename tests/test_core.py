@@ -132,6 +132,7 @@ _CALLS = st.lists(
 )
 
 
+@pytest.mark.deep
 @given(seed=st.integers(0, 2**64 - 1), calls=_CALLS)
 def test_block_draws_equal_unbuffered_stream(seed, calls):
     # Interleaved requests against a stream that draws each one straight from

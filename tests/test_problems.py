@@ -163,6 +163,7 @@ class TestMomentForm:
     """A tall design's objective comes from its cached moments; a wide one's
     from the residual, as in ``_reference.objective_residual``."""
 
+    @pytest.mark.deep
     @given(_design(tall=True))
     def test_moment_form_within_rounding_of_residual_form(self, case):
         # Each form of ||X beta - y||^2 rounds by at most about

@@ -278,6 +278,7 @@ IDENTICAL_CHAIN = ([[0, 1], [0, 1, 2, 3], [2, 3], [0, 1], [0, 1]],
 
 
 class TestFlatConstructor:
+    @pytest.mark.deep
     @given(faulty_families())
     @example(([[0, 1], [2, 2], [3], [1, 9]], np.ones(4), 4))
     @example(([[0], [3, 3, 9], []], np.ones(3), 4))
@@ -360,6 +361,7 @@ def loop_tolerance(u):
 
 
 class TestDepthLayers:
+    @pytest.mark.deep
     @given(group_families())
     @example(CROSSING_AT_EQUAL_DEPTH)
     @example(IDENTICAL_CHAIN)
@@ -368,6 +370,7 @@ class TestDepthLayers:
         gs = GroupStructure(*flat_family(groups, weights, p))
         assert gs.is_laminar == is_laminar_dense(groups, p)
 
+    @pytest.mark.deep
     @given(group_families(laminar=True))
     def test_layers_partition_groups_into_disjoint_depths(self, family):
         groups, weights, p = family
@@ -432,6 +435,7 @@ class TestDepthLayers:
         assert np.allclose(out, prox_laminar_loop(u, lam, 1.0, groups_of(reg.structure), weights),
                            rtol=0.0, atol=loop_tolerance(u))
 
+    @pytest.mark.deep
     @given(laminar_prox_inputs())
     @example((  # layers {1}, {1,2} + {4}, {0..5}: slice(1, 2), an array, slice(0, 6)
         GroupStructure(*flat_family([np.arange(6), np.array([1, 2]), np.array([4]), np.array([1])],
@@ -537,6 +541,7 @@ def truncation_instance(case):
 
 
 class TestDualFista:
+    @pytest.mark.deep
     @given(overlapping_instances())
     def test_within_certified_radius_of_oracle(self, instance):
         # A return certifies ||x - x*|| <= sqrt(2 target / eta), and the oracle's
@@ -558,6 +563,7 @@ class TestDualFista:
         allowance = 1e-14 * float(np.max(np.abs(u)))
         assert np.linalg.norm(out - ref) <= radius + ref_radius + allowance
 
+    @pytest.mark.deep
     @given(overlapping_instances())
     def test_equals_repeat_form_bit_for_bit(self, instance):
         # scale[owner] and np.repeat(scale, sizes) spread the same values
@@ -936,6 +942,7 @@ class TestSoftThreshold:
         out = soft_threshold(np.array([-0.5, -0.0, 0.5, -1.0]), 1.0)
         assert out.tobytes() == np.zeros(4).tobytes()
 
+    @pytest.mark.deep
     @given(_shrink_inputs())
     def test_equals_sign_form_up_to_zero_signs(self, inputs):
         # the clamp form has the sign form's values, NaN in the same places,

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from _reference import read_trace_csv
+from composite_sgd.config import parse_kv
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_figures.py"
 
@@ -38,6 +39,22 @@ def test_scaled_text_floors_N_and_K_only():
         assert [line for i, line in enumerate(scaled) if i not in (1, 3)] == [
             line for i, line in enumerate(original) if i not in (1, 3)
         ]
+    # Every layout parse_kv accepts: no spaces, extra spaces, a trailing
+    # comment (kept), and an integer form int() reads.
+    variants = {
+        "N=50000": "N = 500",
+        "  K   =  1000  ": "K = 50",
+        "N = 50000  # note": "N = 500  # note",
+        "K=1000# dense": "K = 50  # dense",
+        "N = 50_000": "N = 500",
+    }
+    for line, expected in variants.items():
+        scaled = run_figures.scaled_text(line + "\n", 0.01)
+        assert scaled == expected + "\n"
+        assert parse_kv(scaled).keys() == parse_kv(line).keys()
+    # Not N or K, or not an integer: left for the config parser.
+    for line in ("NN = 50000", "# N = 50000", "N = 5e4", "p = 20  # N = 5"):
+        assert run_figures.scaled_text(line + "\n", 0.01) == line + "\n"
 
 
 # Each recipe's N at --scale 0.01: a hundredth of it, floored at 100.

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -236,7 +239,10 @@ def tiled_smoothings(draw):
 def formula_value(s, x):
     """h_mu(x) at ``maximizer_formula``'s v, with A x gathered."""
     st = s.base.structure
-    ax = s.base.lam * st.rep_weights * x[st.flat_index]
+    if st is None:
+        ax = s.base.lam * x
+    else:
+        ax = s.base.lam * st.rep_weights * x[st.flat_index]
     v = maximizer_formula(s, x)
     return float(v @ ax - 0.5 * s.mu * (v @ v))
 
@@ -256,6 +262,7 @@ class TestTiledLayout:
     array: A x broadcast, A^T v summed over axis 0, with the bits of the
     gather and of bincount."""
 
+    @pytest.mark.deep
     @given(tiled_smoothings())
     def test_covers_path_equals_gather_and_bincount_bit_for_bit(self, case):
         s, x = case
@@ -282,10 +289,83 @@ class TestTiledLayout:
                 for _ in range(30):
                     assert_smoothing_equals_formulas(s, rng.normal(p))
 
+    def test_nans_of_two_signs_meeting_in_the_sum_keep_bincount_bits(self):
+        # x_0's NaN meets the -NaN of inf * 0 (the second cover's block of
+        # 1.7e308 has A x = inf and factor 1 / inf) at every coordinate but
+        # the first; at p = 9 and 17 the last one is numpy's scalar tail.
+        for p in (2, 3, 4, 9, 17):
+            groups = [np.arange(p), np.array([0]), np.arange(1, p)]
+            st = GroupStructure(*flat_family(groups, np.full(3, 2.0), p))
+            assert st.covers == 2
+            x = np.full(p, 1.7e308)
+            x[0] = np.nan
+            assert_smoothing_equals_formulas(smoothed(group_norm(1.0, st), mu=1.0), x)
+
     def test_every_dyadic_tree_of_two_or_more_coordinates_is_tiled(self):
         assert build_hierarchical(0).covers == 0
         for n in range(1, 10):
             assert build_hierarchical(n).covers == n + 1
+
+
+# l1: signed zeros, the smallest subnormals, 1e300, where lam x / mu overflows
+# at the smaller mu, infinities and NaN.
+L1_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+            float("inf"), float("-inf"), float("nan")]
+
+
+def l1_smoothing(lam, p, N):
+    """Smoothed l1 at the horizon schedule mu = lam / (N + 2), or at MU_FLOOR
+    when ``N`` is None."""
+    return smoothed(l1(lam, p), mu=MU_FLOOR) if N is None else smoothed(l1(lam, p), N=N)
+
+
+@hst.composite
+def l1_smoothings(draw):
+    """(smoothed l1 penalty, x) with mu scheduled for N up to 10^6 or at
+    MU_FLOOR; x mixes ordinary entries with ``L1_EDGES``."""
+    p = draw(hst.integers(1, 30))
+    N = draw(hst.none() | hst.integers(0, 10**6))
+    entries = hst.one_of(hst.floats(-50.0, 50.0), hst.sampled_from(L1_EDGES))
+    x = draw(arrays(np.float64, p, elements=entries))
+    return l1_smoothing(draw(hst.floats(0.01, 5.0)), p, N), x
+
+
+class TestL1Clamp:
+    """The l1 smoothing clamps lam x / mu with 0-d bounds; its bytes are those
+    of np.clip with Python-float bounds."""
+
+    @pytest.mark.deep
+    @given(l1_smoothings())
+    def test_equals_clip_form_bit_for_bit(self, case):
+        assert_smoothing_equals_formulas(*case)
+
+    @pytest.mark.parametrize("N", [None, 0, 10**4], ids=["floor", "N=0", "N=1e4"])
+    def test_every_edge_value_bit_for_bit(self, N):
+        x = np.array(L1_EDGES)
+        for lam in (0.1, 3.0):
+            assert_smoothing_equals_formulas(l1_smoothing(lam, x.size, N), x)
+            for i in range(x.size):  # each edge alone: no NaN in the value's sums
+                assert_smoothing_equals_formulas(l1_smoothing(lam, 1, N), x[i:i + 1])
+
+
+class TestDerivedCopies:
+    """``SmoothedRegularizer`` keeps 0-d copies of its fields; they must
+    follow the fields through ``dataclasses.replace`` and pickling."""
+
+    @pytest.mark.parametrize(
+        "reg", [l1(0.3, 8), group_norm(0.3, build_hierarchical(3)),
+                group_norm(0.3, random_overlapping_structure())],
+        ids=["l1", "tree", "overlapping"])
+    def test_replace_and_pickle_equal_a_fresh_object(self, reg):
+        x = 2.0 * RngStream(26).normal(reg.p)
+        s = smoothed(reg, mu=1.0)
+        heavier = dataclasses.replace(reg, lam=0.9)
+        for moved, fresh in [(dataclasses.replace(s, mu=1e-3), smoothed(reg, mu=1e-3)),
+                             (dataclasses.replace(s, base=heavier), smoothed(heavier, mu=1.0))]:
+            want = smoothed_gradient(fresh, x).tobytes()
+            assert want != smoothed_gradient(s, x).tobytes()
+            assert smoothed_gradient(moved, x).tobytes() == want
+            assert smoothed_gradient(pickle.loads(pickle.dumps(moved)), x).tobytes() == want
 
 
 @pytest.mark.parametrize("fn", [maximizer, smoothed_value, smoothed_gradient])

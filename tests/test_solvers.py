@@ -394,6 +394,7 @@ def _guarded_z(draw):
     return z, draw(st.integers(0, 10**6))
 
 
+@pytest.mark.deep
 @given(_guarded_z())
 @example((np.full(1, _LIMIT_EDGES[1]), 7))
 @example((np.full(1, _LIMIT_EDGES[2]), 7))
