@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import product
 from pathlib import Path
 
 from .config import (
@@ -49,8 +48,8 @@ def _default_out(config_path: str) -> Path:
 def cmd_run(args) -> int:
     cfg = parse_run_config(_read(args.config))
     out_dir = Path(args.out) if args.out else _default_out(args.config)
-    [(summaries, _)] = execute_run({Path(args.config).name: (cfg, str(out_dir))})
-    for s in summaries:
+    [jobs] = execute_run({Path(args.config).name: (cfg, str(out_dir))})
+    for _, _, s, _ in jobs:
         print(f"{s['trace_file']}: final objective {s['final_objective']:.17g}")
     print(f"wrote {out_dir / 'summary.json'}")
     return EXIT_OK
@@ -64,12 +63,11 @@ def cmd_compare(args) -> int:
     if len(config_paths) < 2:
         raise ConfigError(str(directory), "compare needs at least 2 run configs")
 
-    cfgs = [parse_run_config(_read(path)) for path in config_paths]
-    runs = {path.name: (cfg, str(_default_out(path))) for path, cfg in zip(config_paths, cfgs)}
+    runs = {path.name: (parse_run_config(_read(path)), str(_default_out(path)))
+            for path in config_paths}
     job_traces, finals = {}, {}
-    for path, cfg, (summaries, traces) in zip(config_paths, cfgs, execute_run(runs)):
-        # execute_run returns each config's jobs solver-major.
-        for (solver, seed), s, trace in zip(product(cfg.solvers, cfg.seeds), summaries, traces):
+    for path, jobs in zip(config_paths, execute_run(runs)):
+        for solver, seed, s, trace in jobs:
             name = f"{path.stem}_{solver}_{seed}"
             job_traces[name], finals[name] = trace, s["final_objective"]
 

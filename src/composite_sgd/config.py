@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .core import _MAX_SEED
+from .regularizers import TREE_BYTES_PER_INDEX
 
 PROBLEMS = ("linear-discrete", "linear-continuous", "logistic")
 REGULARIZERS = ("l1", "hierarchical", "custom")
@@ -236,6 +237,8 @@ def parse_run_config(text: str) -> RunConfig:
             n = p.bit_length() - 1
         else:
             raise ConfigError("n", "required field is missing (hierarchical regularizer)")
+        check_memory("n", f"{p * (n + 1)} tree indices at {TREE_BYTES_PER_INDEX} bytes "
+                     "each to build", TREE_BYTES_PER_INDEX * p * (n + 1))
     else:
         _forbid(pairs, "n", "only valid with the hierarchical regularizer")
         p = _number(pairs, "p", int, 1)
@@ -256,9 +259,8 @@ def parse_run_config(text: str) -> RunConfig:
         batch_size = None
     else:
         batch_size = _number(pairs, "batch_size", int, 1)
-    if regularizer != "hierarchical":  # one draw; a tree's p is bounded through n
-        check_memory("p", f"p={p} coordinates in draws of {batch_size or 1}",
-                     8 * p * (batch_size or 1))
+    check_memory("p", f"p={p} coordinates in draws of {batch_size or 1}",
+                 8 * p * (batch_size or 1))
 
     try:
         seeds = tuple(int(tok) for tok in _require(pairs, "seed").split(","))

@@ -16,8 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 from typing import Callable, List
 
@@ -121,20 +120,19 @@ def build_problem(cfg: RunConfig, seed: int) -> Instance:
                     1.0 if L is None else float(L), oracle)
 
 
-def check_smoothable(L: float, runs) -> None:
-    """Refuse ssg among the solvers of any ``(solvers, sreg)`` in ``runs`` when
-    ssg's L + ||A||^2 / mu on the smoothed penalty ``sreg`` is past the largest
-    double: through ||A||^2 (``lambda``), or else through the quotient by a
-    small ``mu``, which only ``mu_override`` sets that small."""
-    for solvers, sreg in runs:
-        if "ssg" not in solvers:
-            continue
-        if not sreg.A_norm <= np.sqrt(np.finfo(float).max):
-            raise ConfigError("lambda", "too large for ssg: ||A||^2 of the penalty is past "
-                                        "the largest double")
-        if not np.isfinite(lipschitz_mu(L, sreg)):
-            raise ConfigError("mu_override", f"too small for ssg: L + ||A||^2 / mu is past "
-                                             f"the largest double at mu = {sreg.mu:g}")
+def check_smoothable(L: float, solvers, sreg) -> None:
+    """Refuse ssg among ``solvers`` when its L + ||A||^2 / mu on the smoothed
+    penalty ``sreg`` is past the largest double: through ||A||^2 (``lambda``),
+    or else through the quotient by a small ``mu``, which only ``mu_override``
+    sets that small."""
+    if "ssg" not in solvers:
+        return
+    if not sreg.A_norm <= np.sqrt(np.finfo(float).max):
+        raise ConfigError("lambda", "too large for ssg: ||A||^2 of the penalty is past "
+                                    "the largest double")
+    if not np.isfinite(lipschitz_mu(L, sreg)):
+        raise ConfigError("mu_override", f"too small for ssg: L + ||A||^2 / mu is past "
+                                         f"the largest double at mu = {sreg.mu:g}")
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -172,69 +170,76 @@ def solve(solver: str, inst: Instance, oracle, sreg, gamma_star, N: int, rng: Rn
                        inst.smooth_objective, trace_every=trace_every)
 
 
-def run_seed(pairs, seed: int, jobs) -> list[tuple[dict, list]]:
-    """Build one seed's instance once and run each ``(r, solver)`` of ``jobs``
-    on it under config ``pairs[r] = (cfg, out_dir)``, writing its trace; returns
-    (summary, trace rows) per job, in ``jobs`` order. A config's jobs are
-    consecutive, and its oracle, pilot sigma^2, acsa's gamma* and smoothed
-    penalty are made once, before the first; a config that runs acsa with a
-    gamma* past the largest double writes no trace. The recorded
+def configure(inst: Instance, cfg: RunConfig, seed: int):
+    """Set ``cfg`` up on seed ``seed``'s instance ``inst``, refusing an ssg or
+    acsa step size past the largest double. Returns its oracle, smoothed
+    penalty, acsa's gamma* and the bounds its summaries record, whose
     ``theorem_bound_smoothed`` assumes the scheduled mu = ||A|| / (N+2), also
     when ``mu_override`` runs ssg at another mu."""
+    sreg = smoothed(inst.reg, mu=cfg.mu_override, N=cfg.N)
+    check_smoothable(inst.L, cfg.solvers, sreg)
+    oracle = inst.oracle(cfg.batch_size)
+    sigma_sq = cfg.acsa_sigma_sq
+    if sigma_sq is None:  # the exact oracle's is 0
+        sigma_sq = 0.0 if cfg.batch_size is None else sv.pilot_sigma_sq(
+            oracle, np.zeros(oracle.dim), RngStream(seed).split(STREAM_PILOT))
+    gamma_star = sv.resolve_acsa_params(inst.L, cfg.N, sigma_sq, D=cfg.acsa_d)
+    if "acsa" in cfg.solvers and not np.isfinite(gamma_star):
+        if not np.isfinite(2.0 * inst.L):
+            key, size = "lipschitz_override", "large"
+        elif cfg.acsa_sigma_sq is not None and not np.isfinite(
+                sv.resolve_acsa_params(inst.L, cfg.N, sigma_sq)):  # past even at acsa_d = 1
+            key, size = "acsa_sigma_sq", "large"
+        else:
+            key, size = "acsa_d", "small"
+        raise ConfigError(key, f"too {size} for acsa: gamma* = max(2L, sqrt(2 sigma^2 "
+                               "N(N+1)(N+2) / (3 acsa_d^2))) is past the largest double "
+                               f"at sigma^2 = {sigma_sq:g}")
+    sigma = float(np.sqrt(sigma_sq))
+    bounds = {
+        "sigma_sq_pilot": float(sigma_sq),
+        "theorem_bound_D": cfg.acsa_d,
+        "theorem_bound": sv.theorem_bound(cfg.acsa_d, sigma, inst.L, cfg.N),
+        "theorem_bound_smoothed": sv.theorem_bound_smoothed(cfg.acsa_d, sigma, inst.L,
+                                                            sreg.A_norm, sreg.M, cfg.N),
+    }
+    return oracle, sreg, gamma_star, bounds
+
+
+def run_seed(pairs, seed: int, jobs) -> list[tuple[dict, list]]:
+    """Build one seed's instance once, set up every config ``pairs[r] =
+    (cfg, out_dir)`` on it, then run each ``(r, solver)`` of ``jobs`` under
+    config ``r``, writing its trace; returns (summary, trace rows) per job, in
+    ``jobs`` order. A refused config stops the unit before its first job."""
     inst = build_problem(pairs[0][0], seed)
-    sregs = [smoothed(inst.reg, mu=cfg.mu_override, N=cfg.N) for cfg, _ in pairs]
-    check_smoothable(inst.L, [(cfg.solvers, sreg) for (cfg, _), sreg in zip(pairs, sregs)])
+    setups = [configure(inst, cfg, seed) for cfg, _ in pairs]
     results = []
-    for r, group in groupby(jobs, key=itemgetter(0)):
-        cfg, out_dir = pairs[r]
-        oracle = inst.oracle(cfg.batch_size)
-        sigma_sq = cfg.acsa_sigma_sq
-        if sigma_sq is None:  # the exact oracle's is 0
-            sigma_sq = 0.0 if cfg.batch_size is None else sv.pilot_sigma_sq(
-                oracle, np.zeros(oracle.dim), RngStream(seed).split(STREAM_PILOT))
-        sigma = float(np.sqrt(sigma_sq))
-        gamma_star = sv.resolve_acsa_params(inst.L, cfg.N, sigma_sq, D=cfg.acsa_d)
-        if "acsa" in cfg.solvers and not np.isfinite(gamma_star):
-            key, size = (("acsa_d", "small") if np.isfinite(2.0 * inst.L)
-                         else ("lipschitz_override", "large"))
-            raise ConfigError(key, f"too {size} for acsa: gamma* = max(2L, sqrt(2 sigma^2 "
-                                   "N(N+1)(N+2) / (3 acsa_d^2))) is past the largest double "
-                                   f"at sigma^2 = {sigma_sq:g}")
-        sreg = sregs[r]
-        bounds = {
-            "sigma_sq_pilot": float(sigma_sq),
-            "theorem_bound_D": cfg.acsa_d,
-            "theorem_bound": sv.theorem_bound(cfg.acsa_d, sigma, inst.L, cfg.N),
-            "theorem_bound_smoothed": sv.theorem_bound_smoothed(cfg.acsa_d, sigma, inst.L,
-                                                                sreg.A_norm, sreg.M, cfg.N),
-        }
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    for r, solver in jobs:
+        (cfg, out_dir), (oracle, sreg, gamma_star, bounds) = pairs[r], setups[r]
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        solver_rng = RngStream(seed).split(STREAM_SOLVER)
+        started = time.perf_counter()
+        x, trace = solve(solver, inst, oracle, sreg, gamma_star, cfg.N, solver_rng,
+                         cfg.trace_every)
+        wall = time.perf_counter() - started
 
-        for _, solver in group:
-            solver_rng = RngStream(seed).split(STREAM_SOLVER)
-            started = time.perf_counter()
-            x, trace = solve(solver, inst, oracle, sreg, gamma_star, cfg.N, solver_rng,
-                             cfg.trace_every)
-            wall = time.perf_counter() - started
-
-            trace_path = out / f"trace_{solver}_{seed}.csv"
-            write_trace_csv(trace_path, trace)
-            results.append(({
-                "config": cfg.echo(),
-                "final_objective": float(inst.phi(x)),
-                "wall_clock_seconds": wall,
-                **bounds,
-                "trace_file": str(trace_path),
-            }, trace))
+        trace_path = Path(out_dir) / f"trace_{solver}_{seed}.csv"
+        write_trace_csv(trace_path, trace)
+        results.append(({
+            "config": cfg.echo(),
+            "final_objective": float(inst.phi(x)),
+            "wall_clock_seconds": wall,
+            **bounds,
+            "trace_file": str(trace_path),
+        }, trace))
     return results
 
 
-def execute_run(runs: dict[str, tuple[RunConfig, str]]) -> list[tuple[list[dict], list]]:
+def execute_run(runs: dict[str, tuple[RunConfig, str]]) -> list[list[tuple]]:
     """All (solver, seed) jobs of the ``(config, out_dir)`` pairs in ``runs``,
     keyed by config name; the configs must share an instance key. Writes each
-    config's ``summary.json`` and returns, per config, its summaries and trace
-    rows in job order (solver-major), identical however the jobs are spread.
+    config's ``summary.json`` and returns, per config, its jobs as ``(solver,
+    seed, summary, trace rows)`` in run order, identical however they are spread.
 
     A unit of work is one seed's instance and a contiguous slice of that
     seed's (config, solver) jobs, cut into ``k`` slices: enough to give every
@@ -269,9 +274,10 @@ def execute_run(runs: dict[str, tuple[RunConfig, str]]) -> list[tuple[list[dict]
                     chain.from_iterable(results)))
     outputs = []
     for r, (cfg, out_dir) in enumerate(pairs):
-        jobs = [done[seed, r, solver] for solver in cfg.solvers for seed in cfg.seeds]
-        outputs.append(([summary for summary, _ in jobs], [trace for _, trace in jobs]))
-        write_summary(Path(out_dir) / "summary.json", outputs[-1][0])
+        jobs = [(solver, seed, *done[seed, r, solver])
+                for solver in cfg.solvers for seed in cfg.seeds]
+        write_summary(Path(out_dir) / "summary.json", [summary for _, _, summary, _ in jobs])
+        outputs.append(jobs)
     return outputs
 
 
@@ -324,7 +330,7 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
         D = float(np.linalg.norm(x_star))
 
     sreg = smoothed(inst.reg, N=cfg.N)
-    check_smoothable(inst.L, [((cfg.solver,), sreg)])
+    check_smoothable(inst.L, (cfg.solver,), sreg)
     phi_star = inst.phi(inst.x_star)
     # At sigma = 0 the noise oracle returns the exact gradient and draws nothing.
     oracle = pb.GaussianNoiseOracle(inst.oracle(None), cfg.sigma)

@@ -29,6 +29,10 @@ DUAL_MAX_ITER = 100_000
 
 # Refuse hierarchical structures whose index storage would exceed this.
 _MAX_TOTAL_INDICES = 2**28
+# Bytes of memory that building a tree may take per index, p (n + 1) of them:
+# rounded up from tracemalloc peaks of build_hierarchical(n) and group_norm,
+# 95.4 at n = 10, 93.3 at n = 14 and 92.4 at n = 18.
+TREE_BYTES_PER_INDEX = 96
 
 # Floor and ceiling of the group prox thresholds and radii, and the 1 of the
 # laminar scale, as 0-d arrays: a ufunc takes a 0-d operand faster than a

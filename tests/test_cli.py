@@ -568,14 +568,34 @@ lipschitz_override = 1e-9
         assert capsys.readouterr().err == f"config error: {line}\n"
         assert not out.exists()
 
-    def test_oversized_tree_exits_2_naming_n(self, tmp_path, capsys):
-        # 2^30 coordinates in 31 levels: refused before the structure is built
+    def test_oversized_tree_exits_2_naming_n(self, tmp_path, capsys, monkeypatch):
+        # 2^30 coordinates in 31 levels: refused while parsing, or, where the
+        # operating system reports no memory, before the structure is built
         text = SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
         text = text.replace("p = 4", "n = 30").replace("linear-discrete", "linear-continuous")
-        text = text.replace("K = 40\n", "")
-        assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "config error: n: hierarchical structure with n=30 is too large\n")
+        argv = ["run", str(write_cfg(tmp_path, text.replace("K = 40\n", ""))),
+                "--out", str(tmp_path / "out")]
+        for memory, line in [
+            (2**33, "33285996544 tree indices at 96 bytes each to build need 2.98e+3 GiB, "
+                    "more than the 8 GiB of physical memory"),
+            (None, "hierarchical structure with n=30 is too large"),
+        ]:
+            monkeypatch.setattr(config, "physical_memory", lambda: memory)
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"config error: n: {line}\n"
+
+    def test_tree_past_physical_memory_is_refused_before_its_draws(self, monkeypatch):
+        # n = 22: 9.6e7 tree indices need 8.62 GiB, and one draw of 1e5 rows
+        # of p = 2^22 needs 3125 GiB; only parsing runs, so nothing is allocated
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
+        text = text.replace("p = 4", "n = 22").replace("linear-discrete", "linear-continuous")
+        text = text.replace("K = 40\n", "").replace("batch_size = 5", "batch_size = 100000")
+        for memory, key in [(2**33, "n"), (2**34, "p")]:
+            monkeypatch.setattr(config, "physical_memory", lambda: memory)
+            with pytest.raises(ConfigError) as err:
+                parse_run_config(text)
+            assert err.value.key == key
+        assert parse_run_config(text.replace("batch_size = 100000", "batch_size = 5")).n == 22
 
     def test_footprint_counts_the_kept_gram(self, monkeypatch):
         # K=100, p=50: 40000 B of design, plus 20000 B of Gram for a linear dataset
@@ -978,14 +998,14 @@ def test_huge_lambda_with_ssg_exits_2_naming_lambda(tmp_path, capsys, monkeypatc
 
 def test_ssg_accepts_every_penalty_norm_that_squares_to_a_double():
     limit = float(np.sqrt(np.finfo(float).max))
-    harness.check_smoothable(1.0, [(("sg", "ssg"), smoothed(l1(limit, 4), N=10))])
+    harness.check_smoothable(1.0, ("sg", "ssg"), smoothed(l1(limit, 4), N=10))
     assert math.isfinite(lipschitz_mu(1.0, smoothed(l1(limit, 4), N=10)))
     past = math.nextafter(limit, math.inf)
     with pytest.raises(OverflowError):
         past**2
-    harness.check_smoothable(1.0, [(("sg", "acsa"), smoothed(l1(past, 4), N=10))])
+    harness.check_smoothable(1.0, ("sg", "acsa"), smoothed(l1(past, 4), N=10))
     with pytest.raises(ConfigError) as err:
-        harness.check_smoothable(1.0, [(("ssg",), smoothed(l1(past, 4), N=10))])
+        harness.check_smoothable(1.0, ("ssg",), smoothed(l1(past, 4), N=10))
     assert err.value.key == "lambda"
 
 
@@ -996,7 +1016,7 @@ MU_OVERRIDE_SSG = SMALL_RUN.replace("solver = sg", "solver = sg,ssg") + "mu_over
 def test_mu_override_whose_quotient_overflows_exits_2_naming_mu_override(
         tmp_path, capsys, monkeypatch, command):
     # ||A||^2 / mu = 0.01 / 1e-320 is past the largest double, so ssg's steps
-    # would all be 0; the config is refused before any job starts, in every unit
+    # would all be 0; every unit sets up every config, so none starts a job
     monkeypatch.setenv("COMPOSITE_SGD_THREADS", "2")
     if command == "compare":  # only b runs ssg
         write_cfg(tmp_path, MU_OVERRIDE_SSG.replace("solver = sg,ssg", "solver = sg"), "a.cfg")
@@ -1018,8 +1038,8 @@ def test_mu_override_whose_quotient_overflows_exits_2_naming_mu_override(
 def test_acsa_d_whose_gamma_star_overflows_exits_2_naming_acsa_d(tmp_path, capsys,
                                                                  monkeypatch):
     # with a minibatch oracle gamma* = sqrt(2 sigma^2 N(N+1)(N+2) / (3 acsa_d^2))
-    # is inf at acsa_d = 1e-162, so acsa's iterate would never leave 0; the
-    # config writes no trace, and each of its two units refuses it
+    # is inf at acsa_d = 1e-162, so acsa's iterate would never leave 0; each
+    # of the config's two units refuses it before its first job
     monkeypatch.setenv("COMPOSITE_SGD_THREADS", "2")
     out = tmp_path / "out"
     text = SMALL_RUN.replace("solver = sg", "solver = sg,acsa") + "acsa_d = 1e-162\n"
@@ -1036,6 +1056,27 @@ def test_acsa_d_whose_gamma_star_overflows_exits_2_naming_acsa_d(tmp_path, capsy
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
         "config error: lipschitz_override: too large for acsa: gamma* = max(2L, ")
+    # a sigma^2 that makes gamma* inf even at acsa_d = 1 is too large itself
+    write_cfg(tmp_path, text.replace("acsa_d = 1e-162", "acsa_sigma_sq = 1e308"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: acsa_sigma_sq: too large for acsa: gamma* = max(2L, ")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_refused_config_in_compare_starts_no_job_of_any_config(tmp_path, capsys, monkeypatch,
+                                                               threads):
+    # b's gamma* is inf through acsa_sigma_sq; a runs sg alone and comes
+    # first, but every config is set up before the first job, so no *_out
+    monkeypatch.setenv("COMPOSITE_SGD_THREADS", threads)
+    write_cfg(tmp_path, SMALL_RUN, "a.cfg")
+    write_cfg(tmp_path, SMALL_RUN.replace("solver = sg", "solver = acsa")
+              + "acsa_sigma_sq = 1e308\n", "b.cfg")
+    assert main(["compare", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: acsa_sigma_sq: too large for acsa: gamma* = max(2L, sqrt(2 sigma^2 "
+        "N(N+1)(N+2) / (3 acsa_d^2))) is past the largest double at sigma^2 = 1e+308\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
 
 @pytest.mark.parametrize("N", [2**53 + 1, 10**400])
