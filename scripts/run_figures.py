@@ -7,6 +7,7 @@ CSVs are ready for any plotting tool (objective vs elapsed_seconds).
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -32,16 +33,26 @@ def scaled_text(text: str, scale: float) -> str:
         except ValueError:
             return line
         floor = 100 if key == "N" else 50
-        return f"{key} = {max(floor, int(count * scale))}" + (f"  #{comment}" if hash_ else "")
+        # A product past the largest double is capped there; the config parser refuses it.
+        count = max(floor, int(min(count * scale, sys.float_info.max)))
+        return f"{key} = {count}" + (f"  #{comment}" if hash_ else "")
 
     return "".join(scaled(line) + "\n" for line in text.splitlines())
+
+
+def positive_scale(text: str) -> float:
+    """``--scale``'s value: a finite number above 0."""
+    scale = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 < scale < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return scale
 
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--figures", nargs="*", default=None,
                         help="recipe stems to run (default: all)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=positive_scale, default=1.0,
                         help="multiply N and K by this factor (smoke runs)")
     parser.add_argument("--out", default="figure_runs", help="output directory")
     args = parser.parse_args(argv)

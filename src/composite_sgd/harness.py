@@ -171,11 +171,12 @@ def solve(solver: str, inst: Instance, oracle, sreg, gamma_star, N: int, rng: Rn
 
 
 def configure(inst: Instance, cfg: RunConfig, seed: int):
-    """Set ``cfg`` up on seed ``seed``'s instance ``inst``, refusing an ssg or
-    acsa step size past the largest double. Returns its oracle, smoothed
-    penalty, acsa's gamma* and the bounds its summaries record, whose
-    ``theorem_bound_smoothed`` assumes the scheduled mu = ||A|| / (N+2), also
-    when ``mu_override`` runs ssg at another mu."""
+    """Set ``cfg`` up on seed ``seed``'s instance ``inst``, refusing a step
+    size of any of its solvers past the largest double or at 0. Returns its
+    oracle, smoothed penalty, acsa's gamma* and the bounds its summaries
+    record, None for a bound that is not finite; ``theorem_bound_smoothed``
+    assumes the scheduled mu = ||A|| / (N+2), also when ``mu_override`` runs
+    ssg at another mu."""
     sreg = smoothed(inst.reg, mu=cfg.mu_override, N=cfg.N)
     check_smoothable(inst.L, cfg.solvers, sreg)
     oracle = inst.oracle(cfg.batch_size)
@@ -195,6 +196,19 @@ def configure(inst: Instance, cfg: RunConfig, seed: int):
         raise ConfigError(key, f"too {size} for acsa: gamma* = max(2L, sqrt(2 sigma^2 "
                                "N(N+1)(N+2) / (3 acsa_d^2))) is past the largest double "
                                f"at sigma^2 = {sigma_sq:g}")
+    # Each solver's eta(t), from the function its loop calls, falls with t:
+    # eta(0) and eta(N) bound every step.
+    for solver in cfg.solvers:
+        eta = (sv.acsa_eta(cfg.N, inst.L, gamma_star) if solver == "acsa" else
+               sv.horizon_eta(cfg.N, lipschitz_mu(inst.L, sreg) if solver == "ssg" else inst.L))
+        if not np.isfinite(eta(0)):
+            where = "past the largest double at t = 0"
+        elif not eta(cfg.N) > 0:
+            where = "not positive at t = N"
+        else:
+            continue
+        raise ConfigError("lipschitz_override", f"too {'large' if inst.L > 1 else 'small'} for "
+                          f"{solver}: its step size eta(t) is {where} (L = {inst.L:g})")
     sigma = float(np.sqrt(sigma_sq))
     bounds = {
         "sigma_sq_pilot": float(sigma_sq),
@@ -203,6 +217,9 @@ def configure(inst: Instance, cfg: RunConfig, seed: int):
         "theorem_bound_smoothed": sv.theorem_bound_smoothed(cfg.acsa_d, sigma, inst.L,
                                                             sreg.A_norm, sreg.M, cfg.N),
     }
+    for key in ("theorem_bound", "theorem_bound_smoothed"):  # JSON has no inf or NaN
+        if not np.isfinite(bounds[key]):
+            bounds[key] = None
     return oracle, sreg, gamma_star, bounds
 
 

@@ -83,7 +83,9 @@ class GroupStructure:
     L full covers in order, and p >= 2, as in every ``build_hierarchical(n)``
     with n >= 1; it is 0 otherwise. The smoothing then reads the flat layout
     as an ``(L, p)`` array: A x is a broadcast product and A^T v a sum over
-    axis 0, with the bits of the gather and of ``np.bincount``. At p = 1
+    axis 0, with the bits of the gather and, for finite values, of
+    ``np.bincount``; a NaN sits where bincount's does, with its sign
+    unspecified. At p = 1
     numpy's axis-0 sum adds in another order than bincount, so L copies of
     one coordinate keep the general path. All of it is built once per
     structure.

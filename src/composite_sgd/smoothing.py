@@ -14,8 +14,11 @@ A is never built: for l1 it is lam * I, and for a group norm it maps x to
 0..p-1 in order (``GroupStructure.covers``, every dyadic tree's), A x is a
 broadcast product of x with the ``(L, p)`` view of the weights, with no
 gather, and A^T v the sum over axis 0 of that view times v, which adds in
-bincount's order: the same bits, with neither copy of the layout. A sum
-that holds a NaN is redone by bincount, which keeps its own choice of NaN.
+bincount's order, with neither copy of the layout. Its finite values keep
+bincount's bits; a NaN sits where bincount's does, with its sign unspecified
+(where two NaNs meet, numpy's vector loop and its scalar tail keep different
+ones). No output can show that sign: a NaN gradient makes the solver's
+iterate NaN, which ends the run as a divergence.
 """
 
 from __future__ import annotations
@@ -135,14 +138,7 @@ def smoothed_gradient(s: SmoothedRegularizer, x) -> Array:
     w = v.reshape(s.a_weights.shape)
     w *= s.a_weights  # v is this call's own array, and w a view of it
     if st.covers:
-        # Where two NaNs of different bits meet, numpy's vector loop and its
-        # scalar tail keep different operands' NaN, and bincount the first
-        # one's. A NaN anywhere makes the vdot NaN: that rare case, and only
-        # that, takes bincount's path.
-        out = np.add.reduce(w, axis=0)
-        sq = np.vdot(out, out)
-        if sq == sq:
-            return out
+        return np.add.reduce(w, axis=0)
     return np.bincount(st.flat_index, weights=v, minlength=st.p)
 
 

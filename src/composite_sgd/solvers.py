@@ -124,13 +124,20 @@ def _require_horizon(N: int, L_eff: float) -> None:
         raise ParameterError(f"the Lipschitz constant must be > 0, got {L_eff}")
 
 
-def _horizon_eta(N: int, L_eff: float) -> Callable[[int], float]:
-    # eta(t) = gamma_t L_eff with gamma_t = (2/(t+2)) (N^{3/2}/L_eff + 2), which
-    # satisfies gamma_t > theta_t and the telescoping inequality
-    # (1 - theta_{t+1}) / (theta_{t+1} gamma_{t+1}) <= 1 / (theta_t gamma_t).
+def horizon_eta(N: int, L_eff: float) -> Callable[[int], float]:
+    """sg's and ssg's prox weight eta(t) = gamma_t L_eff with
+    gamma_t = (2/(t+2)) (N^{3/2}/L_eff + 2), which satisfies gamma_t > theta_t
+    and the telescoping inequality
+    (1 - theta_{t+1}) / (theta_{t+1} gamma_{t+1}) <= 1 / (theta_t gamma_t)."""
     _require_horizon(N, L_eff)
     scale = N**1.5 / L_eff + 2.0
     return lambda t: (2.0 / (t + 2.0)) * scale * L_eff
+
+
+def acsa_eta(N: int, L: float, gamma_star: float) -> Callable[[int], float]:
+    """acsa's prox weight eta(t) = gamma_t L with gamma_t = 2 gamma* / (L (t+1))."""
+    _require_horizon(N, L)
+    return lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L
 
 
 def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_every):
@@ -187,7 +194,7 @@ def run_sg(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
     every ``trace_every`` iterations (0 disables tracing).
     """
     step = lambda y, g, z, eta: prox(reg, g, z, eta)
-    return _run_two_sequence(oracle, step, _horizon_eta(N, L), N, reg, rng,
+    return _run_two_sequence(oracle, step, horizon_eta(N, L), N, reg, rng,
                              smooth_objective, trace_every)
 
 
@@ -197,10 +204,8 @@ def run_acsa(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
              trace_every: int = 1) -> Tuple[Array, List[TraceRecord]]:
     """Baseline: the sg loop with step sizes gamma_t = 2 gamma* / (L (t+1)),
     where ``gamma_star`` is gamma* from ``resolve_acsa_params``."""
-    _require_horizon(N, L)
-    eta = lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L
     step = lambda y, g, z, eta: prox(reg, g, z, eta)
-    return _run_two_sequence(oracle, step, eta, N, reg, rng,
+    return _run_two_sequence(oracle, step, acsa_eta(N, L, gamma_star), N, reg, rng,
                              smooth_objective, trace_every)
 
 
@@ -219,5 +224,5 @@ def run_ssg(oracle: StochasticOracle, sreg: SmoothedRegularizer, L: float, N: in
         eta_0d[()] = eta
         return z - (g + smoothed_gradient(sreg, y)) / eta_0d
 
-    return _run_two_sequence(oracle, step, _horizon_eta(N, lipschitz_mu(L, sreg)), N,
+    return _run_two_sequence(oracle, step, horizon_eta(N, lipschitz_mu(L, sreg)), N,
                              sreg.base, rng, smooth_objective, trace_every)

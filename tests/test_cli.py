@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from composite_sgd import cli, config, harness
+from composite_sgd import cli, config, harness, solvers
 from composite_sgd.cli import main
 from composite_sgd.config import (
     BoundsConfig,
@@ -31,7 +31,7 @@ from composite_sgd.problems import (
 )
 from composite_sgd.regularizers import build_hierarchical, evaluate, group_norm, l1, prox
 from composite_sgd.smoothing import lipschitz_mu, smoothed
-from composite_sgd.solvers import theorem_bound, theorem_bound_smoothed
+from composite_sgd.solvers import run_ssg, theorem_bound, theorem_bound_smoothed
 
 from _reference import read_dataset_csv, read_trace_csv
 
@@ -1061,6 +1061,91 @@ def test_acsa_d_whose_gamma_star_overflows_exits_2_naming_acsa_d(tmp_path, capsy
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
         "config error: acsa_sigma_sq: too large for acsa: gamma* = max(2L, ")
+
+
+@pytest.mark.parametrize("solver, lam, L, where", [
+    ("sg", 0.1, 1e308, "past the largest double at t = 0"),
+    ("sg", 0.1, 1e-310, "past the largest double at t = 0"),
+    ("ssg", 0.1, 1e308, "past the largest double at t = 0"),
+    ("ssg", 0.0, 1e-320, "past the largest double at t = 0"),
+    ("acsa", 0.1, 1e-320, "past the largest double at t = 0"),
+    ("acsa", 0.1, 6e307, "past the largest double at t = 0"),
+    ("acsa", 0.1, 1e307, "not positive at t = N"),
+    ("sg", 0.1, 1e-300, None),
+    ("sg", 0.1, 1e307, None),
+    ("ssg", 0.1, 1e-300, None),
+    ("ssg", 0.1, 1e307, None),
+    ("acsa", 0.1, 1e-300, None),
+    ("acsa", 0.1, 1e300, None),
+])
+def test_lipschitz_override_whose_step_size_overflows_exits_2_naming_it(
+        tmp_path, capsys, solver, lam, L, where):
+    # L, L_mu and gamma* are finite, but eta(0) = (N^{3/2}/L + 2) L or
+    # acsa's 2 gamma* / (L (t+1)) L is not, or acsa's L (N+1) is, making
+    # eta(N) 0: sg, ssg and acsa stayed at x = 0 with exit 0, or acsa
+    # diverged (6e307) or its prox refused eta = 0 with a traceback (1e307)
+    text = (SMALL_RUN.replace("solver = sg", f"solver = {solver}")
+            .replace("lambda = 0.1", f"lambda = {lam}") + f"lipschitz_override = {L}\n")
+    out = tmp_path / "out"
+    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)])
+    if where is None:
+        assert code == 0
+        return
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: lipschitz_override: too {'large' if L > 1 else 'small'} for {solver}: "
+        f"its step size eta(t) is {where} (L = {L:g})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam, extra", [
+    (0.1, "acsa_d = 1e200"), (0.1, "acsa_sigma_sq = 1e308"), (0.0, "acsa_d = 1e200"),
+])
+def test_bound_that_is_not_finite_is_written_null(tmp_path, lam, extra):
+    # 2 acsa_d^2 or sigma^2 makes both bounds inf; at lambda = 0 the smoothed
+    # one adds 0 * inf, NaN. JSON has neither, so summary.json says null.
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    out = tmp_path / "out"
+    text = SMALL_RUN.replace("lambda = 0.1", f"lambda = {lam}") + extra + "\n"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["theorem_bound"] is None and summary["theorem_bound_smoothed"] is None
+
+
+def test_nan_smoothed_gradient_on_a_tree_ends_ssg_as_a_divergence(tmp_path, capsys,
+                                                                  monkeypatch):
+    # The tiled smoothed gradient leaves a NaN's sign unspecified, since no
+    # output can show it: a NaN anywhere in A^T v makes z NaN, and the run
+    # ends at that iteration, exit 3, before any trace or summary is written.
+    k, calls = 7, []
+    real = solvers.smoothed_gradient
+
+    def nan_at_k(sreg, y):
+        grad = real(sreg, y)
+        if len(calls) == k:
+            grad[-1] = -np.nan
+        calls.append(k)
+        return grad
+
+    monkeypatch.setattr(solvers, "smoothed_gradient", nan_at_k)
+    text = (SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
+            .replace("p = 4", "n = 2").replace("solver = sg", "solver = ssg"))
+    cfg = parse_run_config(text)
+    inst = harness.build_problem(cfg, 3)
+    assert inst.reg.structure.covers == 3
+    with pytest.raises(DivergenceError) as err:
+        run_ssg(inst.oracle(cfg.batch_size), smoothed(inst.reg, N=cfg.N), inst.L, cfg.N,
+                RngStream(3), inst.smooth_objective)
+    assert err.value.iteration == k
+    calls.clear()
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"diverged: iterate is not finite or exceeded 1e+12 at iteration {k}; "
+        "is the Lipschitz constant set too small?\n")
+    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,20 @@ def test_scaled_text_floors_N_and_K_only():
     # Not N or K, or not an integer: left for the config parser.
     for line in ("NN = 50000", "# N = 50000", "N = 5e4", "p = 20  # N = 5"):
         assert run_figures.scaled_text(line + "\n", 0.01) == line + "\n"
+    # A product past the largest double is capped there, for the config
+    # parser to refuse; int(inf) would raise.
+    assert run_figures.scaled_text("N = 50000\n", 1e305) == f"N = {int(sys.float_info.max)}\n"
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-0.0", "-1", "abc"])
+def test_scale_that_is_not_a_finite_number_above_0_is_a_usage_error(tmp_path, capsys, scale):
+    # nan and inf crashed in int(); 0 and -1 floored every N and K
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exc:
+        run_figures.run(["--figures", "fig1_left", "--scale", scale, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: argument --scale: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Each recipe's N at --scale 0.01: a hundredth of it, floored at 100.
