@@ -15,6 +15,7 @@ from typing import Optional
 
 from .core import _MAX_SEED
 from .regularizers import TREE_BYTES_PER_INDEX
+from .solvers import OVERFLOW_LIMIT
 
 PROBLEMS = ("linear-discrete", "linear-continuous", "logistic")
 REGULARIZERS = ("l1", "hierarchical", "custom")
@@ -320,7 +321,9 @@ def parse_bounds_config(text: str) -> BoundsConfig:
         check_memory("p", f"K={p} rows of p={p}", 16 * p * p)
     else:
         _forbid(pairs, "lambda", "quadratic instance has no penalty")
-        given |= _given(pairs, ("D", float, 0.0, True))
+        # The iterates overshoot the optimum at distance D by up to about 1.4 D,
+        # so a D past half the divergence guard would end a convergent run.
+        given |= _given(pairs, ("D", float, 0.0, True, OVERFLOW_LIMIT / 2))
         check_memory("p", f"p={p} coordinates", 8 * p)
 
     cfg = BoundsConfig(problem=problem, solver=solver, p=p, N=N, **given)

@@ -27,7 +27,7 @@ from . import regularizers as rg
 from . import solvers as sv
 from .config import BoundsConfig, ConfigError, RunConfig, check_memory
 from .core import ParameterError, RngStream, TraceRecord
-from .smoothing import lipschitz_mu, smoothed
+from .smoothing import MAX_A_NORM, lipschitz_mu, smoothed
 
 THREADS_ENV = "COMPOSITE_SGD_THREADS"
 
@@ -120,19 +120,26 @@ def build_problem(cfg: RunConfig, seed: int) -> Instance:
                     1.0 if L is None else float(L), oracle)
 
 
-def check_smoothable(L: float, solvers, sreg) -> None:
-    """Refuse ssg among ``solvers`` when its L + ||A||^2 / mu on the smoothed
-    penalty ``sreg`` is past the largest double: through ||A||^2 (``lambda``),
-    or else through the quotient by a small ``mu``, which only ``mu_override``
-    sets that small."""
-    if "ssg" not in solvers:
-        return
-    if not sreg.A_norm <= np.sqrt(np.finfo(float).max):
-        raise ConfigError("lambda", "too large for ssg: ||A||^2 of the penalty is past "
-                                    "the largest double")
-    if not np.isfinite(lipschitz_mu(L, sreg)):
-        raise ConfigError("mu_override", f"too small for ssg: L + ||A||^2 / mu is past "
-                                         f"the largest double at mu = {sreg.mu:g}")
+def check_steps(L: float, N: int, solvers, sreg, gamma_star=None, acsa_sigma_sq=None) -> None:
+    """Build each solver's step sizes as its ``run_*`` does (acsa's at ``gamma_star``,
+    from the config's ``acsa_sigma_sq`` or else a pilot), refusing one that
+    overflows with a ConfigError naming the key behind the failing term."""
+    for solver in solvers:
+        try:
+            if solver == "acsa":
+                sv.acsa_eta(N, L, gamma_star)
+            else:
+                sv.horizon_eta(N, lipschitz_mu(L, sreg) if solver == "ssg" else L)
+        except ParameterError as exc:
+            key, size = "lipschitz_override", "large" if L > 1 else "small"
+            if solver == "ssg" and not sreg.A_norm <= MAX_A_NORM:  # ||A||^2 overflows
+                key, size = "lambda", "large"
+            elif solver == "ssg" and lipschitz_mu(0.0, sreg) >= L:  # ||A||^2 / mu >= L
+                key, size = "mu_override", "small"
+            elif solver == "acsa" and not np.isfinite(gamma_star) and np.isfinite(2.0 * L):
+                at_1 = sv.resolve_acsa_params(L, N, acsa_sigma_sq or 0.0)  # gamma* at acsa_d = 1
+                key, size = ("acsa_d", "small") if np.isfinite(at_1) else ("acsa_sigma_sq", "large")
+            raise ConfigError(key, f"too {size} for {solver}: {exc}") from None
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -178,37 +185,13 @@ def configure(inst: Instance, cfg: RunConfig, seed: int):
     assumes the scheduled mu = ||A|| / (N+2), also when ``mu_override`` runs
     ssg at another mu."""
     sreg = smoothed(inst.reg, mu=cfg.mu_override, N=cfg.N)
-    check_smoothable(inst.L, cfg.solvers, sreg)
     oracle = inst.oracle(cfg.batch_size)
     sigma_sq = cfg.acsa_sigma_sq
     if sigma_sq is None:  # the exact oracle's is 0
         sigma_sq = 0.0 if cfg.batch_size is None else sv.pilot_sigma_sq(
             oracle, np.zeros(oracle.dim), RngStream(seed).split(STREAM_PILOT))
     gamma_star = sv.resolve_acsa_params(inst.L, cfg.N, sigma_sq, D=cfg.acsa_d)
-    if "acsa" in cfg.solvers and not np.isfinite(gamma_star):
-        if not np.isfinite(2.0 * inst.L):
-            key, size = "lipschitz_override", "large"
-        elif cfg.acsa_sigma_sq is not None and not np.isfinite(
-                sv.resolve_acsa_params(inst.L, cfg.N, sigma_sq)):  # past even at acsa_d = 1
-            key, size = "acsa_sigma_sq", "large"
-        else:
-            key, size = "acsa_d", "small"
-        raise ConfigError(key, f"too {size} for acsa: gamma* = max(2L, sqrt(2 sigma^2 "
-                               "N(N+1)(N+2) / (3 acsa_d^2))) is past the largest double "
-                               f"at sigma^2 = {sigma_sq:g}")
-    # Each solver's eta(t), from the function its loop calls, falls with t:
-    # eta(0) and eta(N) bound every step.
-    for solver in cfg.solvers:
-        eta = (sv.acsa_eta(cfg.N, inst.L, gamma_star) if solver == "acsa" else
-               sv.horizon_eta(cfg.N, lipschitz_mu(inst.L, sreg) if solver == "ssg" else inst.L))
-        if not np.isfinite(eta(0)):
-            where = "past the largest double at t = 0"
-        elif not eta(cfg.N) > 0:
-            where = "not positive at t = N"
-        else:
-            continue
-        raise ConfigError("lipschitz_override", f"too {'large' if inst.L > 1 else 'small'} for "
-                          f"{solver}: its step size eta(t) is {where} (L = {inst.L:g})")
+    check_steps(inst.L, cfg.N, cfg.solvers, sreg, gamma_star, cfg.acsa_sigma_sq)
     sigma = float(np.sqrt(sigma_sq))
     bounds = {
         "sigma_sq_pilot": float(sigma_sq),
@@ -347,7 +330,7 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
         D = float(np.linalg.norm(x_star))
 
     sreg = smoothed(inst.reg, N=cfg.N)
-    check_smoothable(inst.L, (cfg.solver,), sreg)
+    check_steps(inst.L, cfg.N, (cfg.solver,), sreg)
     phi_star = inst.phi(inst.x_star)
     # At sigma = 0 the noise oracle returns the exact gradient and draws nothing.
     oracle = pb.GaussianNoiseOracle(inst.oracle(None), cfg.sigma)

@@ -124,20 +124,30 @@ def _require_horizon(N: int, L_eff: float) -> None:
         raise ParameterError(f"the Lipschitz constant must be > 0, got {L_eff}")
 
 
+def _checked(eta: Callable[[int], float], N: int) -> Callable[[int], float]:
+    # eta falls with t, so eta(0) and eta(N) bound every step.
+    if not (math.isfinite(eta(0)) and eta(N) > 0):
+        raise ParameterError(f"its step size eta(t) must be finite at t = 0 and positive at "
+                             f"t = N, but eta(0) = {eta(0):g} and eta(N) = {eta(N):g}")
+    return eta
+
+
 def horizon_eta(N: int, L_eff: float) -> Callable[[int], float]:
     """sg's and ssg's prox weight eta(t) = gamma_t L_eff with
     gamma_t = (2/(t+2)) (N^{3/2}/L_eff + 2), which satisfies gamma_t > theta_t
     and the telescoping inequality
-    (1 - theta_{t+1}) / (theta_{t+1} gamma_{t+1}) <= 1 / (theta_t gamma_t)."""
+    (1 - theta_{t+1}) / (theta_{t+1} gamma_{t+1}) <= 1 / (theta_t gamma_t).
+    Raises ParameterError when eta(0) is not finite or eta(N) not positive."""
     _require_horizon(N, L_eff)
     scale = N**1.5 / L_eff + 2.0
-    return lambda t: (2.0 / (t + 2.0)) * scale * L_eff
+    return _checked(lambda t: (2.0 / (t + 2.0)) * scale * L_eff, N)
 
 
 def acsa_eta(N: int, L: float, gamma_star: float) -> Callable[[int], float]:
-    """acsa's prox weight eta(t) = gamma_t L with gamma_t = 2 gamma* / (L (t+1))."""
+    """acsa's prox weight eta(t) = gamma_t L with gamma_t = 2 gamma* / (L (t+1)).
+    Raises ParameterError when eta(0) is not finite or eta(N) not positive."""
     _require_horizon(N, L)
-    return lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L
+    return _checked(lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L, N)
 
 
 def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_every):

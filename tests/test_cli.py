@@ -6,9 +6,12 @@ import pickle
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hst
 
 from composite_sgd import cli, config, harness, solvers
 from composite_sgd.cli import main
@@ -22,7 +25,7 @@ from composite_sgd.config import (
     parse_run_config,
     physical_memory,
 )
-from composite_sgd.core import DivergenceError, RngStream
+from composite_sgd.core import DivergenceError, ParameterError, RngStream
 from composite_sgd.problems import (
     continuous_objective,
     ground_truth,
@@ -30,8 +33,15 @@ from composite_sgd.problems import (
     ortho_lasso_instance,
 )
 from composite_sgd.regularizers import build_hierarchical, evaluate, group_norm, l1, prox
-from composite_sgd.smoothing import lipschitz_mu, smoothed
-from composite_sgd.solvers import run_ssg, theorem_bound, theorem_bound_smoothed
+from composite_sgd.smoothing import smoothed
+from composite_sgd.solvers import (
+    resolve_acsa_params,
+    run_acsa,
+    run_sg,
+    run_ssg,
+    theorem_bound,
+    theorem_bound_smoothed,
+)
 
 from _reference import read_dataset_csv, read_trace_csv
 
@@ -996,19 +1006,9 @@ def test_huge_lambda_with_ssg_exits_2_naming_lambda(tmp_path, capsys, monkeypatc
         assert main(argv) == 0
 
 
-def test_ssg_accepts_every_penalty_norm_that_squares_to_a_double():
-    limit = float(np.sqrt(np.finfo(float).max))
-    harness.check_smoothable(1.0, ("sg", "ssg"), smoothed(l1(limit, 4), N=10))
-    assert math.isfinite(lipschitz_mu(1.0, smoothed(l1(limit, 4), N=10)))
-    past = math.nextafter(limit, math.inf)
-    with pytest.raises(OverflowError):
-        past**2
-    harness.check_smoothable(1.0, ("sg", "acsa"), smoothed(l1(past, 4), N=10))
-    with pytest.raises(ConfigError) as err:
-        harness.check_smoothable(1.0, ("ssg",), smoothed(l1(past, 4), N=10))
-    assert err.value.key == "lambda"
-
-
+# The text every refused step size starts with when eta(0) is past the largest double.
+ETA_0_INF = ("its step size eta(t) must be finite at t = 0 and positive at t = N, but "
+             "eta(0) = inf and ")
 MU_OVERRIDE_SSG = SMALL_RUN.replace("solver = sg", "solver = sg,ssg") + "mu_override = 1e-320\n"
 
 
@@ -1026,8 +1026,7 @@ def test_mu_override_whose_quotient_overflows_exits_2_naming_mu_override(
         argv = ["run", str(write_cfg(tmp_path, MU_OVERRIDE_SSG)), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "config error: mu_override: too small for ssg: L + ||A||^2 / mu is past the "
-        "largest double at mu = 9.99989e-321\n")
+        "config error: mu_override: too small for ssg: " + ETA_0_INF + "eta(N) = inf\n")
     assert not any(path.name.endswith("out") for path in tmp_path.iterdir())
     # at 1e-300 the quotient is a double
     write_cfg(tmp_path, MU_OVERRIDE_SSG.replace("1e-320", "1e-300"),
@@ -1046,21 +1045,27 @@ def test_acsa_d_whose_gamma_star_overflows_exits_2_naming_acsa_d(tmp_path, capsy
     argv = ["run", str(write_cfg(tmp_path, text)), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: acsa_d: too small for acsa: gamma* = max(2L, ")
+    assert err.startswith("config error: acsa_d: too small for acsa: " + ETA_0_INF)
     assert not list(out.glob("trace_*")) and not (out / "summary.json").exists()
     write_cfg(tmp_path, text.replace("1e-162", "1e-150"))
     assert main(argv) == 0
     assert (out / "trace_acsa_3.csv").is_file()
-    # 2L past the largest double makes gamma* inf through L, not acsa_d
+    # 2L past the largest double makes gamma* inf through L, not acsa_d; the
+    # solvers are checked in config order, so sg, first, is named
     write_cfg(tmp_path, text.replace("acsa_d = 1e-162", "lipschitz_override = 1e308"))
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
-        "config error: lipschitz_override: too large for acsa: gamma* = max(2L, ")
+        "config error: lipschitz_override: too large for sg: " + ETA_0_INF)
+    write_cfg(tmp_path, text.replace("acsa_d = 1e-162", "lipschitz_override = 1e308")
+              .replace("solver = sg,acsa", "solver = acsa"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: lipschitz_override: too large for acsa: " + ETA_0_INF)
     # a sigma^2 that makes gamma* inf even at acsa_d = 1 is too large itself
     write_cfg(tmp_path, text.replace("acsa_d = 1e-162", "acsa_sigma_sq = 1e308"))
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
-        "config error: acsa_sigma_sq: too large for acsa: gamma* = max(2L, ")
+        "config error: acsa_sigma_sq: too large for acsa: " + ETA_0_INF)
 
 
 @pytest.mark.parametrize("solver, lam, L, where", [
@@ -1092,10 +1097,108 @@ def test_lipschitz_override_whose_step_size_overflows_exits_2_naming_it(
         assert code == 0
         return
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"config error: lipschitz_override: too {'large' if L > 1 else 'small'} for {solver}: "
-        f"its step size eta(t) is {where} (L = {L:g})\n")
+    err = capsys.readouterr().err
+    prefix = f"config error: lipschitz_override: too {'large' if L > 1 else 'small'} for {solver}: "
+    if where.endswith("t = 0"):
+        assert err.startswith(prefix + ETA_0_INF)
+    else:  # eta(0) is finite
+        assert err.startswith(prefix + "its step size eta(t) ")
+        assert err.endswith(" and eta(N) = 0\n") and "inf" not in err
     assert not out.exists()
+
+
+def test_mu_override_whose_step_size_overflows_exits_2_naming_mu_override(tmp_path, capsys):
+    # L + ||A||^2 / mu = 1.4 + 1e300 / 1e-8 is a double, but eta(0) about twice
+    # it is not; the ||A||^2 / mu term is the larger, so mu_override is named
+    text = (SMALL_RUN.replace("solver = sg", "solver = sg,ssg")
+            .replace("lambda = 0.1", "lambda = 1e150") + "mu_override = 1e-8\n")
+    out = tmp_path / "out"
+    argv = ["run", str(write_cfg(tmp_path, text)), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: mu_override: too small for ssg: " + ETA_0_INF)
+    assert not out.exists()
+    write_cfg(tmp_path, text.replace("solver = sg,ssg", "solver = sg"))
+    assert main(argv) == 0
+
+
+def test_lambda_whose_scheduled_mu_underflows_runs_every_solver(tmp_path):
+    # ||A|| / (N+2) = 5e-324 / 52 is 0, so the schedule takes MU_FLOOR: every
+    # config is smoothed, so sg, too, used to end in "mu must be > 0"
+    text = (SMALL_RUN.replace("solver = sg", "solver = sg,ssg,acsa")
+            .replace("lambda = 0.1", "lambda = 5e-324").replace("N = 150", "N = 50"))
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    assert len(json.loads((out / "summary.json").read_text())["runs"]) == 3
+
+
+@pytest.mark.parametrize("D, code", [
+    (5e11, 0), (math.nextafter(5e11, math.inf), 2), (1e13, 2),
+])
+def test_bounds_D_past_half_the_divergence_guard_exits_2_naming_D(tmp_path, capsys, D, code):
+    # z overshoots the quadratic's optimum at distance D by up to 1.4 D, so a D
+    # near the guard's 1e12 ended a convergent run as a divergence (exit 3)
+    text = QUADRATIC_BOUNDS + f"D = {D!r}\n"
+    assert main(["verify-bounds", str(write_cfg(tmp_path, text))]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"config error: D: must be <= {solvers.OVERFLOW_LIMIT / 2}, got {D}\n")
+    else:
+        assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
+def _log_uniform(lo, hi):
+    """Doubles from lo to hi whose logarithm is uniform, and both ends."""
+    return hst.one_of(hst.sampled_from([lo, hi]), hst.floats(math.log10(lo), math.log10(hi))
+                      .map(lambda e: min(max(10.0**e, lo), hi)))
+
+
+POSITIVE = _log_uniform(5e-324, 10.0**308.25)
+
+
+@pytest.mark.deep
+@given(solver=hst.sampled_from(config.SOLVERS), L=POSITIVE,
+       lam=hst.one_of(hst.just(0.0), POSITIVE), mu=hst.one_of(hst.none(), POSITIVE),
+       sigma_sq=hst.one_of(hst.just(0.0), POSITIVE), sigma_sq_given=hst.booleans(),
+       acsa_d=_log_uniform(config._MIN_ACSA_D, 10.0**308.25),
+       N=hst.floats(0.0, 53.0).map(lambda e: min(int(2.0**e), 2**53)))
+@example(solver="ssg", L=1.0, lam=1e150, mu=1e-8, sigma_sq=0.0, sigma_sq_given=False,
+         acsa_d=1.0, N=150)
+@example(solver="acsa", L=1e307, lam=0.1, mu=None, sigma_sq=0.0, sigma_sq_given=False,
+         acsa_d=1.0, N=150)  # L (N+1) overflows, so eta(N) = 0
+def test_step_check_refuses_exactly_what_the_solvers_refuse(solver, L, lam, mu, sigma_sq,
+                                                            sigma_sq_given, acsa_d, N):
+    # Any L, lambda, mu, sigma^2, acsa_d and N the parser takes: the harness
+    # refuses a solver exactly when its run_* refuses to build its step sizes,
+    # and names a key the config sets where it names mu_override or acsa_sigma_sq
+    sreg = smoothed(l1(lam, 2), mu=mu, N=N)
+    gamma_star = resolve_acsa_params(L, N, sigma_sq, D=acsa_d)
+    given_sigma_sq = sigma_sq if sigma_sq_given else None
+    try:
+        harness.check_steps(L, N, (solver,), sreg, gamma_star, given_sigma_sq)
+        key = None
+    except ConfigError as exc:
+        key = exc.key
+    assert key in {"sg": (None, "lipschitz_override"),
+                   "ssg": (None, "lipschitz_override", "lambda", "mu_override"),
+                   "acsa": (None, "lipschitz_override", "acsa_d", "acsa_sigma_sq")}[solver]
+    assert mu is not None or key != "mu_override"
+    assert sigma_sq_given or key != "acsa_sigma_sq"
+    run = {
+        "sg": lambda: run_sg(None, sreg.base, L, N, None, None),
+        "ssg": lambda: run_ssg(None, sreg, L, N, None, None),
+        "acsa": lambda: run_acsa(None, sreg.base, L, N, gamma_star, None, None),
+    }[solver]
+    built = []  # the step sizes run_* hands to the loop, which does not start
+    with mock.patch.object(solvers, "_run_two_sequence",
+                           lambda oracle, step, eta, *rest: built.append(eta)):
+        if key is not None:
+            with pytest.raises(ParameterError):
+                run()
+            return
+        run()
+    eta, = built
+    assert math.isfinite(eta(0)) and eta(N) > 0
 
 
 @pytest.mark.parametrize("lam, extra", [
@@ -1159,8 +1262,7 @@ def test_refused_config_in_compare_starts_no_job_of_any_config(tmp_path, capsys,
               + "acsa_sigma_sq = 1e308\n", "b.cfg")
     assert main(["compare", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        "config error: acsa_sigma_sq: too large for acsa: gamma* = max(2L, sqrt(2 sigma^2 "
-        "N(N+1)(N+2) / (3 acsa_d^2))) is past the largest double at sigma^2 = 1e+308\n")
+        "config error: acsa_sigma_sq: too large for acsa: " + ETA_0_INF + "eta(N) = inf\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
 

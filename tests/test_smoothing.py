@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -422,6 +423,22 @@ class TestConstants:
         assert mu_schedule(0.1, 98) == 0.001
         assert mu_schedule(0.0, 98) == MU_FLOOR
         assert mu_schedule(1.0, 0) == 0.5
+
+    def test_mu_schedule_that_underflows_takes_the_floor(self):
+        # 1e-320 / (10^6 + 2) is 0, which SmoothedRegularizer refused
+        assert mu_schedule(1e-320, 10**6) == MU_FLOOR
+        s = smoothed(l1(1e-320, 4), N=10**6)
+        assert s.mu == MU_FLOOR and lipschitz_mu(1.0, s) == 1.0
+        assert mu_schedule(1e-320, 8) == 1e-320 / 10 > 0  # a quotient short of 0 stays
+
+    def test_lipschitz_mu_accepts_every_penalty_norm_that_squares_to_a_double(self):
+        limit = float(np.sqrt(np.finfo(float).max))
+        assert math.isfinite(lipschitz_mu(1.0, smoothed(l1(limit, 4), N=10)))
+        past = math.nextafter(limit, math.inf)
+        with pytest.raises(OverflowError):
+            past**2
+        with pytest.raises(ParameterError, match=r"\|\|A\|\|\^2 of the penalty is past"):
+            lipschitz_mu(1.0, smoothed(l1(past, 4), N=10))
 
     def test_m_constant(self):
         assert smoothed(l1(0.1, 10), mu=1.0).M == 5.0
