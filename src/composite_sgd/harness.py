@@ -132,7 +132,7 @@ def check_steps(L: float, N: int, solvers, sreg, gamma_star=None, acsa_sigma_sq=
                 sv.horizon_eta(N, lipschitz_mu(L, sreg) if solver == "ssg" else L)
         except ParameterError as exc:
             key, size = "lipschitz_override", "large" if L > 1 else "small"
-            if solver == "ssg" and not sreg.A_norm <= MAX_A_NORM:  # ||A||^2 overflows
+            if solver == "ssg" and not sreg.base.A_norm <= MAX_A_NORM:  # ||A||^2 overflows
                 key, size = "lambda", "large"
             elif solver == "ssg" and lipschitz_mu(0.0, sreg) >= L:  # ||A||^2 / mu >= L
                 key, size = "mu_override", "small"
@@ -198,7 +198,7 @@ def configure(inst: Instance, cfg: RunConfig, seed: int):
         "theorem_bound_D": cfg.acsa_d,
         "theorem_bound": sv.theorem_bound(cfg.acsa_d, sigma, inst.L, cfg.N),
         "theorem_bound_smoothed": sv.theorem_bound_smoothed(cfg.acsa_d, sigma, inst.L,
-                                                            sreg.A_norm, sreg.M, cfg.N),
+                                                            inst.reg.A_norm, inst.reg.M, cfg.N),
     }
     for key in ("theorem_bound", "theorem_bound_smoothed"):  # JSON has no inf or NaN
         if not np.isfinite(bounds[key]):
@@ -343,6 +343,7 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
         bound = sv.theorem_bound(D, cfg.sigma, inst.L, cfg.N)
     else:
         # With no penalty ||A|| = 0 and this is exactly theorem_bound.
-        bound = sv.theorem_bound_smoothed(D, cfg.sigma, inst.L, sreg.A_norm, sreg.M, cfg.N)
+        bound = sv.theorem_bound_smoothed(D, cfg.sigma, inst.L, inst.reg.A_norm, inst.reg.M,
+                                          cfg.N)
     return BoundsReport(mean_gap=mean_gap, bound=float(bound), D=D, L=inst.L,
                         passed=mean_gap <= bound)

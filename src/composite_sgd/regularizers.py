@@ -69,13 +69,14 @@ class GroupStructure:
     decided, with every group's depth, by two stable sorts of the flat
     entries, O(n log n) in the total indices n. ``layers`` then splits the
     groups by nesting depth, deepest first; groups of equal depth are
-    disjoint. Each layer is ``(index, offsets, owner, lo, hi)`` in flat block
-    layout. ``index`` gathers the layer's coordinates: it is the basic slice
+    disjoint, and identical groups are one entry, the first stored, weighing
+    their summed weights. Each layer is ``(index, offsets, owner, lo, hi)``
+    in flat block layout. ``index`` gathers the layer's coordinates: it is the basic slice
     ``slice(a, a + n)`` when they are ``a, ..., a + n - 1`` in order, as in
     every layer of a dyadic tree, so that the prox reads a view and scales it
     in place, and an int64 array otherwise. ``owner`` gives the position
     within the layer of the group each gathered coordinate belongs to, and
-    the layer's weights are ``layer_weights[lo:hi]``, which holds all groups'
+    the layer's weights are ``layer_weights[lo:hi]``, which holds all entries'
     weights in layer order. ``layers`` and ``layer_weights`` are None for an
     overlapping family.
 
@@ -115,8 +116,8 @@ class GroupStructure:
 
         self.p, self.weights, self.sizes = p, weights, sizes
         # Flat block layout in stored group order, one slice of length |g| per
-        # group, sorted within it: A x = lam * rep_weights * x[flat_index] in
-        # smoothing, and the penalty's block norms in evaluate.
+        # group, sorted within it: A x = a_weights * x[flat_index] in smoothing
+        # (see Regularizer), and the penalty's block norms in evaluate.
         owner = self.owner = np.repeat(np.arange(sizes.size), sizes)
         flat = self.flat_index = index[np.lexsort((index, owner))]
         # The first faulty group in stored order, with its first fault: empty,
@@ -131,7 +132,6 @@ class GroupStructure:
             raise GroupIndexError(f"group {k} {what}", int(k), i)
         self.offsets = np.zeros(sizes.size, dtype=np.int64)
         np.cumsum(sizes[:-1], out=self.offsets[1:])
-        self.rep_weights = weights[owner]
         # The most groups any one coordinate lies in: the overlapping prox's
         # dual gradient is max_cover / eta Lipschitz.
         self.max_cover = int(np.bincount(flat, minlength=p).max())
@@ -154,21 +154,43 @@ class GroupStructure:
         # in its coordinate's run then lies in the innermost group ordered
         # before its own that holds the coordinate: its parent, or -1 first in
         # the run. The family is laminar exactly when each group's entries
-        # have one parent, and a group's depth is then their rank in the runs.
+        # have one parent.
         e = np.lexsort((-self.sizes[self.owner], self.flat_index))
         coords, groups = self.flat_index[e], self.owner[e]
-        rank = np.arange(e.size) - np.searchsorted(coords, coords)
+        first = np.searchsorted(coords, coords)
+        pos = np.arange(e.size)
         parent = np.empty_like(e)
-        parent[e] = np.where(rank > 0, np.roll(groups, 1), -1)
+        parent[e] = np.where(pos > first, np.roll(groups, 1), -1)
+        del e, coords  # each entry-length array is freed once used
         if np.any(parent != parent[self.offsets][self.owner]):
             return None, None
+        # A group whose parent has its size is a copy of it. The copies of a
+        # group are one layer entry, the first stored, weighing their stored
+        # weights summed in stored order (one shrink by the summed threshold
+        # composes theirs), and a group's depth is its entries' rank in the
+        # runs without copies; the copies themselves get depth -1.
+        up = parent[self.offsets]
+        del parent
+        copy = (up >= 0) & (self.sizes[up] == self.sizes)
+        kept = ~copy[groups]
+        # An entry's first stored copy is the last kept entry up to it in its
+        # run, which starts with a kept one; pos holds its position, then the
+        # entries' ranks among the kept ones.
+        np.multiply(pos, kept, out=pos)
+        np.maximum.accumulate(pos, out=pos)
+        root = np.empty_like(self.sizes)
+        root[groups] = groups[pos]
+        weights = np.bincount(root, weights=self.weights, minlength=len(self))
+        rank = np.cumsum(kept, out=pos)
         depth = np.empty_like(self.sizes)
-        depth[groups] = rank
-        del e, coords, groups, rank, parent  # there may be a layer per group
-        # Deepest first, stably: the groups in layer order and, flat_index
-        # being group-major, every layer's flat entries in that same order.
+        depth[groups] = rank - rank[first]
+        depth[copy] = -1
+        del groups, pos, first, kept, root, rank  # there may be a layer per group
+        # Deepest first, stably, copies last: the groups in layer order and,
+        # flat_index being group-major, every layer's flat entries in that
+        # same order.
         order = np.argsort(-depth, kind="stable")
-        bounds = np.cumsum(np.bincount(depth)[::-1])
+        bounds = np.cumsum(np.bincount(depth[~copy])[::-1])
         at = np.argsort(-depth[self.owner], kind="stable")
         starts = np.concatenate(([0], np.cumsum(self.sizes[order])))
         within = np.repeat(np.arange(len(self)), self.sizes[order])
@@ -179,7 +201,7 @@ class GroupStructure:
             if np.all(np.diff(index) == 1):
                 index = slice(int(index[0]), int(index[-1]) + 1)
             layers.append((index, starts[lo:hi] - a, within[a:b] - lo, int(lo), int(hi)))
-        return layers, self.weights[order]
+        return layers, weights[order[:bounds[-1]]]
 
     def block_norms(self, flat: Array) -> Array:
         """Per-group Euclidean norms of a flat block-layout vector."""
@@ -206,21 +228,31 @@ def build_hierarchical(n: int) -> GroupStructure:
 @dataclass(frozen=True)
 class Regularizer:
     """lam * Omega(beta): plain l1 when ``structure`` is None, else the weighted
-    group norm sum_g w_g ||beta_g||."""
+    group norm sum_g w_g ||beta_g||. Built with it, once: ``a_weights``, A's
+    entries c_g = lam * w_g (lam for l1) in flat block layout (0-d for l1,
+    ``(covers, p)`` when it tiles); ``layer_scales``, the laminar prox's c_g in
+    layer order; ``A_norm`` = ||A||; ``M``. A c_g past the largest double is +inf."""
 
     lam: float
     p: int
     structure: Optional[GroupStructure] = None
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:  # NaN included
             raise ParameterError(f"lambda must be >= 0, got {self.lam}")
         if self.p < 1:
             raise ParameterError(f"p must be >= 1, got {self.p}")
-        if self.structure is not None and self.structure.p != self.p:
-            raise DimensionError(
-                f"structure dimension {self.structure.p} != p {self.p}"
-            )
+        st, lam = self.structure, self.lam
+        if st is not None and st.p != self.p:
+            raise DimensionError(f"structure dimension {st.p} != p {self.p}")
+        put = lambda name, value: object.__setattr__(self, name, value)
+        with np.errstate(over="ignore"):
+            a = np.array(float(lam)) if st is None else lam * st.weights[st.owner]
+            put("a_weights", a.reshape(st.covers, st.p) if st is not None and st.covers else a)
+            put("layer_scales",
+                lam * st.layer_weights if st is not None and st.is_laminar else None)
+            put("A_norm", operator_norm(self))
+        put("M", (self.p if st is None else len(st)) / 2.0)
 
 
 def l1(lam: float, p: int) -> Regularizer:
@@ -298,22 +330,21 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
         return soft_threshold(u, 0.0)
     if reg.structure is None:
         return soft_threshold(u, reg.lam / eta)
-    st = reg.structure
-    if st.is_laminar:
-        return _prox_laminar(st, reg.lam, u, eta)
-    return _prox_dual_fista(st, reg.lam, u, eta)
+    if reg.structure.is_laminar:
+        return _prox_laminar(reg, u, eta)
+    return _prox_dual_fista(reg, u, eta)
 
 
-def _prox_laminar(st: GroupStructure, lam: float, u: Array, eta: float) -> Array:
+def _prox_laminar(reg: Regularizer, u: Array, eta: float) -> Array:
     # Blocks with nrm <= thr get scale 1 - thr / thr = 0, exact zeros. The
     # floor keeps a zero block free of 0/0: a nonzero block norm is at least
-    # sqrt(smallest_subnormal) = 2.2e-162, so where lam * w / eta underflows,
+    # sqrt(smallest_subnormal) = 2.2e-162, so where c_g / eta underflows,
     # 1 - smallest_subnormal / nrm rounds to exactly 1 and the block is kept
     # as it is. The ceiling keeps an overflowing threshold zeroing its block,
     # not making inf / inf.
-    thr = np.minimum(np.maximum(lam * st.layer_weights / eta, _TINY), _HUGE)
+    thr = np.minimum(np.maximum(reg.layer_scales / eta, _TINY), _HUGE)
     x = u.copy()
-    for index, offsets, owner, lo, hi in st.layers:
+    for index, offsets, owner, lo, hi in reg.structure.layers:
         block = x[index]
         nrm = np.sqrt(np.add.reduceat(block * block, offsets))
         t = thr[lo:hi]
@@ -325,21 +356,22 @@ def _prox_laminar(st: GroupStructure, lam: float, u: Array, eta: float) -> Array
     return x
 
 
-def _prox_dual_fista(st: GroupStructure, lam: float, u: Array, eta: float) -> Array:
+def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
     # Everything lives on the flat block layout: b, the momentum point y and
     # xf = x(b)[flat_index] have one slice per group. x is affine in b, so the
     # gathered primal at y is the same combination of the last two xf as y is
     # of the last two b: one bincount per iteration.
+    st = reg.structure
     index, offsets, owner = st.flat_index, st.offsets, st.owner
-    # Floored so that a radius lam * w_g underflowing to 0 cannot make the
-    # projection of a zero block 0/0.
-    radii = np.maximum(lam * st.weights, _TINY)
+    # The radii c_g, A's entries at the groups' first slots, floored so that
+    # one underflowing to 0 cannot make the projection of a zero block 0/0.
+    radii = np.maximum(reg.a_weights.take(offsets), _TINY)
     step = eta / st.max_cover
     norms_u = st.block_norms(u[index])
     pen_u = float(radii.dot(norms_u))
     zeroed = None
     if not math.isfinite(pen_u):
-        # lam * w_g or c_g * ||u_g|| overflowed. A block whose radius c_g is
+        # c_g or c_g * ||u_g|| overflowed. A block whose radius c_g is
         # at least eta * ||u_g|| is 0 at the optimum (zeroing it lowers the
         # objective), and the prox keeps that optimum when those blocks are
         # zeroed in u and given the floor radius; they are set to 0 exactly
@@ -425,8 +457,8 @@ def operator_norm(reg: Regularizer) -> float:
     if reg.structure is None:
         return float(reg.lam)
     st = reg.structure
-    col_sq = np.bincount(st.flat_index, weights=st.rep_weights**2, minlength=st.p)
-    return float(reg.lam * np.sqrt(col_sq.max()))
+    col_sq = np.bincount(st.flat_index, weights=(st.weights**2)[st.owner], minlength=st.p)
+    return float(reg.lam) * float(np.sqrt(col_sq.max()))  # Python floats: inf, unwarned
 
 
 def save_group_structure(st: GroupStructure, path) -> None:
@@ -438,10 +470,10 @@ def save_group_structure(st: GroupStructure, path) -> None:
 
 
 # Bytes of memory that parsing may take per byte of a structure file, rounded
-# up from tracemalloc peaks over 2e5 groups: 151 for one-index lines "1:1",
-# the most groups per byte, 110 for "1:1,2", 17 for distinct singletons, 23
-# for one long line. Most of the "1:1" peak is its 2e5 laminar layers, one
-# per copy of the same group.
+# up from tracemalloc peaks over 2e5 groups: 35 for one-index lines "1:1",
+# the most groups per byte, 37 for "1:1,2", 18 for distinct singletons, 23
+# for one long line. Copies of one group make one laminar layer entry, so
+# no peak holds a layer per copy.
 LOAD_BYTES_PER_FILE_BYTE = 256
 
 

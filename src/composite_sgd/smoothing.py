@@ -8,12 +8,13 @@ strongly convex term (mu/2) ||v||^2 inside the max yields a value h_mu(x) with
 whose gradient A^T v_mu(x) is Lipschitz with constant ||A||^2 / mu.
 
 A is never built: for l1 it is lam * I, and for a group norm it maps x to
-(lam * w_g * x_g)_g in the structure's flat block layout, so A x is
-``lam * rep_weights * x[flat_index]`` and A^T v scatters back with
-``np.bincount`` over ``flat_index``. When that layout is L full covers of
-0..p-1 in order (``GroupStructure.covers``, every dyadic tree's), A x is a
-broadcast product of x with the ``(L, p)`` view of the weights, with no
-gather, and A^T v the sum over axis 0 of that view times v, which adds in
+(lam * w_g * x_g)_g in the structure's flat block layout. The penalty holds
+A's entries, ||A|| and M (``Regularizer.a_weights``, ``A_norm`` and ``M``),
+and the smoothing adds only mu. A x is ``a_weights * x[flat_index]`` and
+A^T v scatters back with ``np.bincount`` over ``flat_index``. When that layout
+is L full covers of 0..p-1 in order (``GroupStructure.covers``, every dyadic
+tree's), ``a_weights`` is ``(L, p)``, A x is its broadcast product with x,
+with no gather, and A^T v the sum over axis 0 of its product with v, which adds in
 bincount's order, with neither copy of the layout. Its finite values keep
 bincount's bits; a NaN sits where bincount's does, with its sign unspecified
 (where two NaNs meet, numpy's vector loop and its scalar tail keep different
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Array, DimensionError, ParameterError, as_vector
-from .regularizers import Regularizer, operator_norm
+from .regularizers import Regularizer
 
 # Substitute for mu when the schedule ||A|| / (N+2) is 0: when the penalty
 # vanishes (lam = 0), A = 0, so L_mu = L and the smoothed gradient is 0; and
@@ -43,27 +44,20 @@ _ONE, _MINUS_ONE = np.array(1.0), np.array(-1.0)
 
 @dataclass(frozen=True)
 class SmoothedRegularizer:
+    """The penalty ``base`` smoothed at ``mu``."""
+
     base: Regularizer
     mu: float
-    A_norm: float
-    M: float
-    # Derived from the fields, as 0-d copies of scalars: a ufunc takes a 0-d
-    # array operand faster than a Python float, with the same bits. A's
-    # entries in flat block layout: lam for l1, lam * rep_weights for a group
-    # norm, shaped (covers, p) when the layout is covers full covers of
-    # 0..p-1; and mu.
+    # For the per-iteration calls: the penalty's A entries, one attribute
+    # lookup away, and mu as a 0-d array, which a ufunc takes faster than a
+    # Python float, with the same bits.
     a_weights: Array = field(init=False, repr=False, compare=False)
     mu_0d: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not self.mu > 0:  # NaN included
             raise ParameterError(f"mu must be > 0, got {self.mu}")
-        st = self.base.structure
-        lam = self.base.lam
-        a_weights = np.array(float(lam)) if st is None else lam * st.rep_weights
-        if st is not None and st.covers:
-            a_weights = a_weights.reshape(st.covers, st.p)
-        object.__setattr__(self, "a_weights", a_weights)
+        object.__setattr__(self, "a_weights", self.base.a_weights)
         object.__setattr__(self, "mu_0d", np.array(float(self.mu)))
 
 
@@ -78,16 +72,11 @@ def mu_schedule(A_norm: float, N: int) -> float:
 
 def smoothed(reg: Regularizer, mu: float | None = None, N: int | None = None) -> SmoothedRegularizer:
     """Wrap a regularizer for smoothing; defaults mu to the horizon schedule."""
-    a_norm = operator_norm(reg)
     if mu is None:
         if N is None:
             raise ParameterError("pass either mu or the iteration count N")
-        mu = mu_schedule(a_norm, N)
-    if reg.structure is None:
-        m_const = reg.p / 2.0
-    else:
-        m_const = len(reg.structure) / 2.0
-    return SmoothedRegularizer(reg, float(mu), a_norm, m_const)
+        mu = mu_schedule(reg.A_norm, N)
+    return SmoothedRegularizer(reg, float(mu))
 
 
 def _apply(s: SmoothedRegularizer, x) -> Array:
@@ -150,6 +139,6 @@ def lipschitz_mu(L: float, s: SmoothedRegularizer) -> float:
     Raises ParameterError when ||A||^2 is past the largest double."""
     if L < 0:
         raise ParameterError(f"L must be >= 0, got {L}")
-    if not s.A_norm <= MAX_A_NORM:  # NaN and inf included
+    if not s.base.A_norm <= MAX_A_NORM:  # NaN and inf included
         raise ParameterError("||A||^2 of the penalty is past the largest double")
-    return float(L + s.A_norm**2 / s.mu)
+    return float(L + s.base.A_norm**2 / s.mu)

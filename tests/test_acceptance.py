@@ -131,7 +131,7 @@ def test_criterion_3_smoothing_sandwich_and_gradient():
         s = smoothed(reg, mu=mu)
         value = smoothed_value(s, x)
         h = evaluate(reg, x)
-        sandwich_ok &= value <= h + 1e-10 and h <= value + mu * s.M + 1e-10
+        sandwich_ok &= value <= h + 1e-10 and h <= value + mu * s.base.M + 1e-10
 
     fd_worst = 0.0
     for k in range(100):
@@ -150,7 +150,7 @@ def test_criterion_3_smoothing_sandwich_and_gradient():
         x = 3.0 * rng.normal(8)
         y = 3.0 * rng.normal(8)
         lhs = np.linalg.norm(smoothed_gradient(s, x) - smoothed_gradient(s, y))
-        rhs = (s.A_norm**2 / s.mu) * np.linalg.norm(x - y) + 1e-10
+        rhs = (s.base.A_norm**2 / s.mu) * np.linalg.norm(x - y) + 1e-10
         lipschitz_ok &= bool(lhs <= rhs)
 
     elapsed = time.perf_counter() - started
@@ -201,7 +201,7 @@ def test_criterion_5_expectation_bound_smoothed_lasso():
     x, _ = run_ssg(oracle, sreg, L, N, RngStream(0), objective, trace_every=0)
     gap = phi(x) - phi(x_star)
     D = float(np.linalg.norm(x_star))
-    bound = theorem_bound_smoothed(D, 0.0, L, sreg.A_norm, p / 2.0, N)
+    bound = theorem_bound_smoothed(D, 0.0, L, sreg.base.A_norm, p / 2.0, N)
 
     elapsed = time.perf_counter() - started
     report(5, "expectation bound, smoothed lasso",

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 from unittest import mock
@@ -267,7 +269,7 @@ class TestRunCommand:
         assert D == cfg.acsa_d
         assert summary["theorem_bound"] == theorem_bound(D, sigma, setup.L, cfg.N)
         assert summary["theorem_bound_smoothed"] == theorem_bound_smoothed(
-            D, sigma, setup.L, sreg.A_norm, sreg.M, cfg.N
+            D, sigma, setup.L, sreg.base.A_norm, sreg.base.M, cfg.N
         )
         # mu_override moves ssg's mu, not the recorded smoothed bound, which
         # holds only under the scheduled mu = ||A|| / (N+2)
@@ -1004,6 +1006,47 @@ def test_huge_lambda_with_ssg_exits_2_naming_lambda(tmp_path, capsys, monkeypatc
     if command != "compare":
         argv[1] = str(write_cfg(tmp_path, sg_only))
         assert main(argv) == 0
+
+
+# Penalties whose scales lambda * w_g pass the largest double at lambda = 1e308:
+# the n = 2 tree's weights sqrt(2) and 2, and three crossing groups of weight 2.
+OVERFLOWING_PENALTIES = {
+    "tree": ("regularizer = hierarchical\nn = 2\n", None),
+    "custom": ("regularizer = custom\np = 4\nstructure_file = three.groups\n",
+               "2: 1,2\n2: 2,3\n2: 3,4\n"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("penalty", sorted(OVERFLOWING_PENALTIES))
+def test_overflowing_penalty_scales_run_under_runtime_warnings_as_errors(tmp_path, penalty,
+                                                                         threads):
+    # The penalty forms its scales once, an overflowing one as +inf with no
+    # warning, so sg and acsa run under -W error::RuntimeWarning, in pool
+    # workers too; ssg, whose ||A||^2 is inf, is refused naming lambda.
+    body, groups = OVERFLOWING_PENALTIES[penalty]
+    if groups is not None:
+        (tmp_path / "three.groups").write_text(groups)
+    text = (SMALL_RUN.replace("p = 4\n", "").replace("regularizer = l1\n", body)
+            .replace("lambda = 0.1", "lambda = 1e308").replace("solver = sg", "solver = sg,acsa"))
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, COMPOSITE_SGD_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run_cli(text):
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "composite_sgd", "run",
+                str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]
+        return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    done = run_cli(text)
+    assert (done.returncode, done.stderr) == (0, "")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [Path(run["trace_file"]).name for run in summary["runs"]] == [
+        "trace_sg_3.csv", "trace_acsa_3.csv"]
+    assert summary["runs"][0]["theorem_bound_smoothed"] is None  # ||A|| = inf
+    refused = run_cli(text.replace("solver = sg,acsa", "solver = ssg"))
+    assert refused.returncode == 2
+    assert refused.stderr.startswith("config error: lambda: ")
 
 
 # The text every refused step size starts with when eta(0) is past the largest double.

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from _reference import (
     materialize_map,
     prox_dual_ascent_loop,
     prox_dual_fista_repeat,
+    masked_layers,
     prox_laminar_loop,
     prox_laminar_masked,
     prox_objective,
@@ -68,7 +70,7 @@ def assert_same_structure(gs, ref):
     its layer plan the same tuples, slices where ``ref`` has slices."""
     assert gs.p == ref.p and len(gs) == len(ref.groups)
     assert type(gs.max_cover) is int and gs.max_cover == ref.max_cover
-    for name in ("flat_index", "sizes", "offsets", "owner", "weights", "rep_weights"):
+    for name in ("flat_index", "sizes", "offsets", "owner", "weights"):
         assert_same_bytes(getattr(gs, name), getattr(ref, name))
     if ref.layers is None:
         assert gs.layers is None and gs.layer_weights is None
@@ -272,7 +274,8 @@ def faulty_families(draw):
 # depths alone would call the family laminar.
 CROSSING_AT_EQUAL_DEPTH = ([[0, 1], [2, 3], [1, 2]], np.ones(3), 4)
 # A root holding a chain of three identical groups and their sibling, stored
-# out of order: the copies nest in stored order, one layer each.
+# out of order: the copies are one layer entry, the first stored, of their
+# weights summed.
 IDENTICAL_CHAIN = ([[0, 1], [0, 1, 2, 3], [2, 3], [0, 1], [0, 1]],
                    np.array([0.5, 1.0, 2.0, 0.7, 0.9]), 4)
 
@@ -297,8 +300,8 @@ class TestFlatConstructor:
 
     @pytest.mark.parametrize("case", ["singletons", "copies", "tree"])
     def test_large_families_equal_per_group_reference(self, case):
-        # one layer of 2e4 groups; a root over 500 copies of one group, one
-        # layer per copy; the 13 layers of a dyadic tree's 8191 groups
+        # one layer of 2e4 groups; a root over 500 copies of one group, two
+        # layers; the 13 layers of a dyadic tree's 8191 groups
         if case == "tree":
             p = 2**12
             groups = [np.arange(j, j + size) for size in 2 ** np.arange(13)
@@ -376,7 +379,9 @@ class TestDepthLayers:
         groups, weights, p = family
         layers = GroupStructure(*flat_family(groups, weights, p)).layers
         assert layers is not None
-        assert sum(len(offsets) for _, offsets, _, _, _ in layers) == len(groups)
+        # identical groups are one layer entry
+        distinct = {tuple(sorted(g)) for g in groups}
+        assert sum(len(offsets) for _, offsets, _, _, _ in layers) == len(distinct)
         for index, offsets, owner, _, _ in layers:
             index = np.arange(p)[index]
             sizes = np.diff(offsets, append=index.size)
@@ -447,7 +452,7 @@ class TestDepthLayers:
         # block is kept, so a 0/0 or x/0 in the layer plan would raise here
         gs, lam, u, eta = inputs
         with np.errstate(divide="raise", invalid="raise"):
-            out = _prox_laminar(gs, lam, u, eta)
+            out = _prox_laminar(group_norm(lam, gs), u, eta)
             ref = prox_laminar_masked(gs, lam, u, eta)
         assert out.tobytes() == ref.tobytes()
 
@@ -463,7 +468,7 @@ class TestDepthLayers:
                 u = 2.0 * rng.normal(6)
                 u[rng.indices(2, 6)] = -0.0
                 with np.errstate(divide="raise", invalid="raise"):
-                    out = _prox_laminar(SHUFFLED_LAMINAR, lam, u, 1.3)
+                    out = _prox_laminar(group_norm(lam, SHUFFLED_LAMINAR), u, 1.3)
                     ref = prox_laminar_masked(SHUFFLED_LAMINAR, lam, u, 1.3)
                 assert out.tobytes() == ref.tobytes()
 
@@ -474,7 +479,7 @@ class TestDepthLayers:
         gs = build_hierarchical(3)
         u = np.array([0.0, -0.0, 1.5, -2.0, 1e150, 5e-324, -3.0, 3.0])
         with np.errstate(over="ignore", divide="raise", invalid="raise"):
-            out = _prox_laminar(gs, 1e10, u, 1e-300)
+            out = _prox_laminar(group_norm(1e10, gs), u, 1e-300)
             ref = prox_laminar_masked(gs, 1e10, u, 1e-300)
         assert out.tobytes() == ref.tobytes()
         assert not np.any(out)
@@ -552,7 +557,7 @@ class TestDualFista:
         gs = GroupStructure(*flat_family(groups, weights, p))
         assume(not gs.is_laminar)
         u_in = u.copy()
-        out, raised = dual_ascent_outcome(lambda: _prox_dual_fista(gs, lam, u, eta))
+        out, raised = dual_ascent_outcome(lambda: _prox_dual_fista(group_norm(lam, gs), u, eta))
         assert np.array_equal(u, u_in) and not np.shares_memory(out, u)
         if raised:
             return
@@ -570,7 +575,7 @@ class TestDualFista:
         groups, weights, p, lam, eta, u = instance
         gs = GroupStructure(*flat_family(groups, weights, p))
         assume(not gs.is_laminar)
-        out, raised = dual_ascent_outcome(lambda: _prox_dual_fista(gs, lam, u, eta))
+        out, raised = dual_ascent_outcome(lambda: _prox_dual_fista(group_norm(lam, gs), u, eta))
         ref, ref_raised = dual_ascent_outcome(lambda: prox_dual_fista_repeat(gs, lam, u, eta))
         assert raised == ref_raised
         assert out.tobytes() == ref.tobytes()
@@ -581,7 +586,7 @@ class TestDualFista:
         gs = GroupStructure(*flat_family(groups_of(crossing_structure()), np.array([1e-200, 1.0]), 3))
         u = np.array([0.0, 0.0, 1.5])
         with np.errstate(divide="raise", invalid="raise"):
-            out = _prox_dual_fista(gs, 1e-200, u, 1.0)
+            out = _prox_dual_fista(group_norm(1e-200, gs), u, 1.0)
         assert np.array_equal(out, u)
 
     @pytest.mark.parametrize("weights", [[1.0, 1.0, 1.0], [10.0, 1.0, 1.0]],
@@ -603,9 +608,10 @@ class TestDualFista:
         u = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         gs = GroupStructure(*flat_family(groups, [1e300, 1.0, 1.0, 1.0], 6))
         with np.errstate(over="ignore", divide="raise", invalid="raise"):
-            out = _prox_dual_fista(gs, 1e10, u, 1e11)
+            out = _prox_dual_fista(group_norm(1e10, gs), u, 1e11)
         rest = GroupStructure(*flat_family(groups[1:], [1.0, 1.0, 1.0], 6))
-        ref = _prox_dual_fista(rest, 1e10, np.array([0.0, 0.0, 3.0, 4.0, 5.0, 6.0]), 1e11)
+        ref = _prox_dual_fista(group_norm(1e10, rest), np.array([0.0, 0.0, 3.0, 4.0, 5.0, 6.0]),
+                               1e11)
         assert np.array_equal(out[:2], [0.0, 0.0])
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
         assert np.array_equal(u, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -615,11 +621,11 @@ class TestDualFista:
 
         gs = crossing_structure()
         u = np.array([1.0, -2.0, 0.5])
-        out = _prox_dual_fista(gs, 0.4, u, 1.0)
+        out = _prox_dual_fista(group_norm(0.4, gs), u, 1.0)
         assert not np.shares_memory(out, u)
         monkeypatch.setattr(rg, "DUAL_MAX_ITER", 0)
         with pytest.raises(ConvergenceError) as err:
-            _prox_dual_fista(gs, 0.4, u, 1.0)
+            _prox_dual_fista(group_norm(0.4, gs), u, 1.0)
         assert np.array_equal(err.value.last_iterate, u)
         assert not np.shares_memory(err.value.last_iterate, u)
         assert np.array_equal(u, [1.0, -2.0, 0.5])
@@ -634,7 +640,7 @@ class TestDualFista:
         gs, lam, u, eta = truncation_instance(case)
         monkeypatch.setattr(rg, "DUAL_MAX_ITER", budget)
         with pytest.raises(ConvergenceError) as err:
-            _prox_dual_fista(gs, lam, u, eta)
+            _prox_dual_fista(group_norm(lam, gs), u, eta)
         with pytest.raises(ConvergenceError) as ref:
             prox_dual_fista_repeat(gs, lam, u, eta, max_iter=budget)
         assert_same_bytes(err.value.last_iterate, ref.value.last_iterate)
@@ -650,7 +656,7 @@ class TestDualFista:
         pen_u = lam * sum(w * np.linalg.norm(u[g]) for g, w in zip(groups_of(gs), gs.weights))
         monkeypatch.setattr(rg, "DUAL_MAX_ITER", 0)
         with pytest.raises(ConvergenceError) as err:
-            _prox_dual_fista(gs, lam, u, eta)
+            _prox_dual_fista(group_norm(lam, gs), u, eta)
         assert str(err.value) == (f"overlapping prox: dual gap {pen_u:.3e} above target "
                                   f"{2e-15 * pen_u:.3e} after 0 dual iterations")
 
@@ -661,11 +667,11 @@ class TestDualFista:
 
         gs, lam, u, eta = truncation_instance("random")
         u_in = u.copy()
-        first = _prox_dual_fista(gs, lam, u, eta)
-        second = _prox_dual_fista(gs, lam, u, eta)
+        first = _prox_dual_fista(group_norm(lam, gs), u, eta)
+        second = _prox_dual_fista(group_norm(lam, gs), u, eta)
         monkeypatch.setattr(rg, "DUAL_MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            _prox_dual_fista(gs, lam, u, eta)
+            _prox_dual_fista(group_norm(lam, gs), u, eta)
         outs = [first, second, err.value.last_iterate, u]
         for i in range(len(outs)):
             for j in range(i):
@@ -772,7 +778,7 @@ class TestProx:
             eta = 0.5 + 2.0 * float(rng.uniform(1)[0])
             fast = prox(reg, g, z, eta)
             u = z - g / eta
-            slow = _prox_dual_fista(st, reg.lam, u, eta)
+            slow = _prox_dual_fista(reg, u, eta)
             assert np.allclose(fast, slow, atol=1e-6)
 
     def test_l1_equals_singleton_groups(self):
@@ -982,6 +988,83 @@ class TestLinearMap:
         for g, w in zip(groups_of(st), st.weights):
             expected[g] += lam**2 * w**2
         assert np.allclose(gram, np.diag(expected), atol=1e-12)
+
+
+class TestDualScales:
+    """The penalty forms its scales c_g = lam * w_g, A's entries, ||A|| and M
+    once, when it is built."""
+
+    @pytest.mark.parametrize("reg", [
+        l1(0.3, 5), group_norm(0.3, build_hierarchical(3)),
+        group_norm(0.3, GroupStructure([0, 1, 1, 2], [2, 2], [1.0, 1.5], 3))],
+        ids=["l1", "tree", "overlapping"])
+    def test_scales_are_the_products_of_lambda_and_the_weights(self, reg):
+        st = reg.structure
+        assert reg.A_norm == operator_norm(reg)
+        if st is None:
+            assert_same_bytes(reg.a_weights, np.array(0.3))
+            assert reg.layer_scales is None and reg.M == 2.5
+            return
+        flat = 0.3 * st.weights[st.owner]
+        assert_same_bytes(reg.a_weights.ravel(), flat)
+        assert reg.a_weights.shape == ((st.covers, st.p) if st.covers else flat.shape)
+        assert reg.M == len(st) / 2.0
+        if st.is_laminar:
+            assert_same_bytes(reg.layer_scales, 0.3 * st.layer_weights)
+        else:
+            assert reg.layer_scales is None
+
+    @pytest.mark.parametrize("structure", [
+        build_hierarchical(2), GroupStructure([0, 1, 1, 2, 2, 3], [2, 2, 2], [2.0] * 3, 4)],
+        ids=["tree", "overlapping"])
+    def test_overflowing_scales_are_inf_without_a_warning(self, structure):
+        # 1e308 * w_g overflows for the weights above 1; building the penalty
+        # and its prox warn of nothing, and the prox zeroes every block
+        u = np.array([1.0, -2.0, 3.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reg = group_norm(1e308, structure)
+            out = prox(reg, np.zeros(4), u, 1.0)
+        assert np.isinf(reg.a_weights).any() and reg.A_norm == math.inf
+        assert np.array_equal(out, np.zeros(4))
+
+    @pytest.mark.parametrize("make", [lambda lam: l1(lam, 3),
+                                      lambda lam: group_norm(lam, build_hierarchical(2))],
+                             ids=["l1", "group"])
+    def test_nan_lambda_is_refused(self, make):
+        with pytest.raises(ParameterError, match="^lambda must be >= 0, got nan$"):
+            make(math.nan)
+
+
+class TestIdenticalGroups:
+    """Copies of a group are one laminar layer entry: the first stored, with
+    the copies' weights summed in stored order."""
+
+    def test_thousand_copies_of_one_group_are_one_layer(self):
+        weights = np.linspace(0.5, 1.5, 1000)
+        gs = GroupStructure(np.zeros(1000, dtype=np.int64), np.ones(1000), weights, 1)
+        assert len(gs) == 1000 and len(gs.layers) == 1
+        index, offsets, owner, lo, hi = gs.layers[0]
+        assert (index, lo, hi) == (slice(0, 1), 0, 1)
+        assert_same_bytes(gs.layer_weights, np.bincount(np.zeros(1000, dtype=np.int64),
+                                                        weights=weights))
+        reg = group_norm(1e-3, gs)
+        for u in (np.array([0.7]), np.array([-0.2]), np.array([0.0])):
+            out = prox(reg, np.zeros(1), u, 1.0)
+            assert out.tobytes() == prox_laminar_masked(gs, 1e-3, u, 1.0).tobytes()
+            ref = prox_laminar_loop(u, 1e-3, 1.0, groups_of(gs), weights)
+            assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
+        # the penalty and the smoothing keep every copy
+        assert evaluate(reg, [2.0]) == 1e-3 * (weights @ np.full(1000, 2.0))
+        assert reg.a_weights.shape == (1000,) and reg.M == 500.0
+
+    def test_copies_inside_a_tree_merge_into_the_first_stored(self):
+        groups, weights, p = IDENTICAL_CHAIN
+        gs = GroupStructure(*flat_family(groups, weights, p))
+        # {0, 1} stored at 0, 3 and 4 is one entry of weight 0.5 + 0.7 + 0.9
+        assert [layer[3:] for layer in gs.layers] == [(0, 2), (2, 3)]
+        assert_same_bytes(gs.layer_weights, np.array([0.5 + 0.7 + 0.9, 2.0, 1.0]))
+        assert [w.tolist() for *_, w in masked_layers(gs)] == [[0.5 + 0.7 + 0.9, 2.0], [1.0]]
 
 
 class TestOperatorNorm:

@@ -81,7 +81,7 @@ class TestSmoothedValue:
         assert np.isclose(value, 0.079, atol=1e-12)
         h = evaluate(s.base, x)
         assert np.isclose(h, 0.12)
-        assert value <= h <= value + s.mu * s.M + 1e-12
+        assert value <= h <= value + s.mu * s.base.M + 1e-12
 
     def test_matches_dense_grid_maximization(self):
         # independent oracle: maximize v.(lam x) - (mu/2)||v||^2 over a grid on [-1,1]^2
@@ -114,7 +114,7 @@ class TestSmoothedValue:
                 value = smoothed_value(s, x)
                 h = evaluate(reg, x)
                 assert value <= h + 1e-10
-                assert h <= value + mu * s.M + 1e-10
+                assert h <= value + mu * s.base.M + 1e-10
 
 
 class TestSmoothedGradient:
@@ -149,7 +149,7 @@ class TestSmoothedGradient:
     def test_gradient_lipschitz_bound(self):
         rng = RngStream(10)
         s = smoothed(group_norm(0.5, build_hierarchical(3)), mu=0.02)
-        constant = s.A_norm**2 / s.mu
+        constant = s.base.A_norm**2 / s.mu
         for _ in range(200):
             x = 3.0 * rng.normal(8)
             y = 3.0 * rng.normal(8)
@@ -243,7 +243,7 @@ def formula_value(s, x):
     if st is None:
         ax = s.base.lam * x
     else:
-        ax = s.base.lam * st.rep_weights * x[st.flat_index]
+        ax = s.base.lam * st.weights[st.owner] * x[st.flat_index]
     v = maximizer_formula(s, x)
     return float(v @ ax - 0.5 * s.mu * (v @ v))
 
@@ -407,7 +407,7 @@ class TestConstants:
         # A = 0: mu falls back to MU_FLOOR, L_mu = L exactly and the gradient is 0
         for reg in (l1(0.0, 4), group_norm(0.0, build_hierarchical(2))):
             s = smoothed(reg, N=100)
-            assert s.A_norm == 0.0 and s.mu == MU_FLOOR
+            assert s.base.A_norm == 0.0 and s.mu == MU_FLOOR
             assert lipschitz_mu(1.0, s) == 1.0
             x = np.linspace(-3.0, 3.0, reg.p)
             assert np.array_equal(smoothed_gradient(s, x), np.zeros(reg.p))
@@ -441,13 +441,25 @@ class TestConstants:
             lipschitz_mu(1.0, smoothed(l1(past, 4), N=10))
 
     def test_m_constant(self):
-        assert smoothed(l1(0.1, 10), mu=1.0).M == 5.0
-        assert smoothed(group_norm(0.1, build_hierarchical(2)), mu=1.0).M == 3.5
+        assert smoothed(l1(0.1, 10), mu=1.0).base.M == 5.0
+        assert smoothed(group_norm(0.1, build_hierarchical(2)), mu=1.0).base.M == 3.5
 
     def test_default_mu_is_horizon_schedule(self):
         reg = l1(0.2, 6)
         s = smoothed(reg, N=98)
         assert np.isclose(s.mu, 0.2 / 100.0)
+
+    def test_nan_mu_is_refused(self):
+        for reg in (l1(0.1, 2), group_norm(0.1, build_hierarchical(2))):
+            with pytest.raises(ParameterError, match="^mu must be > 0, got nan$"):
+                smoothed(reg, mu=math.nan)
+
+    def test_smoothing_adds_only_mu(self):
+        # ||A||, M and A's entries are the penalty's own
+        reg = group_norm(0.3, build_hierarchical(3))
+        s = smoothed(reg, N=98)
+        assert [f.name for f in dataclasses.fields(s) if f.init] == ["base", "mu"]
+        assert s.mu == reg.A_norm / 100 and s.a_weights is reg.a_weights
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

@@ -260,7 +260,7 @@ class TestRunSsg:
         x, _ = run_ssg(oracle, sreg, 1.0, N, RngStream(0), objective, trace_every=0)
         gap = phi(x) - phi(x_star)
         D = float(np.abs(x_star[0]))
-        assert 0.0 <= gap <= theorem_bound_smoothed(D, 0.0, 1.0, sreg.A_norm, sreg.M, N)
+        assert 0.0 <= gap <= theorem_bound_smoothed(D, 0.0, 1.0, sreg.base.A_norm, sreg.base.M, N)
 
     def test_default_mu_matches_horizon_schedule(self):
         reg = l1(0.2, 4)
@@ -553,7 +553,7 @@ def test_solvers_match_reference_loop_bit_for_bit(solver, penalty, kind):
     elif solver == "ssg":
         sreg = smoothed(reg, N=N)
         x, trace = run_ssg(oracle, sreg, L, N, root.split(2), objective, trace_every)
-        L_mu = L + sreg.A_norm**2 / sreg.mu
+        L_mu = L + sreg.base.A_norm**2 / sreg.mu
         eta = lambda t: (2.0 / (t + 2.0)) * (N**1.5 / L_mu + 2.0) * L_mu
     else:
         x, trace = run_acsa(oracle, reg, L, N, gamma_star, root.split(2), objective,
