@@ -17,7 +17,6 @@ from .regularizers import (
     group_norm,
     l1,
     load_group_structure,
-    operator_norm,
     prox,
     save_group_structure,
     soft_threshold,

@@ -69,14 +69,13 @@ class GroupStructure:
     decided, with every group's depth, by two stable sorts of the flat
     entries, O(n log n) in the total indices n. ``layers`` then splits the
     groups by nesting depth, deepest first; groups of equal depth are
-    disjoint, and identical groups are one entry, the first stored, weighing
-    their summed weights. Each layer is ``(index, offsets, owner, lo, hi)``
-    in flat block layout. ``index`` gathers the layer's coordinates: it is the basic slice
+    disjoint. Each layer is ``(index, offsets, owner, lo, hi)`` in flat block
+    layout. ``index`` gathers the layer's coordinates: it is the basic slice
     ``slice(a, a + n)`` when they are ``a, ..., a + n - 1`` in order, as in
     every layer of a dyadic tree, so that the prox reads a view and scales it
     in place, and an int64 array otherwise. ``owner`` gives the position
     within the layer of the group each gathered coordinate belongs to, and
-    the layer's weights are ``layer_weights[lo:hi]``, which holds all entries'
+    the layer's weights are ``layer_weights[lo:hi]``, which holds all groups'
     weights in layer order. ``layers`` and ``layer_weights`` are None for an
     overlapping family.
 
@@ -154,43 +153,21 @@ class GroupStructure:
         # in its coordinate's run then lies in the innermost group ordered
         # before its own that holds the coordinate: its parent, or -1 first in
         # the run. The family is laminar exactly when each group's entries
-        # have one parent.
+        # have one parent, and a group's depth is then their rank in the runs.
         e = np.lexsort((-self.sizes[self.owner], self.flat_index))
         coords, groups = self.flat_index[e], self.owner[e]
-        first = np.searchsorted(coords, coords)
-        pos = np.arange(e.size)
+        rank = np.arange(e.size) - np.searchsorted(coords, coords)
         parent = np.empty_like(e)
-        parent[e] = np.where(pos > first, np.roll(groups, 1), -1)
-        del e, coords  # each entry-length array is freed once used
+        parent[e] = np.where(rank > 0, np.roll(groups, 1), -1)
         if np.any(parent != parent[self.offsets][self.owner]):
             return None, None
-        # A group whose parent has its size is a copy of it. The copies of a
-        # group are one layer entry, the first stored, weighing their stored
-        # weights summed in stored order (one shrink by the summed threshold
-        # composes theirs), and a group's depth is its entries' rank in the
-        # runs without copies; the copies themselves get depth -1.
-        up = parent[self.offsets]
-        del parent
-        copy = (up >= 0) & (self.sizes[up] == self.sizes)
-        kept = ~copy[groups]
-        # An entry's first stored copy is the last kept entry up to it in its
-        # run, which starts with a kept one; pos holds its position, then the
-        # entries' ranks among the kept ones.
-        np.multiply(pos, kept, out=pos)
-        np.maximum.accumulate(pos, out=pos)
-        root = np.empty_like(self.sizes)
-        root[groups] = groups[pos]
-        weights = np.bincount(root, weights=self.weights, minlength=len(self))
-        rank = np.cumsum(kept, out=pos)
         depth = np.empty_like(self.sizes)
-        depth[groups] = rank - rank[first]
-        depth[copy] = -1
-        del groups, pos, first, kept, root, rank  # there may be a layer per group
-        # Deepest first, stably, copies last: the groups in layer order and,
-        # flat_index being group-major, every layer's flat entries in that
-        # same order.
+        depth[groups] = rank
+        del e, coords, groups, rank, parent  # there may be a layer per group
+        # Deepest first, stably: the groups in layer order and, flat_index
+        # being group-major, every layer's flat entries in that same order.
         order = np.argsort(-depth, kind="stable")
-        bounds = np.cumsum(np.bincount(depth[~copy])[::-1])
+        bounds = np.cumsum(np.bincount(depth)[::-1])
         at = np.argsort(-depth[self.owner], kind="stable")
         starts = np.concatenate(([0], np.cumsum(self.sizes[order])))
         within = np.repeat(np.arange(len(self)), self.sizes[order])
@@ -201,7 +178,7 @@ class GroupStructure:
             if np.all(np.diff(index) == 1):
                 index = slice(int(index[0]), int(index[-1]) + 1)
             layers.append((index, starts[lo:hi] - a, within[a:b] - lo, int(lo), int(hi)))
-        return layers, weights[order[:bounds[-1]]]
+        return layers, self.weights[order]
 
     def block_norms(self, flat: Array) -> Array:
         """Per-group Euclidean norms of a flat block-layout vector."""
@@ -251,7 +228,15 @@ class Regularizer:
             put("a_weights", a.reshape(st.covers, st.p) if st is not None and st.covers else a)
             put("layer_scales",
                 lam * st.layer_weights if st is not None and st.is_laminar else None)
-            put("A_norm", operator_norm(self))
+            # ||A||: A^T A is diagonal, lam^2 * sum_{g containing j} w_g^2 at j,
+            # multiplied out in Python floats (an overflow is inf, unwarned).
+            # With lam = 0, A = 0 even where a w_g^2 overflows.
+            a_norm = float(lam)
+            if st is not None and lam != 0:
+                col_sq = np.bincount(st.flat_index, weights=(st.weights**2)[st.owner],
+                                     minlength=st.p)
+                a_norm *= float(np.sqrt(col_sq.max()))
+            put("A_norm", a_norm)
         put("M", (self.p if st is None else len(st)) / 2.0)
 
 
@@ -447,20 +432,6 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
     )
 
 
-def operator_norm(reg: Regularizer) -> float:
-    """Spectral norm of the map A behind the smoothing (lam for plain l1).
-
-    For a group norm A x = (lam * w_g * x_g)_g, so A^T A is diagonal with
-    entries lam^2 * sum_{g containing j} w_g^2 and the norm is lam times the
-    square root of the largest of those sums.
-    """
-    if reg.structure is None:
-        return float(reg.lam)
-    st = reg.structure
-    col_sq = np.bincount(st.flat_index, weights=(st.weights**2)[st.owner], minlength=st.p)
-    return float(reg.lam) * float(np.sqrt(col_sq.max()))  # Python floats: inf, unwarned
-
-
 def save_group_structure(st: GroupStructure, path) -> None:
     """Text format: one group per line, ``weight: i1,i2,...,ik`` with 1-based indices."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -470,10 +441,10 @@ def save_group_structure(st: GroupStructure, path) -> None:
 
 
 # Bytes of memory that parsing may take per byte of a structure file, rounded
-# up from tracemalloc peaks over 2e5 groups: 35 for one-index lines "1:1",
-# the most groups per byte, 37 for "1:1,2", 18 for distinct singletons, 23
-# for one long line. Copies of one group make one laminar layer entry, so
-# no peak holds a layer per copy.
+# up from tracemalloc peaks over 2e5 groups: 151 for one-index lines "1:1",
+# the most groups per byte, 110 for "1:1,2", 17 for distinct singletons, 23
+# for one long line. Most of the "1:1" peak is its 2e5 laminar layers, one
+# per copy of the same group.
 LOAD_BYTES_PER_FILE_BYTE = 256
 
 

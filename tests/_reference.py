@@ -98,25 +98,17 @@ class PerGroupStructure:
         self.layers, self.layer_weights = self._depth_layers()
 
     def _depth_layers(self):
-        # A group whose parent has its size is a copy of it: it joins the
-        # parent's layer entry, adding its weight to the parent's, and takes
-        # no depth of its own (-1, sorted last).
         innermost = np.full(self.p, -1, dtype=np.int64)
         depth = np.full(len(self.groups) + 1, -1, dtype=np.int64)
-        weights = self.weights.copy()
         for k in np.argsort(-self.sizes, kind="stable"):
             parents = innermost[self.groups[k]]
             if np.any(parents != parents[0]):
                 return None, None
-            j = parents[0]
-            if j >= 0 and self.sizes[j] == self.sizes[k]:
-                weights[j] += weights[k]
-                continue
-            depth[k] = depth[j] + 1
+            depth[k] = depth[parents[0]] + 1
             innermost[self.groups[k]] = k
         depth = depth[:-1]
         order = np.argsort(-depth, kind="stable")
-        bounds = np.cumsum(np.bincount(depth[depth >= 0])[::-1])
+        bounds = np.cumsum(np.bincount(depth)[::-1])
         layers = []
         for lo, hi in zip([0, *bounds[:-1]], bounds):
             members = order[lo:hi]
@@ -127,7 +119,7 @@ class PerGroupStructure:
                 index = slice(int(index[0]), int(index[-1]) + 1)
             within = np.repeat(np.arange(members.size), sizes)
             layers.append((index, offsets, within, int(lo), int(hi)))
-        return layers, weights[order[:bounds[-1]]]
+        return layers, self.weights[order]
 
 
 def materialize_map(lam: float, groups, weights, p: int) -> np.ndarray:
@@ -243,25 +235,20 @@ def prox_laminar_loop(u, lam, eta, groups, weights):
 
 def masked_layers(st):
     """The laminar depth layers as ``(index, offsets, sizes, weights)``, rebuilt
-    from ``groups_of(st)`` by dense containment: identical groups are one
-    member, the first stored, weighing their weights summed in stored order,
-    and a member's depth is the number of distinct groups that strictly
-    contain it. Deepest layer first, members in stored order."""
+    from ``groups_of(st)`` by dense containment: a group's depth is the number
+    of groups that strictly contain it plus the identical groups stored before
+    it. Deepest layer first, members in stored order."""
     groups = groups_of(st)
     sets = [frozenset(g.tolist()) for g in groups]
-    firsts = [k for k, s in enumerate(sets) if s not in sets[:k]]
-    weights = {}
-    for k, s in enumerate(sets):
-        first = sets.index(s)
-        weights[first] = weights[first] + st.weights[k] if k > first else st.weights[k]
-    depth = {k: sum(1 for j in firsts if sets[j] > sets[k]) for k in firsts}
+    depth = [sum(1 for j, h in enumerate(sets) if h > s or (h == s and j < k))
+             for k, s in enumerate(sets)]
     layers = []
-    for d in sorted(set(depth.values()), reverse=True):
-        members = [k for k in firsts if depth[k] == d]
+    for d in sorted(set(depth), reverse=True):
+        members = [k for k in range(len(sets)) if depth[k] == d]
         sizes = np.array([groups[k].size for k in members], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
         index = np.concatenate([groups[k] for k in members])
-        layers.append((index, offsets, sizes, np.array([weights[k] for k in members])))
+        layers.append((index, offsets, sizes, st.weights[members]))
     return layers
 
 

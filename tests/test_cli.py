@@ -1049,6 +1049,21 @@ def test_overflowing_penalty_scales_run_under_runtime_warnings_as_errors(tmp_pat
     assert refused.stderr.startswith("config error: lambda: ")
 
 
+def test_zero_lambda_with_a_weight_whose_square_overflows_runs(tmp_path, capsys):
+    # At lambda = 0, A = 0 whatever the weights: ||A|| is 0, not 0 * inf = NaN,
+    # so mu takes the floor and sg and acsa run with the smoothed bound written
+    groups = tmp_path / "huge.groups"
+    groups.write_text("1e200: 1,2\n1: 3,4\n")
+    text = (SMALL_RUN.replace("regularizer = l1", f"regularizer = custom\nstructure_file = {groups}")
+            .replace("lambda = 0.1", "lambda = 0").replace("solver = sg", "solver = sg,acsa"))
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert [run["theorem_bound_smoothed"] == run["theorem_bound"] is not None
+            for run in summary["runs"]] == [True, True]
+
+
 # The text every refused step size starts with when eta(0) is past the largest double.
 ETA_0_INF = ("its step size eta(t) must be finite at t = 0 and positive at t = N, but "
              "eta(0) = inf and ")

@@ -16,7 +16,6 @@ from composite_sgd.regularizers import (
     group_norm,
     l1,
     load_group_structure,
-    operator_norm,
     prox,
     save_group_structure,
     soft_threshold,
@@ -32,7 +31,6 @@ from _reference import (
     materialize_map,
     prox_dual_ascent_loop,
     prox_dual_fista_repeat,
-    masked_layers,
     prox_laminar_loop,
     prox_laminar_masked,
     prox_objective,
@@ -274,8 +272,7 @@ def faulty_families(draw):
 # depths alone would call the family laminar.
 CROSSING_AT_EQUAL_DEPTH = ([[0, 1], [2, 3], [1, 2]], np.ones(3), 4)
 # A root holding a chain of three identical groups and their sibling, stored
-# out of order: the copies are one layer entry, the first stored, of their
-# weights summed.
+# out of order: the copies nest in stored order, one layer each.
 IDENTICAL_CHAIN = ([[0, 1], [0, 1, 2, 3], [2, 3], [0, 1], [0, 1]],
                    np.array([0.5, 1.0, 2.0, 0.7, 0.9]), 4)
 
@@ -300,8 +297,8 @@ class TestFlatConstructor:
 
     @pytest.mark.parametrize("case", ["singletons", "copies", "tree"])
     def test_large_families_equal_per_group_reference(self, case):
-        # one layer of 2e4 groups; a root over 500 copies of one group, two
-        # layers; the 13 layers of a dyadic tree's 8191 groups
+        # one layer of 2e4 groups; a root over 500 copies of one group, one
+        # layer per copy; the 13 layers of a dyadic tree's 8191 groups
         if case == "tree":
             p = 2**12
             groups = [np.arange(j, j + size) for size in 2 ** np.arange(13)
@@ -379,9 +376,7 @@ class TestDepthLayers:
         groups, weights, p = family
         layers = GroupStructure(*flat_family(groups, weights, p)).layers
         assert layers is not None
-        # identical groups are one layer entry
-        distinct = {tuple(sorted(g)) for g in groups}
-        assert sum(len(offsets) for _, offsets, _, _, _ in layers) == len(distinct)
+        assert sum(len(offsets) for _, offsets, _, _, _ in layers) == len(groups)
         for index, offsets, owner, _, _ in layers:
             index = np.arange(p)[index]
             sizes = np.diff(offsets, append=index.size)
@@ -1000,7 +995,6 @@ class TestDualScales:
         ids=["l1", "tree", "overlapping"])
     def test_scales_are_the_products_of_lambda_and_the_weights(self, reg):
         st = reg.structure
-        assert reg.A_norm == operator_norm(reg)
         if st is None:
             assert_same_bytes(reg.a_weights, np.array(0.3))
             assert reg.layer_scales is None and reg.M == 2.5
@@ -1036,48 +1030,21 @@ class TestDualScales:
             make(math.nan)
 
 
-class TestIdenticalGroups:
-    """Copies of a group are one laminar layer entry: the first stored, with
-    the copies' weights summed in stored order."""
-
-    def test_thousand_copies_of_one_group_are_one_layer(self):
-        weights = np.linspace(0.5, 1.5, 1000)
-        gs = GroupStructure(np.zeros(1000, dtype=np.int64), np.ones(1000), weights, 1)
-        assert len(gs) == 1000 and len(gs.layers) == 1
-        index, offsets, owner, lo, hi = gs.layers[0]
-        assert (index, lo, hi) == (slice(0, 1), 0, 1)
-        assert_same_bytes(gs.layer_weights, np.bincount(np.zeros(1000, dtype=np.int64),
-                                                        weights=weights))
-        reg = group_norm(1e-3, gs)
-        for u in (np.array([0.7]), np.array([-0.2]), np.array([0.0])):
-            out = prox(reg, np.zeros(1), u, 1.0)
-            assert out.tobytes() == prox_laminar_masked(gs, 1e-3, u, 1.0).tobytes()
-            ref = prox_laminar_loop(u, 1e-3, 1.0, groups_of(gs), weights)
-            assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
-        # the penalty and the smoothing keep every copy
-        assert evaluate(reg, [2.0]) == 1e-3 * (weights @ np.full(1000, 2.0))
-        assert reg.a_weights.shape == (1000,) and reg.M == 500.0
-
-    def test_copies_inside_a_tree_merge_into_the_first_stored(self):
-        groups, weights, p = IDENTICAL_CHAIN
-        gs = GroupStructure(*flat_family(groups, weights, p))
-        # {0, 1} stored at 0, 3 and 4 is one entry of weight 0.5 + 0.7 + 0.9
-        assert [layer[3:] for layer in gs.layers] == [(0, 2), (2, 3)]
-        assert_same_bytes(gs.layer_weights, np.array([0.5 + 0.7 + 0.9, 2.0, 1.0]))
-        assert [w.tolist() for *_, w in masked_layers(gs)] == [[0.5 + 0.7 + 0.9, 2.0], [1.0]]
-
-
 class TestOperatorNorm:
+    """``Regularizer.A_norm``, the spectral norm of A."""
+
     def test_l1_is_lambda(self):
-        assert operator_norm(l1(0.1, 5)) == 0.1
+        assert l1(0.1, 5).A_norm == 0.1
 
     def test_lambda_zero(self):
-        assert operator_norm(l1(0.0, 5)) == 0.0
-        assert operator_norm(group_norm(0.0, build_hierarchical(2))) == 0.0
+        assert l1(0.0, 5).A_norm == 0.0
+        assert group_norm(0.0, build_hierarchical(2)).A_norm == 0.0
+        # A = 0 even where a w_g^2 overflows, so ||A|| is 0, not 0 * inf = NaN
+        assert group_norm(0.0, GroupStructure([0, 1], [2], [1e200], 2)).A_norm == 0.0
 
     def test_hierarchical_depth_two(self):
         reg = group_norm(0.1, build_hierarchical(2))
-        value = operator_norm(reg)
+        value = reg.A_norm
         assert np.isclose(value, 0.1 * np.sqrt(7.0), rtol=1e-12)
         A = materialize_map(0.1, groups_of(reg.structure), reg.structure.weights, 4)
         assert np.isclose(value, np.linalg.norm(A, 2), rtol=1e-10)
@@ -1089,4 +1056,4 @@ class TestOperatorNorm:
             groups, weights = random_laminar_structure(p, rng)
             reg = group_norm(0.4, GroupStructure(*flat_family(groups, weights, p)))
             A = materialize_map(0.4, groups, weights, p)
-            assert np.isclose(operator_norm(reg), np.linalg.norm(A, 2), rtol=1e-10)
+            assert np.isclose(reg.A_norm, np.linalg.norm(A, 2), rtol=1e-10)
