@@ -8,12 +8,11 @@ dataclass fields by config key and passes on only the keys a config gives.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .core import _MAX_SEED
+from .core import _MAX_SEED, ENVELOPE, envelope_fault
 from .regularizers import TREE_BYTES_PER_INDEX
 from .solvers import OVERFLOW_LIMIT
 
@@ -75,27 +74,29 @@ def _forbid(pairs, key, why):
         raise ConfigError(key, why)
 
 
-def _number(pairs, key, kind, minimum=None, strict=False, maximum=None):
-    """The required int or finite float ``key``, at least ``minimum`` (above
-    it when ``strict``) and at most ``maximum``."""
+def _number(pairs, key, kind, minimum=None, maximum=None):
+    """The required int ``key``, at least ``minimum`` and at most ``maximum``;
+    or the required float ``key``, in the numeric envelope (``core.ENVELOPE``,
+    topped at ``maximum`` when given) or, where ``minimum`` is 0, equal to 0."""
     text = _require(pairs, key)
     try:
         value = kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(key, f"expected {what}, got {text!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(key, f"must be finite, got {text!r}")
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        op = ">" if strict else ">="
-        raise ConfigError(key, f"must be {op} {minimum}, got {value}")
-    if maximum is not None and value > maximum:
+    if kind is float:
+        fault = envelope_fault(value, zero=minimum == 0, hi=maximum or ENVELOPE[1])
+        if fault:
+            raise ConfigError(key, fault)
+    elif minimum is not None and value < minimum:
+        raise ConfigError(key, f"must be >= {minimum}, got {value}")
+    elif maximum is not None and value > maximum:
         raise ConfigError(key, f"must be <= {maximum}, got {value}")
     return value
 
 
 def _given(pairs, *specs) -> dict:
-    """Each ``(key, kind, minimum, strict)`` number the config gives, by key,
+    """Each ``(key, kind, minimum, maximum)`` number the config gives, by key,
     so that an omitted key keeps its dataclass default."""
     return {key: _number(pairs, key, *rest) for key, *rest in specs if key in pairs}
 
@@ -204,8 +205,6 @@ _MAX_N = 62
 # The most iterations a config may ask for: up to 2^53, float(N) is exact and
 # every step-size formula finite (at 1 us per iteration, over 280 years).
 _MAX_ITERATIONS = 2**53
-# The least acsa_d: acsa's gamma* divides by 3 acsa_d^2, which is 0 below 9.1e-163.
-_MIN_ACSA_D = 1e-162
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -273,9 +272,8 @@ def parse_run_config(text: str) -> RunConfig:
         raise ConfigError("seed", "repeated seed")
 
     given = _given(
-        pairs, ("trace_every", int, 1), ("mu_override", float, 0.0, True),
-        ("acsa_sigma_sq", float, 0.0), ("acsa_d", float, _MIN_ACSA_D),
-        ("lipschitz_override", float, 0.0, True),
+        pairs, ("trace_every", int, 1), ("mu_override", float), ("acsa_sigma_sq", float, 0.0),
+        ("acsa_d", float), ("lipschitz_override", float),
     )
     if "lipschitz_convention" in pairs:
         given["lipschitz_convention"] = _choice(pairs, "lipschitz_convention", CONVENTIONS)
@@ -323,7 +321,7 @@ def parse_bounds_config(text: str) -> BoundsConfig:
         _forbid(pairs, "lambda", "quadratic instance has no penalty")
         # The iterates overshoot the optimum at distance D by up to about 1.4 D,
         # so a D past half the divergence guard would end a convergent run.
-        given |= _given(pairs, ("D", float, 0.0, True, OVERFLOW_LIMIT / 2))
+        given |= _given(pairs, ("D", float, None, OVERFLOW_LIMIT / 2))
         check_memory("p", f"p={p} coordinates", 8 * p)
 
     cfg = BoundsConfig(problem=problem, solver=solver, p=p, N=N, **given)

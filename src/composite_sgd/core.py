@@ -15,6 +15,11 @@ _MAX_SEED = 2**64 - 1
 NORMAL_CHUNK_PAIRS = 2**16
 # Uniforms each RngStream pre-draws at a time (32 KB, plus 32 KB of indices).
 UNIFORM_BLOCK = 4096
+# The numeric envelope: every penalty level lambda, group weight and positive
+# float a config gives lies in [1e-50, 1e50] (lambda and the variances may be
+# 0). Then every step size, mu and bound a run derives is a finite positive
+# double; README "Numeric envelope" derives it.
+ENVELOPE = (1e-50, 1e50)
 
 
 class DimensionError(ValueError):
@@ -46,6 +51,15 @@ class DivergenceError(RuntimeError):
     def __reduce__(self):
         # Rebuild from both arguments so the error survives a process pool.
         return type(self), (self.args[0], self.iteration)
+
+
+def envelope_fault(value: float, zero: bool = False, hi: float = ENVELOPE[1]) -> str | None:
+    """None when ``value`` lies in [ENVELOPE[0], hi], or is 0 and ``zero``
+    allows it; otherwise why it is refused (NaN included)."""
+    if ENVELOPE[0] <= value <= hi or zero and value == 0:
+        return None
+    zero = "0 or " if zero else ""
+    return f"must be {zero}in [{ENVELOPE[0]:g}, {hi:g}], got {float(value)!r}"
 
 
 def as_vector(values) -> Array:

@@ -27,7 +27,7 @@ from . import regularizers as rg
 from . import solvers as sv
 from .config import BoundsConfig, ConfigError, RunConfig, check_memory
 from .core import ParameterError, RngStream, TraceRecord
-from .smoothing import MAX_A_NORM, lipschitz_mu, smoothed
+from .smoothing import smoothed
 
 THREADS_ENV = "COMPOSITE_SGD_THREADS"
 
@@ -120,28 +120,6 @@ def build_problem(cfg: RunConfig, seed: int) -> Instance:
                     1.0 if L is None else float(L), oracle)
 
 
-def check_steps(L: float, N: int, solvers, sreg, gamma_star=None, acsa_sigma_sq=None) -> None:
-    """Build each solver's step sizes as its ``run_*`` does (acsa's at ``gamma_star``,
-    from the config's ``acsa_sigma_sq`` or else a pilot), refusing one that
-    overflows with a ConfigError naming the key behind the failing term."""
-    for solver in solvers:
-        try:
-            if solver == "acsa":
-                sv.acsa_eta(N, L, gamma_star)
-            else:
-                sv.horizon_eta(N, lipschitz_mu(L, sreg) if solver == "ssg" else L)
-        except ParameterError as exc:
-            key, size = "lipschitz_override", "large" if L > 1 else "small"
-            if solver == "ssg" and not sreg.base.A_norm <= MAX_A_NORM:  # ||A||^2 overflows
-                key, size = "lambda", "large"
-            elif solver == "ssg" and lipschitz_mu(0.0, sreg) >= L:  # ||A||^2 / mu >= L
-                key, size = "mu_override", "small"
-            elif solver == "acsa" and not np.isfinite(gamma_star) and np.isfinite(2.0 * L):
-                at_1 = sv.resolve_acsa_params(L, N, acsa_sigma_sq or 0.0)  # gamma* at acsa_d = 1
-                key, size = ("acsa_d", "small") if np.isfinite(at_1) else ("acsa_sigma_sq", "large")
-            raise ConfigError(key, f"too {size} for {solver}: {exc}") from None
-
-
 def write_csv(path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows`` (lists of strings) as UTF-8 CSV with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -178,12 +156,11 @@ def solve(solver: str, inst: Instance, oracle, sreg, gamma_star, N: int, rng: Rn
 
 
 def configure(inst: Instance, cfg: RunConfig, seed: int):
-    """Set ``cfg`` up on seed ``seed``'s instance ``inst``, refusing a step
-    size of any of its solvers past the largest double or at 0. Returns its
+    """Set ``cfg`` up on seed ``seed``'s instance ``inst``. Returns its
     oracle, smoothed penalty, acsa's gamma* and the bounds its summaries
-    record, None for a bound that is not finite; ``theorem_bound_smoothed``
-    assumes the scheduled mu = ||A|| / (N+2), also when ``mu_override`` runs
-    ssg at another mu."""
+    record; ``theorem_bound_smoothed`` assumes the scheduled mu = ||A|| / (N+2),
+    also when ``mu_override`` runs ssg at another mu. Within the numeric
+    envelope every step size and bound is finite (README "Numeric envelope")."""
     sreg = smoothed(inst.reg, mu=cfg.mu_override, N=cfg.N)
     oracle = inst.oracle(cfg.batch_size)
     sigma_sq = cfg.acsa_sigma_sq
@@ -191,7 +168,6 @@ def configure(inst: Instance, cfg: RunConfig, seed: int):
         sigma_sq = 0.0 if cfg.batch_size is None else sv.pilot_sigma_sq(
             oracle, np.zeros(oracle.dim), RngStream(seed).split(STREAM_PILOT))
     gamma_star = sv.resolve_acsa_params(inst.L, cfg.N, sigma_sq, D=cfg.acsa_d)
-    check_steps(inst.L, cfg.N, cfg.solvers, sreg, gamma_star, cfg.acsa_sigma_sq)
     sigma = float(np.sqrt(sigma_sq))
     bounds = {
         "sigma_sq_pilot": float(sigma_sq),
@@ -200,9 +176,6 @@ def configure(inst: Instance, cfg: RunConfig, seed: int):
         "theorem_bound_smoothed": sv.theorem_bound_smoothed(cfg.acsa_d, sigma, inst.L,
                                                             inst.reg.A_norm, inst.reg.M, cfg.N),
     }
-    for key in ("theorem_bound", "theorem_bound_smoothed"):  # JSON has no inf or NaN
-        if not np.isfinite(bounds[key]):
-            bounds[key] = None
     return oracle, sreg, gamma_star, bounds
 
 
@@ -330,7 +303,6 @@ def verify_bounds(cfg: BoundsConfig) -> BoundsReport:
         D = float(np.linalg.norm(x_star))
 
     sreg = smoothed(inst.reg, N=cfg.N)
-    check_steps(inst.L, cfg.N, (cfg.solver,), sreg)
     phi_star = inst.phi(inst.x_star)
     # At sigma = 0 the noise oracle returns the exact gradient and draws nothing.
     oracle = pb.GaussianNoiseOracle(inst.oracle(None), cfg.sigma)

@@ -13,11 +13,13 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    ENVELOPE,
     Array,
     ConvergenceError,
     DimensionError,
     ParameterError,
     as_vector,
+    envelope_fault,
 )
 
 # Overlapping-group prox: accelerated projected-gradient ascent on the dual,
@@ -34,9 +36,9 @@ _MAX_TOTAL_INDICES = 2**28
 # 95.4 at n = 10, 93.3 at n = 14 and 92.4 at n = 18.
 TREE_BYTES_PER_INDEX = 96
 
-# Floor and ceiling of the group prox thresholds and radii, and the 1 of the
-# laminar scale, as 0-d arrays: a ufunc takes a 0-d operand faster than a
-# Python float or np.float64, with the same bits.
+# Floor and ceiling of the laminar prox thresholds, and the 1 of its scale,
+# as 0-d arrays: a ufunc takes a 0-d operand faster than a Python float or
+# np.float64, with the same bits.
 _TINY = np.array(np.finfo(np.float64).smallest_subnormal)
 _HUGE = np.array(np.finfo(np.float64).max)
 _ONE = np.array(1.0)
@@ -104,12 +106,9 @@ class GroupStructure:
             )
         if sizes.shape[0] == 0:
             raise ParameterError("need at least one group")
-        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+        bad = np.flatnonzero(~((weights >= ENVELOPE[0]) & (weights <= ENVELOPE[1])))
         if bad.size:
-            raise ParameterError(
-                f"group {bad[0]} has weight {weights[bad[0]]!r}; "
-                "group weights must be finite and strictly positive"
-            )
+            raise ParameterError(f"group {bad[0]} weight {envelope_fault(weights[bad[0]])}")
         if sizes.min() < 0 or index.shape != (sizes.sum(),):
             raise DimensionError(f"group sizes must be >= 0 and sum to {index.size} indices")
 
@@ -208,35 +207,34 @@ class Regularizer:
     group norm sum_g w_g ||beta_g||. Built with it, once: ``a_weights``, A's
     entries c_g = lam * w_g (lam for l1) in flat block layout (0-d for l1,
     ``(covers, p)`` when it tiles); ``layer_scales``, the laminar prox's c_g in
-    layer order; ``A_norm`` = ||A||; ``M``. A c_g past the largest double is +inf."""
+    layer order; ``A_norm`` = ||A||; ``M``. ``lam`` and the structure's weights
+    lie in the numeric envelope (``core.ENVELOPE``), so every c_g is 0 or in
+    [1e-100, 1e100] and ||A||^2 is a double."""
 
     lam: float
     p: int
     structure: Optional[GroupStructure] = None
 
     def __post_init__(self):
-        if not self.lam >= 0:  # NaN included
-            raise ParameterError(f"lambda must be >= 0, got {self.lam}")
+        fault = envelope_fault(self.lam, zero=True)
+        if fault:
+            raise ParameterError(f"lambda {fault}")
         if self.p < 1:
             raise ParameterError(f"p must be >= 1, got {self.p}")
         st, lam = self.structure, self.lam
         if st is not None and st.p != self.p:
             raise DimensionError(f"structure dimension {st.p} != p {self.p}")
         put = lambda name, value: object.__setattr__(self, name, value)
-        with np.errstate(over="ignore"):
-            a = np.array(float(lam)) if st is None else lam * st.weights[st.owner]
-            put("a_weights", a.reshape(st.covers, st.p) if st is not None and st.covers else a)
-            put("layer_scales",
-                lam * st.layer_weights if st is not None and st.is_laminar else None)
-            # ||A||: A^T A is diagonal, lam^2 * sum_{g containing j} w_g^2 at j,
-            # multiplied out in Python floats (an overflow is inf, unwarned).
-            # With lam = 0, A = 0 even where a w_g^2 overflows.
-            a_norm = float(lam)
-            if st is not None and lam != 0:
-                col_sq = np.bincount(st.flat_index, weights=(st.weights**2)[st.owner],
-                                     minlength=st.p)
-                a_norm *= float(np.sqrt(col_sq.max()))
-            put("A_norm", a_norm)
+        a = np.array(float(lam)) if st is None else lam * st.weights[st.owner]
+        put("a_weights", a.reshape(st.covers, st.p) if st is not None and st.covers else a)
+        put("layer_scales", lam * st.layer_weights if st is not None and st.is_laminar else None)
+        # ||A||: A^T A is diagonal, lam^2 * sum_{g containing j} w_g^2 at j,
+        # multiplied out in Python floats.
+        a_norm = float(lam)
+        if st is not None:
+            col_sq = np.bincount(st.flat_index, weights=(st.weights**2)[st.owner], minlength=st.p)
+            a_norm *= float(np.sqrt(col_sq.max()))
+        put("A_norm", a_norm)
         put("M", (self.p if st is None else len(st)) / 2.0)
 
 
@@ -301,7 +299,8 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
     term keeps the target above the gap's rounding level when x* is near 0.
     After ``DUAL_MAX_ITER = 10**5`` ascent steps it raises
     ``ConvergenceError``, naming the gap reached and carrying the last primal
-    iterate.
+    iterate. A centre u whose penalty sum_g c_g ||u_g|| is not finite raises
+    ``ParameterError`` before the first step.
     """
     if eta <= 0:
         raise ParameterError(f"eta must be > 0, got {eta}")
@@ -326,7 +325,8 @@ def _prox_laminar(reg: Regularizer, u: Array, eta: float) -> Array:
     # sqrt(smallest_subnormal) = 2.2e-162, so where c_g / eta underflows,
     # 1 - smallest_subnormal / nrm rounds to exactly 1 and the block is kept
     # as it is. The ceiling keeps an overflowing threshold zeroing its block,
-    # not making inf / inf.
+    # not making inf / inf. A solver's eta keeps c_g / eta within both; they
+    # serve a caller's eta, which may be any positive double.
     thr = np.minimum(np.maximum(reg.layer_scales / eta, _TINY), _HUGE)
     x = u.copy()
     for index, offsets, owner, lo, hi in reg.structure.layers:
@@ -348,29 +348,14 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
     # of the last two b: one bincount per iteration.
     st = reg.structure
     index, offsets, owner = st.flat_index, st.offsets, st.owner
-    # The radii c_g, A's entries at the groups' first slots, floored so that
-    # one underflowing to 0 cannot make the projection of a zero block 0/0.
-    radii = np.maximum(reg.a_weights.take(offsets), _TINY)
+    radii = reg.a_weights.take(offsets)  # c_g, A's entries at the groups' first slots
     step = eta / st.max_cover
-    norms_u = st.block_norms(u[index])
-    pen_u = float(radii.dot(norms_u))
-    zeroed = None
+    pen_u = float(radii.dot(st.block_norms(u[index])))
     if not math.isfinite(pen_u):
-        # c_g or c_g * ||u_g|| overflowed. A block whose radius c_g is
-        # at least eta * ||u_g|| is 0 at the optimum (zeroing it lowers the
-        # objective), and the prox keeps that optimum when those blocks are
-        # zeroed in u and given the floor radius; they are set to 0 exactly
-        # on return.
-        big = radii >= eta * norms_u
-        zeroed = index[big[owner]]
-        u = u.copy()
-        u[zeroed] = 0.0
-        radii = np.where(big, _TINY, radii)
-        pen_u = float(radii.dot(st.block_norms(u[index])))
+        raise ParameterError(f"overlapping prox: sum_g c_g ||u_g|| is {pen_u} at the centre u")
     # At k = 0, b = 0 and x = u: the gap is pen_u and the target
     # DUAL_GAP_RTOL * 2 pen_u, so the stop test passes there exactly when
-    # pen_u == 0 (then every zeroed block of u is 0 already), and the loop
-    # starts at the first ascent step.
+    # pen_u == 0, and the loop starts at the first ascent step.
     if pen_u == 0.0:
         return u.copy()
     # The loop costs numpy calls on a few hundred floats, not arithmetic, so it
@@ -388,8 +373,7 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
     beta_0d, step_0d, eta_0d = np.empty(()), np.array(step), np.array(float(eta))
     x = u
     xf = xf_prev = u[index]
-    # 0 . xf is nan where a block of u is not finite, as 0 * inf is.
-    gap = pen_u if math.isfinite(pen_u) else pen_u - float(b.dot(xf))
+    gap = pen_u
     target = DUAL_GAP_RTOL * (pen_u + pen_u)
     t = 1.0
     for _ in range(DUAL_MAX_ITER):
@@ -421,9 +405,7 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
         pen_x = float(radii.dot(np.sqrt(nrm, out=nrm)))
         gap = pen_x - float(b.dot(xf))
         target = DUAL_GAP_RTOL * (pen_x + pen_u)
-        if gap <= target and math.isfinite(gap) and math.isfinite(target):
-            if zeroed is not None:
-                x[zeroed] = 0.0
+        if gap <= target:
             return x
     raise ConvergenceError(
         f"overlapping prox: dual gap {gap:.3e} above target {target:.3e} "
@@ -464,10 +446,9 @@ def load_group_structure(path, p: int) -> GroupStructure:
                 index.extend(idx)
             except (ValueError, OverflowError) as exc:
                 raise ParameterError(f"line {lineno}: cannot parse {line!r}") from exc
-            if not (np.isfinite(w) and w > 0):
-                raise ParameterError(
-                    f"line {lineno}: weight {w!r} must be finite and strictly positive"
-                )
+            fault = envelope_fault(w)
+            if fault:
+                raise ParameterError(f"line {lineno}: weight {fault}")
             sizes.append(len(idx))
             weights.append(w)
             lines.append(lineno)

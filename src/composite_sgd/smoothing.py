@@ -31,12 +31,10 @@ import numpy as np
 from .core import Array, DimensionError, ParameterError, as_vector
 from .regularizers import Regularizer
 
-# Substitute for mu when the schedule ||A|| / (N+2) is 0: when the penalty
-# vanishes (lam = 0), A = 0, so L_mu = L and the smoothed gradient is 0; and
-# when ||A|| is so small that the quotient underflows, ||A||^2 / mu is 0 too.
+# Substitute for mu when the schedule ||A|| / (N+2) is 0, as it is when the
+# penalty vanishes (lam = 0): then A = 0, so L_mu = L and the smoothed
+# gradient is 0.
 MU_FLOOR = 1e-12
-# The largest ||A|| whose square is a double.
-MAX_A_NORM = float(np.sqrt(np.finfo(float).max))
 
 # The l1 clamp's bounds, and the group projection's floor, as 0-d operands.
 _ONE, _MINUS_ONE = np.array(1.0), np.array(-1.0)
@@ -63,7 +61,7 @@ class SmoothedRegularizer:
 
 def mu_schedule(A_norm: float, N: int) -> float:
     """Horizon schedule mu = ||A|| / (N + 2); MU_FLOOR when that is 0, as it
-    is for ||A|| = 0 and for an ||A|| so small that the quotient underflows."""
+    is for ||A|| = 0 (lam = 0)."""
     if N < 0:
         raise ParameterError(f"N must be >= 0, got {N}")
     mu = A_norm / (N + 2)
@@ -136,9 +134,7 @@ def smoothed_gradient(s: SmoothedRegularizer, x) -> Array:
 
 def lipschitz_mu(L: float, s: SmoothedRegularizer) -> float:
     """Gradient Lipschitz constant of the smoothed composite: L + ||A||^2 / mu.
-    Raises ParameterError when ||A||^2 is past the largest double."""
+    ||A||^2 is a double for every penalty (see ``Regularizer``)."""
     if L < 0:
         raise ParameterError(f"L must be >= 0, got {L}")
-    if not s.base.A_norm <= MAX_A_NORM:  # NaN and inf included
-        raise ParameterError("||A||^2 of the penalty is past the largest double")
     return float(L + s.base.A_norm**2 / s.mu)

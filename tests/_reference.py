@@ -29,8 +29,8 @@ import math
 
 import numpy as np
 
-from composite_sgd.core import (ConvergenceError, DimensionError, DivergenceError,
-                                ParameterError, RngStream)
+from composite_sgd.core import (ENVELOPE, ConvergenceError, DimensionError, DivergenceError,
+                                ParameterError, RngStream, envelope_fault)
 from composite_sgd.problems import _check_beta, ground_truth, sigmoid
 from composite_sgd.regularizers import (
     DUAL_GAP_RTOL,
@@ -69,12 +69,9 @@ class PerGroupStructure:
             )
         if len(groups) == 0:
             raise ParameterError("need at least one group")
-        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+        bad = np.flatnonzero(~((weights >= ENVELOPE[0]) & (weights <= ENVELOPE[1])))
         if bad.size:
-            raise ParameterError(
-                f"group {bad[0]} has weight {weights[bad[0]]!r}; "
-                "group weights must be finite and strictly positive"
-            )
+            raise ParameterError(f"group {bad[0]} weight {envelope_fault(weights[bad[0]])}")
         cleaned = []
         for k, g in enumerate(groups):
             idx = np.asarray(g, dtype=np.int64)
@@ -273,7 +270,7 @@ def prox_dual_fista_repeat(st, lam, u, eta, max_iter=DUAL_MAX_ITER):
     projection scale over its block with ``np.repeat`` over the block sizes,
     with fresh arrays at every step; ``max_iter`` ascent steps are the budget."""
     index, offsets, sizes = st.flat_index, st.offsets, st.sizes
-    radii = np.maximum(lam * st.weights, np.finfo(np.float64).smallest_subnormal)
+    radii = lam * st.weights
     step = eta / st.max_cover
     pen_u = radii @ st.block_norms(u[index])
     b = np.zeros(index.size)

@@ -27,14 +27,16 @@ from composite_sgd.config import (
     parse_run_config,
     physical_memory,
 )
-from composite_sgd.core import DivergenceError, ParameterError, RngStream
+from composite_sgd.core import ENVELOPE, DivergenceError, ParameterError, RngStream
 from composite_sgd.problems import (
+    ExactOracle,
     continuous_objective,
     ground_truth,
     lipschitz_linear,
     ortho_lasso_instance,
 )
-from composite_sgd.regularizers import build_hierarchical, evaluate, group_norm, l1, prox
+from composite_sgd.regularizers import (GroupStructure, build_hierarchical, evaluate, group_norm,
+                                       l1, prox)
 from composite_sgd.smoothing import smoothed
 from composite_sgd.solvers import (
     resolve_acsa_params,
@@ -943,9 +945,18 @@ class TestVerifyBoundsCommand:
 
 QUADRATIC_BOUNDS = "problem = quadratic\nsolver = sg\np = 8\nN = 98\nR = 3\n"
 ORTHO_BOUNDS = "problem = ortho-lasso\nsolver = sg\np = 8\nN = 98\nR = 1\n"
+# A custom penalty whose second group's weight a test writes into weights.groups.
+CUSTOM_RUN = SMALL_RUN.replace("regularizer = l1",
+                               "regularizer = custom\nstructure_file = {groups}")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+def refusal(key, value, zero=False, hi=ENVELOPE[1]):
+    """The line the command line prints for ``value`` of ``key`` outside the envelope."""
+    return (f"config error: {key}: must be {'0 or ' if zero else ''}in "
+            f"[{ENVELOPE[0]:g}, {hi:g}], got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "floor", "ceiling", "below", "above"])
 @pytest.mark.parametrize("command, base, key", [
     pytest.param("run", SMALL_RUN, key, id=f"run-{key}")
     for key in ("lambda", "mu_override", "acsa_sigma_sq", "acsa_d", "lipschitz_override")
@@ -953,13 +964,37 @@ ORTHO_BOUNDS = "problem = ortho-lasso\nsolver = sg\np = 8\nN = 98\nR = 1\n"
     pytest.param("verify-bounds", QUADRATIC_BOUNDS, "sigma", id="bounds-sigma"),
     pytest.param("verify-bounds", ORTHO_BOUNDS, "lambda", id="bounds-lambda"),
     pytest.param("verify-bounds", QUADRATIC_BOUNDS, "D", id="bounds-D"),
+    pytest.param("run", CUSTOM_RUN, "weight", id="run-weight"),
 ])
 def test_non_finite_float_exits_2_naming_key(tmp_path, capsys, command, base, key, value):
-    lines = [line for line in base.splitlines() if not line.startswith(f"{key} =")]
-    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
-    argv = [command, str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
-    assert main(argv) == 2
-    assert f"config error: {key}:" in capsys.readouterr().err
+    # Every float key, and a structure file's weight, is accepted at both
+    # edges of the numeric envelope (D's ceiling is half the divergence guard)
+    # and refused one double past either, NaN and inf included: exit 2 naming
+    # the key, or structure_file and the line, before anything is written.
+    lo, hi = ENVELOPE[0], solvers.OVERFLOW_LIMIT / 2 if key == "D" else ENVELOPE[1]
+    text = {"floor": repr(lo), "ceiling": repr(hi), "below": repr(math.nextafter(lo, 0.0)),
+            "above": repr(math.nextafter(hi, math.inf))}.get(value, value)
+    if key == "weight":
+        groups = tmp_path / "weights.groups"
+        groups.write_text(f"1: 1,2\n{text}: 3,4\n")
+        cfg = write_cfg(tmp_path, base.format(groups=groups))
+    else:
+        lines = [line for line in base.splitlines() if not line.startswith(f"{key} =")]
+        cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {text}"]) + "\n")
+    out = tmp_path / "out"
+    code = main([command, str(cfg)] + (["--out", str(out)] if command == "run" else []))
+    err = capsys.readouterr().err
+    if value in ("floor", "ceiling"):
+        # a run ends normally; a bound check may fail or, at sigma = 1e50, diverge
+        assert "config error" not in err
+        assert code == 0 if command == "run" else code != 2
+        return
+    assert code == 2 and not out.exists()
+    if key == "weight":
+        assert err.startswith("config error: structure_file: line 2: weight must be in ")
+    else:
+        assert err == refusal(key, float(text), zero=key in ("lambda", "acsa_sigma_sq", "sigma"),
+                              hi=hi)
 
 
 HUGE_LAMBDA_SSG = {
@@ -986,29 +1021,28 @@ HUGE_LAMBDA_SSG = {
 ])
 def test_huge_lambda_with_ssg_exits_2_naming_lambda(tmp_path, capsys, monkeypatch, command,
                                                     text):
-    # ||A||^2 in ssg's L + ||A||^2 / mu overflows; the same config without ssg runs
+    # A lambda past the envelope (ssg's ||A||^2 used to overflow at these) is
+    # refused while parsing, whatever the solvers: sg alone, which ran, is too
     monkeypatch.setenv("COMPOSITE_SGD_THREADS", "2")
+    lam = float(re.search(r"lambda = (\S+)", text).group(1))
     sg_only = re.sub(r"solver = .*", "solver = sg", text)
-    if command == "compare":  # only b runs ssg; a, in its own units, starts no job either
+    if command == "compare":  # only b runs ssg; a, parsed first, is refused as well
         write_cfg(tmp_path, sg_only, "a.cfg")
         write_cfg(tmp_path, sg_only.replace("solver = sg", "solver = ssg"), "b.cfg")
         argv = ["compare", str(tmp_path)]
     else:
         argv = [command, str(write_cfg(tmp_path, text))]
-    out = tmp_path / "out"
     if command == "run":
-        argv += ["--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "config error: lambda: too large for ssg: ||A||^2 of the penalty is past the "
-        "largest double\n")
-    assert not any(path.name.endswith("out") for path in tmp_path.iterdir())
-    if command != "compare":
-        argv[1] = str(write_cfg(tmp_path, sg_only))
-        assert main(argv) == 0
+        argv += ["--out", str(tmp_path / "out")]
+    for config in (text, sg_only):
+        if command != "compare":
+            write_cfg(tmp_path, config)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == refusal("lambda", lam, zero=True)
+        assert not any(path.name.endswith("out") for path in tmp_path.iterdir())
 
 
-# Penalties whose scales lambda * w_g pass the largest double at lambda = 1e308:
+# Penalties whose scales lambda * w_g passed the largest double at lambda = 1e308:
 # the n = 2 tree's weights sqrt(2) and 2, and three crossing groups of weight 2.
 OVERFLOWING_PENALTIES = {
     "tree": ("regularizer = hierarchical\nn = 2\n", None),
@@ -1021,109 +1055,77 @@ OVERFLOWING_PENALTIES = {
 @pytest.mark.parametrize("penalty", sorted(OVERFLOWING_PENALTIES))
 def test_overflowing_penalty_scales_run_under_runtime_warnings_as_errors(tmp_path, penalty,
                                                                          threads):
-    # The penalty forms its scales once, an overflowing one as +inf with no
-    # warning, so sg and acsa run under -W error::RuntimeWarning, in pool
-    # workers too; ssg, whose ||A||^2 is inf, is refused naming lambda.
+    # At lambda = 1e50, the envelope's ceiling, every solver runs under
+    # -W error::RuntimeWarning, in pool workers too, and both bounds are
+    # finite; lambda = 1e308, whose scales overflowed, is refused naming lambda.
     body, groups = OVERFLOWING_PENALTIES[penalty]
     if groups is not None:
         (tmp_path / "three.groups").write_text(groups)
     text = (SMALL_RUN.replace("p = 4\n", "").replace("regularizer = l1\n", body)
-            .replace("lambda = 0.1", "lambda = 1e308").replace("solver = sg", "solver = sg,acsa"))
+            .replace("solver = sg", "solver = sg,ssg,acsa"))
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, COMPOSITE_SGD_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
-    def run_cli(text):
+    def run_cli(lam):
         argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "composite_sgd", "run",
-                str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]
+                str(write_cfg(tmp_path, text.replace("lambda = 0.1", f"lambda = {lam}"))),
+                "--out", str(tmp_path / "out")]
         return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
 
-    done = run_cli(text)
+    done = run_cli("1e50")
     assert (done.returncode, done.stderr) == (0, "")
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert [Path(run["trace_file"]).name for run in summary["runs"]] == [
-        "trace_sg_3.csv", "trace_acsa_3.csv"]
-    assert summary["runs"][0]["theorem_bound_smoothed"] is None  # ||A|| = inf
-    refused = run_cli(text.replace("solver = sg,acsa", "solver = ssg"))
-    assert refused.returncode == 2
-    assert refused.stderr.startswith("config error: lambda: ")
+        "trace_sg_3.csv", "trace_ssg_3.csv", "trace_acsa_3.csv"]
+    assert all(math.isfinite(run[key]) for run in summary["runs"]
+               for key in ("theorem_bound", "theorem_bound_smoothed"))
+    refused = run_cli("1e308")
+    assert (refused.returncode, refused.stderr) == (2, refusal("lambda", 1e308, zero=True))
 
 
-def test_zero_lambda_with_a_weight_whose_square_overflows_runs(tmp_path, capsys):
-    # At lambda = 0, A = 0 whatever the weights: ||A|| is 0, not 0 * inf = NaN,
-    # so mu takes the floor and sg and acsa run with the smoothed bound written
-    groups = tmp_path / "huge.groups"
-    groups.write_text("1e200: 1,2\n1: 3,4\n")
-    text = (SMALL_RUN.replace("regularizer = l1", f"regularizer = custom\nstructure_file = {groups}")
-            .replace("lambda = 0.1", "lambda = 0").replace("solver = sg", "solver = sg,acsa"))
-    out = tmp_path / "out"
-    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    summary = json.loads((out / "summary.json").read_text())
-    assert [run["theorem_bound_smoothed"] == run["theorem_bound"] is not None
-            for run in summary["runs"]] == [True, True]
-
-
-# The text every refused step size starts with when eta(0) is past the largest double.
-ETA_0_INF = ("its step size eta(t) must be finite at t = 0 and positive at t = N, but "
-             "eta(0) = inf and ")
 MU_OVERRIDE_SSG = SMALL_RUN.replace("solver = sg", "solver = sg,ssg") + "mu_override = 1e-320\n"
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_mu_override_whose_quotient_overflows_exits_2_naming_mu_override(
         tmp_path, capsys, monkeypatch, command):
-    # ||A||^2 / mu = 0.01 / 1e-320 is past the largest double, so ssg's steps
-    # would all be 0; every unit sets up every config, so none starts a job
+    # mu = 1e-320, where ||A||^2 / mu overflowed, is past the envelope and
+    # refused while parsing, so no unit starts; at its floor 1e-50 ssg runs
     monkeypatch.setenv("COMPOSITE_SGD_THREADS", "2")
-    if command == "compare":  # only b runs ssg
-        write_cfg(tmp_path, MU_OVERRIDE_SSG.replace("solver = sg,ssg", "solver = sg"), "a.cfg")
+    if command == "compare":  # only b sets mu_override
+        write_cfg(tmp_path, SMALL_RUN, "a.cfg")
         write_cfg(tmp_path, MU_OVERRIDE_SSG, "b.cfg")
         argv = ["compare", str(tmp_path)]
     else:
         argv = ["run", str(write_cfg(tmp_path, MU_OVERRIDE_SSG)), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "config error: mu_override: too small for ssg: " + ETA_0_INF + "eta(N) = inf\n")
+    assert capsys.readouterr().err == refusal("mu_override", 1e-320)
     assert not any(path.name.endswith("out") for path in tmp_path.iterdir())
-    # at 1e-300 the quotient is a double
-    write_cfg(tmp_path, MU_OVERRIDE_SSG.replace("1e-320", "1e-300"),
+    write_cfg(tmp_path, MU_OVERRIDE_SSG.replace("1e-320", "1e-50"),
               "b.cfg" if command == "compare" else "run.cfg")
     assert main(argv) == 0
 
 
 def test_acsa_d_whose_gamma_star_overflows_exits_2_naming_acsa_d(tmp_path, capsys,
                                                                  monkeypatch):
-    # with a minibatch oracle gamma* = sqrt(2 sigma^2 N(N+1)(N+2) / (3 acsa_d^2))
-    # is inf at acsa_d = 1e-162, so acsa's iterate would never leave 0; each
-    # of the config's two units refuses it before its first job
+    # gamma* = max(2L, sqrt(2 sigma^2 N(N+1)(N+2) / (3 acsa_d^2))) overflowed
+    # at acsa_d = 1e-162, at L = 1e308 and at sigma^2 = 1e308: each is past
+    # the envelope and refused while parsing, before either unit starts; at
+    # acsa_d = 1e-50 acsa runs on the pilot's sigma^2
     monkeypatch.setenv("COMPOSITE_SGD_THREADS", "2")
     out = tmp_path / "out"
-    text = SMALL_RUN.replace("solver = sg", "solver = sg,acsa") + "acsa_d = 1e-162\n"
+    text = SMALL_RUN.replace("solver = sg", "solver = sg,acsa")
     argv = ["run", str(write_cfg(tmp_path, text)), "--out", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: acsa_d: too small for acsa: " + ETA_0_INF)
-    assert not list(out.glob("trace_*")) and not (out / "summary.json").exists()
-    write_cfg(tmp_path, text.replace("1e-162", "1e-150"))
+    for key, value in (("acsa_d", 1e-162), ("lipschitz_override", 1e308),
+                       ("acsa_sigma_sq", 1e308)):
+        write_cfg(tmp_path, text + f"{key} = {value!r}\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == refusal(key, value, zero=key == "acsa_sigma_sq")
+        assert not out.exists()
+    write_cfg(tmp_path, text + "acsa_d = 1e-50\n")
     assert main(argv) == 0
     assert (out / "trace_acsa_3.csv").is_file()
-    # 2L past the largest double makes gamma* inf through L, not acsa_d; the
-    # solvers are checked in config order, so sg, first, is named
-    write_cfg(tmp_path, text.replace("acsa_d = 1e-162", "lipschitz_override = 1e308"))
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: lipschitz_override: too large for sg: " + ETA_0_INF)
-    write_cfg(tmp_path, text.replace("acsa_d = 1e-162", "lipschitz_override = 1e308")
-              .replace("solver = sg,acsa", "solver = acsa"))
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: lipschitz_override: too large for acsa: " + ETA_0_INF)
-    # a sigma^2 that makes gamma* inf even at acsa_d = 1 is too large itself
-    write_cfg(tmp_path, text.replace("acsa_d = 1e-162", "acsa_sigma_sq = 1e308"))
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: acsa_sigma_sq: too large for acsa: " + ETA_0_INF)
 
 
 @pytest.mark.parametrize("solver, lam, L, where", [
@@ -1143,48 +1145,62 @@ def test_acsa_d_whose_gamma_star_overflows_exits_2_naming_acsa_d(tmp_path, capsy
 ])
 def test_lipschitz_override_whose_step_size_overflows_exits_2_naming_it(
         tmp_path, capsys, solver, lam, L, where):
-    # L, L_mu and gamma* are finite, but eta(0) = (N^{3/2}/L + 2) L or
-    # acsa's 2 gamma* / (L (t+1)) L is not, or acsa's L (N+1) is, making
-    # eta(N) 0: sg, ssg and acsa stayed at x = 0 with exit 0, or acsa
-    # diverged (6e307) or its prox refused eta = 0 with a traceback (1e307)
+    # Every L here is past the envelope, so the command line refuses it while
+    # parsing, whether or not its step size overflows. ``where`` is what the
+    # library's own check in run_* finds at N = 150 (acsa's gamma* at
+    # sigma^2 = 1): eta(0) past the largest double, eta(N) = 0 as L (N+1)
+    # overflows, or None, step sizes that are doubles.
     text = (SMALL_RUN.replace("solver = sg", f"solver = {solver}")
             .replace("lambda = 0.1", f"lambda = {lam}") + f"lipschitz_override = {L}\n")
     out = tmp_path / "out"
-    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)])
-    if where is None:
-        assert code == 0
-        return
-    assert code == 2
-    err = capsys.readouterr().err
-    prefix = f"config error: lipschitz_override: too {'large' if L > 1 else 'small'} for {solver}: "
-    if where.endswith("t = 0"):
-        assert err.startswith(prefix + ETA_0_INF)
-    else:  # eta(0) is finite
-        assert err.startswith(prefix + "its step size eta(t) ")
-        assert err.endswith(" and eta(N) = 0\n") and "inf" not in err
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == refusal("lipschitz_override", L)
     assert not out.exists()
+    reg, N = l1(lam, 4), 150
+    run = {
+        "sg": lambda: run_sg(None, reg, L, N, None, None),
+        "ssg": lambda: run_ssg(None, smoothed(reg, N=N), L, N, None, None),
+        "acsa": lambda: run_acsa(None, reg, L, N, resolve_acsa_params(L, N, 1.0), None, None),
+    }[solver]
+    with mock.patch.object(solvers, "_run_two_sequence", lambda *args: None):
+        if where is None:
+            run()
+            return
+        with pytest.raises(ParameterError) as err:
+            run()
+    assert str(err.value).startswith("its step size eta(t) must be finite at t = 0")
+    if where.endswith("t = 0"):
+        assert "eta(0) = inf and " in str(err.value)
+    else:
+        assert str(err.value).endswith(" and eta(N) = 0") and "inf" not in str(err.value)
 
 
 def test_mu_override_whose_step_size_overflows_exits_2_naming_mu_override(tmp_path, capsys):
-    # L + ||A||^2 / mu = 1.4 + 1e300 / 1e-8 is a double, but eta(0) about twice
-    # it is not; the ||A||^2 / mu term is the larger, so mu_override is named
-    text = (SMALL_RUN.replace("solver = sg", "solver = sg,ssg")
-            .replace("lambda = 0.1", "lambda = 1e150") + "mu_override = 1e-8\n")
+    # lambda = 1e150 with mu = 1e-8, whose ssg eta(0) overflowed, is refused
+    # naming lambda. At the envelope's edges lambda = 1e50 and mu = 1e-50,
+    # the largest ||A||^2 / mu a config gives, ssg runs; one double below
+    # that mu is refused naming mu_override.
+    text = SMALL_RUN.replace("solver = sg", "solver = sg,ssg")
     out = tmp_path / "out"
-    argv = ["run", str(write_cfg(tmp_path, text)), "--out", str(out)]
+    argv = ["run", str(write_cfg(tmp_path, text.replace("lambda = 0.1", "lambda = 1e150")
+                                 + "mu_override = 1e-8\n")), "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: mu_override: too small for ssg: " + ETA_0_INF)
+    assert capsys.readouterr().err == refusal("lambda", 1e150, zero=True)
+    edge = text.replace("lambda = 0.1", "lambda = 1e50")
+    below = math.nextafter(1e-50, 0.0)
+    write_cfg(tmp_path, edge + f"mu_override = {below!r}\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == refusal("mu_override", below)
     assert not out.exists()
-    write_cfg(tmp_path, text.replace("solver = sg,ssg", "solver = sg"))
+    write_cfg(tmp_path, edge + "mu_override = 1e-50\n")
     assert main(argv) == 0
 
 
-def test_lambda_whose_scheduled_mu_underflows_runs_every_solver(tmp_path):
-    # ||A|| / (N+2) = 5e-324 / 52 is 0, so the schedule takes MU_FLOOR: every
-    # config is smoothed, so sg, too, used to end in "mu must be > 0"
+def test_lambda_at_the_envelope_floor_runs_every_solver(tmp_path):
+    # lambda = 1e-50: the scheduled mu = ||A|| / (N+2) is positive, not the
+    # floor that lambda = 0 takes, and every solver runs
     text = (SMALL_RUN.replace("solver = sg", "solver = sg,ssg,acsa")
-            .replace("lambda = 0.1", "lambda = 5e-324").replace("N = 150", "N = 50"))
+            .replace("lambda = 0.1", "lambda = 1e-50").replace("N = 150", "N = 50"))
     out = tmp_path / "out"
     assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
     assert len(json.loads((out / "summary.json").read_text())["runs"]) == 3
@@ -1199,8 +1215,7 @@ def test_bounds_D_past_half_the_divergence_guard_exits_2_naming_D(tmp_path, caps
     text = QUADRATIC_BOUNDS + f"D = {D!r}\n"
     assert main(["verify-bounds", str(write_cfg(tmp_path, text))]) == code
     if code:
-        assert capsys.readouterr().err == (
-            f"config error: D: must be <= {solvers.OVERFLOW_LIMIT / 2}, got {D}\n")
+        assert capsys.readouterr().err == refusal("D", D, hi=solvers.OVERFLOW_LIMIT / 2)
     else:
         assert capsys.readouterr().out.endswith("result: PASS\n")
 
@@ -1211,68 +1226,42 @@ def _log_uniform(lo, hi):
                       .map(lambda e: min(max(10.0**e, lo), hi)))
 
 
-POSITIVE = _log_uniform(5e-324, 10.0**308.25)
+IN_ENVELOPE = _log_uniform(*ENVELOPE)
 
 
 @pytest.mark.deep
-@given(solver=hst.sampled_from(config.SOLVERS), L=POSITIVE,
-       lam=hst.one_of(hst.just(0.0), POSITIVE), mu=hst.one_of(hst.none(), POSITIVE),
-       sigma_sq=hst.one_of(hst.just(0.0), POSITIVE), sigma_sq_given=hst.booleans(),
-       acsa_d=_log_uniform(config._MIN_ACSA_D, 10.0**308.25),
+@given(solver=hst.sampled_from(config.SOLVERS), L=IN_ENVELOPE,
+       lam=hst.one_of(hst.just(0.0), IN_ENVELOPE), weight=IN_ENVELOPE,
+       copies=hst.integers(0, 63), mu=hst.one_of(hst.none(), IN_ENVELOPE),
+       sigma_sq=hst.one_of(hst.none(), hst.just(0.0), IN_ENVELOPE), acsa_d=IN_ENVELOPE,
        N=hst.floats(0.0, 53.0).map(lambda e: min(int(2.0**e), 2**53)))
-@example(solver="ssg", L=1.0, lam=1e150, mu=1e-8, sigma_sq=0.0, sigma_sq_given=False,
-         acsa_d=1.0, N=150)
-@example(solver="acsa", L=1e307, lam=0.1, mu=None, sigma_sq=0.0, sigma_sq_given=False,
-         acsa_d=1.0, N=150)  # L (N+1) overflows, so eta(N) = 0
-def test_step_check_refuses_exactly_what_the_solvers_refuse(solver, L, lam, mu, sigma_sq,
-                                                            sigma_sq_given, acsa_d, N):
-    # Any L, lambda, mu, sigma^2, acsa_d and N the parser takes: the harness
-    # refuses a solver exactly when its run_* refuses to build its step sizes,
-    # and names a key the config sets where it names mu_override or acsa_sigma_sq
-    sreg = smoothed(l1(lam, 2), mu=mu, N=N)
-    gamma_star = resolve_acsa_params(L, N, sigma_sq, D=acsa_d)
-    given_sigma_sq = sigma_sq if sigma_sq_given else None
-    try:
-        harness.check_steps(L, N, (solver,), sreg, gamma_star, given_sigma_sq)
-        key = None
-    except ConfigError as exc:
-        key = exc.key
-    assert key in {"sg": (None, "lipschitz_override"),
-                   "ssg": (None, "lipschitz_override", "lambda", "mu_override"),
-                   "acsa": (None, "lipschitz_override", "acsa_d", "acsa_sigma_sq")}[solver]
-    assert mu is not None or key != "mu_override"
-    assert sigma_sq_given or key != "acsa_sigma_sq"
-    run = {
-        "sg": lambda: run_sg(None, sreg.base, L, N, None, None),
-        "ssg": lambda: run_ssg(None, sreg, L, N, None, None),
-        "acsa": lambda: run_acsa(None, sreg.base, L, N, gamma_star, None, None),
-    }[solver]
+@example(solver="ssg", L=1e-50, lam=1e50, weight=1e50, copies=63, mu=1e-50, sigma_sq=None,
+         acsa_d=1.0, N=2**53)  # the largest ||A||^2 / mu
+@example(solver="acsa", L=1e-50, lam=0.1, weight=1.0, copies=0, mu=None, sigma_sq=1e50,
+         acsa_d=1e-50, N=2**53)  # the largest gamma* / L
+def test_every_config_in_the_envelope_sets_up_finite_steps_and_bounds(
+        solver, L, lam, weight, copies, mu, sigma_sq, acsa_d, N):
+    # The envelope's claim (README "Numeric envelope"): any config the parser
+    # takes, here over l1 or up to 63 groups of weight w on one coordinate (as
+    # many as hold a coordinate of the deepest tree), sets up with no refusal;
+    # the step sizes its solver builds are finite at t = 0 and positive at
+    # t = N, and both bounds are finite.
+    keys = {"solver": solver, "lambda": lam, "N": N, "lipschitz_override": L, "acsa_d": acsa_d,
+            "mu_override": mu, "acsa_sigma_sq": sigma_sq, "batch_size": "full"}
+    lines = [line for line in SMALL_RUN.splitlines() if line.split(" =")[0] not in keys]
+    cfg = parse_run_config("\n".join(lines + [f"{key} = {value}" for key, value in keys.items()
+                                              if value is not None]))
+    reg = l1(lam, 1) if copies == 0 else group_norm(lam, GroupStructure(
+        np.zeros(copies), np.ones(copies), np.full(copies, weight), 1))
+    inst = harness.Instance(None, reg, cfg.lipschitz_override, lambda batch: ExactOracle(None, 1))
+    oracle, sreg, gamma_star, bounds = harness.configure(inst, cfg, cfg.seeds[0])
     built = []  # the step sizes run_* hands to the loop, which does not start
     with mock.patch.object(solvers, "_run_two_sequence",
                            lambda oracle, step, eta, *rest: built.append(eta)):
-        if key is not None:
-            with pytest.raises(ParameterError):
-                run()
-            return
-        run()
+        harness.solve(solver, inst, oracle, sreg, gamma_star, N, None, 0)
     eta, = built
     assert math.isfinite(eta(0)) and eta(N) > 0
-
-
-@pytest.mark.parametrize("lam, extra", [
-    (0.1, "acsa_d = 1e200"), (0.1, "acsa_sigma_sq = 1e308"), (0.0, "acsa_d = 1e200"),
-])
-def test_bound_that_is_not_finite_is_written_null(tmp_path, lam, extra):
-    # 2 acsa_d^2 or sigma^2 makes both bounds inf; at lambda = 0 the smoothed
-    # one adds 0 * inf, NaN. JSON has neither, so summary.json says null.
-    def refuse(token):
-        raise ValueError(f"not JSON: {token}")
-
-    out = tmp_path / "out"
-    text = SMALL_RUN.replace("lambda = 0.1", f"lambda = {lam}") + extra + "\n"
-    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
-    assert summary["theorem_bound"] is None and summary["theorem_bound_smoothed"] is None
+    assert all(math.isfinite(bounds[key]) for key in ("theorem_bound", "theorem_bound_smoothed"))
 
 
 def test_nan_smoothed_gradient_on_a_tree_ends_ssg_as_a_divergence(tmp_path, capsys,
@@ -1312,15 +1301,14 @@ def test_nan_smoothed_gradient_on_a_tree_ends_ssg_as_a_divergence(tmp_path, caps
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_refused_config_in_compare_starts_no_job_of_any_config(tmp_path, capsys, monkeypatch,
                                                                threads):
-    # b's gamma* is inf through acsa_sigma_sq; a runs sg alone and comes
-    # first, but every config is set up before the first job, so no *_out
+    # b's acsa_sigma_sq is past the envelope; a runs sg alone and comes first,
+    # but every config is parsed before the first unit starts, so no *_out
     monkeypatch.setenv("COMPOSITE_SGD_THREADS", threads)
     write_cfg(tmp_path, SMALL_RUN, "a.cfg")
     write_cfg(tmp_path, SMALL_RUN.replace("solver = sg", "solver = acsa")
               + "acsa_sigma_sq = 1e308\n", "b.cfg")
     assert main(["compare", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: acsa_sigma_sq: too large for acsa: " + ETA_0_INF + "eta(N) = inf\n")
+    assert capsys.readouterr().err == refusal("acsa_sigma_sq", 1e308, zero=True)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
 
@@ -1344,15 +1332,16 @@ def test_N_past_2_to_53_exits_2_naming_N(tmp_path, capsys, command, base, parse,
 
 
 def test_acsa_d_whose_square_underflows_exits_2_naming_acsa_d(tmp_path, capsys):
-    # gamma* divides by 3 acsa_d^2, which is 0 at 1e-170; every run makes gamma*
+    # gamma* divides by 3 acsa_d^2, which is 0 at 1e-170; the envelope's floor
+    # 1e-50 runs, and summary.json records it
     out = tmp_path / "out"
     argv = ["run", str(write_cfg(tmp_path, SMALL_RUN + "acsa_d = 1e-170\n")), "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "config error: acsa_d: must be >= 1e-162, got 1e-170\n"
+    assert capsys.readouterr().err == refusal("acsa_d", 1e-170)
     assert not out.exists()
-    argv[1] = str(write_cfg(tmp_path, SMALL_RUN + "acsa_d = 1e-162\n"))
+    argv[1] = str(write_cfg(tmp_path, SMALL_RUN + "acsa_d = 1e-50\n"))
     assert main(argv) == 0
-    assert json.loads((out / "summary.json").read_text())["theorem_bound_D"] == 1e-162
+    assert json.loads((out / "summary.json").read_text())["theorem_bound_D"] == 1e-50
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "verify-bounds", "gen-data"])

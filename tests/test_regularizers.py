@@ -8,7 +8,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from composite_sgd.core import ConvergenceError, DimensionError, ParameterError, RngStream
+from composite_sgd.core import (ENVELOPE, ConvergenceError, DimensionError, ParameterError,
+                                RngStream)
 from composite_sgd.regularizers import (
     GroupStructure,
     build_hierarchical,
@@ -136,7 +137,7 @@ class TestGroupStructure:
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, weight):
-        with pytest.raises(ParameterError, match="group 1 .*finite"):
+        with pytest.raises(ParameterError, match=r"group 1 weight must be in \[1e-50, 1e\+50\]"):
             GroupStructure(*flat_family([[0], [1]], np.array([1.0, weight]), 2))
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0", "-1"])
@@ -335,8 +336,8 @@ def laminar_prox_inputs(draw):
     one over ordered coordinates (whose layer plans mix slice layers, some not
     starting at 0, with array layers) or a dyadic tree; u mixing ordinary
     entries with ``EDGE_ENTRIES`` and tiny ones, some groups zeroed outright;
-    lam ordinary, or small enough that lam * w / eta underflows for some or
-    all groups; eta over 8 decades."""
+    lam ordinary or near the envelope's floor 1e-50; eta over 8 decades, or
+    so large that lam * w / eta underflows for some or all groups."""
     kind = draw(st.sampled_from(["shuffled", "ordered", "tree"]))
     if kind == "tree":
         gs = build_hierarchical(draw(st.integers(0, 5)))
@@ -348,9 +349,8 @@ def laminar_prox_inputs(draw):
     u = draw(arrays(np.float64, gs.p, elements=entries))
     for k in draw(st.lists(st.integers(0, len(gs) - 1), max_size=3)):
         u[groups_of(gs)[k]] = draw(st.sampled_from([0.0, -0.0]))
-    lam = draw(st.one_of(st.floats(0.01, 5.0),
-                         st.floats(5e-324, 1e-300, allow_subnormal=True)))
-    eta = 10.0 ** draw(st.floats(-4.0, 4.0))
+    lam = draw(st.one_of(st.floats(0.01, 5.0), st.floats(ENVELOPE[0], 1e-40)))
+    eta = 10.0 ** draw(st.one_of(st.floats(-4.0, 4.0), st.floats(250.0, 308.0)))
     return gs, lam, u, eta
 
 
@@ -421,18 +421,19 @@ class TestDepthLayers:
             ref = prox_laminar_loop(u, 0.6, 1.3, groups, weights)
             assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
 
-    @pytest.mark.parametrize("lam, weight", [(0.4, 1.0), (1e-200, 1e-200)])
-    def test_zero_norm_blocks_come_out_exactly_zero(self, lam, weight):
-        # with lam = w = 1e-200, lam * w / eta underflows to 0, so zero-norm
-        # blocks meet a zero threshold
+    @pytest.mark.parametrize("lam, weight, eta", [(0.4, 1.0, 1.0), (1e-50, 1e-50, 1e300)],
+                             ids=["0.4-1.0", "1e-50-1e-50"])
+    def test_zero_norm_blocks_come_out_exactly_zero(self, lam, weight, eta):
+        # with lam = w = 1e-50 and eta = 1e300, lam * w / eta underflows to 0,
+        # so zero-norm blocks meet a zero threshold
         st3 = build_hierarchical(3)
         weights = np.full(len(st3), weight)
         reg = group_norm(lam, GroupStructure(*flat_family(groups_of(st3), weights, 8)))
         u = np.array([0.0, 0.0, 1.5, -2.0, 0.0, 0.0, 0.0, 3.0])
         with np.errstate(divide="raise", invalid="raise"):
-            out = prox(reg, np.zeros(8), u, 1.0)
+            out = prox(reg, np.zeros(8), u, eta)
         assert np.all(out[[0, 1, 4, 5, 6]] == 0.0)
-        assert np.allclose(out, prox_laminar_loop(u, lam, 1.0, groups_of(reg.structure), weights),
+        assert np.allclose(out, prox_laminar_loop(u, lam, eta, groups_of(reg.structure), weights),
                            rtol=0.0, atol=loop_tolerance(u))
 
     @pytest.mark.deep
@@ -575,41 +576,28 @@ class TestDualFista:
         assert raised == ref_raised
         assert out.tobytes() == ref.tobytes()
 
-    def test_underflowing_radii_leave_u(self):
-        # lam * w_g = 1e-400 underflows to 0 for {0, 1} but not for {1, 2};
-        # the zero block {0, 1} must not be projected as 0/0
-        gs = GroupStructure(*flat_family(groups_of(crossing_structure()), np.array([1e-200, 1.0]), 3))
+    def test_radii_at_the_envelope_floor_leave_u(self):
+        # c_g = 1e-100 for {0, 1}, the least a penalty gives: the zero block
+        # {0, 1} is projected with no 0/0, and the shrinks round to nothing
+        gs = GroupStructure(*flat_family(groups_of(crossing_structure()), [ENVELOPE[0], 1.0], 3))
         u = np.array([0.0, 0.0, 1.5])
         with np.errstate(divide="raise", invalid="raise"):
-            out = _prox_dual_fista(group_norm(1e-200, gs), u, 1.0)
+            out = _prox_dual_fista(group_norm(ENVELOPE[0], gs), u, 1.0)
         assert np.array_equal(out, u)
 
-    @pytest.mark.parametrize("weights", [[1.0, 1.0, 1.0], [10.0, 1.0, 1.0]],
-                             ids=["penalty-overflows", "radius-overflows"])
-    def test_overflowing_radii_give_the_exact_prox(self, weights):
-        # lam * w_g * ||u_g|| (and, for the weight 10, lam * w_g itself)
-        # overflows; every radius exceeds eta * ||u_g||, so the prox is 0, as a
-        # laminar structure gives, not the centre u
-        gs = GroupStructure(*flat_family([[0, 1], [1, 2], [2, 3]], weights, 4))
-        u = np.array([1.0, 2.0, 3.0, 4.0])
-        with np.errstate(over="ignore", divide="raise", invalid="raise"):
-            out = prox(group_norm(1e308, gs), np.zeros(4), u, 1.0)
-        assert np.array_equal(out, np.zeros(4))
+    @pytest.mark.parametrize("entry, pen", [(1e200, "inf"), (math.inf, "inf"), (math.nan, "nan")])
+    def test_centre_whose_penalty_is_not_finite_is_refused(self, monkeypatch, entry, pen):
+        # sum_g c_g ||u_g|| is not finite (at 1e200, ||u_g||^2 overflows, with
+        # a warning that is not under test): the prox refuses u before its
+        # first ascent step (with no budget, a later refusal would be a
+        # ConvergenceError) rather than return NaN
+        from composite_sgd import regularizers as rg
 
-    def test_overflowing_radius_leaves_the_other_blocks_solved(self):
-        # only the block {0, 1} has an overflowing radius: it is 0 exactly and
-        # the rest is the prox of u zeroed there over the remaining groups
-        groups = [[0, 1], [1, 2], [2, 3], [4, 5]]
-        u = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        gs = GroupStructure(*flat_family(groups, [1e300, 1.0, 1.0, 1.0], 6))
-        with np.errstate(over="ignore", divide="raise", invalid="raise"):
-            out = _prox_dual_fista(group_norm(1e10, gs), u, 1e11)
-        rest = GroupStructure(*flat_family(groups[1:], [1.0, 1.0, 1.0], 6))
-        ref = _prox_dual_fista(group_norm(1e10, rest), np.array([0.0, 0.0, 3.0, 4.0, 5.0, 6.0]),
-                               1e11)
-        assert np.array_equal(out[:2], [0.0, 0.0])
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
-        assert np.array_equal(u, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        gs = GroupStructure(*flat_family([[0, 1], [1, 2], [2, 3]], [ENVELOPE[1]] * 3, 4))
+        monkeypatch.setattr(rg, "DUAL_MAX_ITER", 0)
+        with np.errstate(over="ignore"), pytest.raises(ParameterError,
+                                                       match=f"is {pen} at the centre u$"):
+            prox(group_norm(ENVELOPE[1], gs), np.zeros(4), np.array([1.0, 2.0, entry, 4.0]), 1.0)
 
     def test_iterate_does_not_alias_input(self, monkeypatch):
         from composite_sgd import regularizers as rg
@@ -1008,25 +996,32 @@ class TestDualScales:
         else:
             assert reg.layer_scales is None
 
-    @pytest.mark.parametrize("structure", [
-        build_hierarchical(2), GroupStructure([0, 1, 1, 2, 2, 3], [2, 2, 2], [2.0] * 3, 4)],
-        ids=["tree", "overlapping"])
-    def test_overflowing_scales_are_inf_without_a_warning(self, structure):
-        # 1e308 * w_g overflows for the weights above 1; building the penalty
-        # and its prox warn of nothing, and the prox zeroes every block
-        u = np.array([1.0, -2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("edge, outward", [(ENVELOPE[0], 0.0), (ENVELOPE[1], math.inf)],
+                             ids=["floor", "ceiling"])
+    @pytest.mark.parametrize("make", [
+        lambda v: l1(v, 4), lambda v: group_norm(v, build_hierarchical(2)),
+        lambda v: group_norm(1.0, GroupStructure([0, 1, 1, 2, 2, 3], [2, 2, 2], [v] * 3, 4))],
+        ids=["l1", "tree", "overlapping-weight"])
+    def test_scales_past_the_envelope_are_refused(self, make, edge, outward):
+        # at an edge of the envelope the scales, ||A||^2 and a prox are finite
+        # and warn of nothing; one step past it lambda, or the weight, is
+        # refused naming the value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reg = group_norm(1e308, structure)
-            out = prox(reg, np.zeros(4), u, 1.0)
-        assert np.isinf(reg.a_weights).any() and reg.A_norm == math.inf
-        assert np.array_equal(out, np.zeros(4))
+            reg = make(edge)
+            out = prox(reg, np.zeros(4), np.array([1.0, -2.0, 3.0, 4.0]), 1.0)
+        assert np.isfinite(reg.a_weights).all() and math.isfinite(reg.A_norm**2)
+        assert np.isfinite(out).all()
+        past = math.nextafter(edge, outward)
+        with pytest.raises(ParameterError, match=re.escape(f"in [1e-50, 1e+50], got {past!r}")):
+            make(past)
 
     @pytest.mark.parametrize("make", [lambda lam: l1(lam, 3),
                                       lambda lam: group_norm(lam, build_hierarchical(2))],
                              ids=["l1", "group"])
     def test_nan_lambda_is_refused(self, make):
-        with pytest.raises(ParameterError, match="^lambda must be >= 0, got nan$"):
+        with pytest.raises(ParameterError,
+                           match=r"^lambda must be 0 or in \[1e-50, 1e\+50\], got nan$"):
             make(math.nan)
 
 
@@ -1039,8 +1034,8 @@ class TestOperatorNorm:
     def test_lambda_zero(self):
         assert l1(0.0, 5).A_norm == 0.0
         assert group_norm(0.0, build_hierarchical(2)).A_norm == 0.0
-        # A = 0 even where a w_g^2 overflows, so ||A|| is 0, not 0 * inf = NaN
-        assert group_norm(0.0, GroupStructure([0, 1], [2], [1e200], 2)).A_norm == 0.0
+        # A = 0 whatever the weights, up to the envelope's ceiling
+        assert group_norm(0.0, GroupStructure([0, 1], [2], [ENVELOPE[1]], 2)).A_norm == 0.0
 
     def test_hierarchical_depth_two(self):
         reg = group_norm(0.1, build_hierarchical(2))

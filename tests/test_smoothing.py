@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
-from composite_sgd.core import DimensionError, ParameterError, RngStream
+from composite_sgd.core import ENVELOPE, DimensionError, ParameterError, RngStream
 from composite_sgd.regularizers import (
     GroupStructure,
     build_hierarchical,
@@ -425,20 +425,20 @@ class TestConstants:
         assert mu_schedule(1.0, 0) == 0.5
 
     def test_mu_schedule_that_underflows_takes_the_floor(self):
-        # 1e-320 / (10^6 + 2) is 0, which SmoothedRegularizer refused
+        # 1e-320 / (10^6 + 2) is 0, which SmoothedRegularizer refuses; no
+        # penalty's ||A|| is so small (l1's least is 1e-50), so only lam = 0
+        # takes the floor
         assert mu_schedule(1e-320, 10**6) == MU_FLOOR
-        s = smoothed(l1(1e-320, 4), N=10**6)
-        assert s.mu == MU_FLOOR and lipschitz_mu(1.0, s) == 1.0
         assert mu_schedule(1e-320, 8) == 1e-320 / 10 > 0  # a quotient short of 0 stays
+        assert smoothed(l1(ENVELOPE[0], 4), N=2**53).mu == ENVELOPE[0] / (2**53 + 2) > 0
 
     def test_lipschitz_mu_accepts_every_penalty_norm_that_squares_to_a_double(self):
-        limit = float(np.sqrt(np.finfo(float).max))
-        assert math.isfinite(lipschitz_mu(1.0, smoothed(l1(limit, 4), N=10)))
-        past = math.nextafter(limit, math.inf)
-        with pytest.raises(OverflowError):
-            past**2
-        with pytest.raises(ParameterError, match=r"\|\|A\|\|\^2 of the penalty is past"):
-            lipschitz_mu(1.0, smoothed(l1(past, 4), N=10))
+        # every penalty's ||A||^2 is a double, even over the least mu a config
+        # gives: at the envelope's ceiling, for l1 and for 63 copies of one
+        # group, as many as cover a coordinate of the deepest tree
+        deep = GroupStructure(np.zeros(63), np.ones(63), np.full(63, ENVELOPE[1]), 1)
+        for reg in (l1(ENVELOPE[1], 4), group_norm(ENVELOPE[1], deep)):
+            assert math.isfinite(lipschitz_mu(1.0, smoothed(reg, mu=ENVELOPE[0])))
 
     def test_m_constant(self):
         assert smoothed(l1(0.1, 10), mu=1.0).base.M == 5.0

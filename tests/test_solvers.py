@@ -144,14 +144,15 @@ class TestSchedule:
     @pytest.mark.parametrize("run", [
         lambda o, f: run_sg(o, l1(0.1, 2), 1e308, 50, RngStream(0), f),
         lambda o, f: run_sg(o, l1(0.1, 2), 1e-310, 50, RngStream(0), f),
-        lambda o, f: run_ssg(o, smoothed(l1(1e150, 2), mu=1e-8), 1.0, 50, RngStream(0), f),
-        lambda o, f: run_ssg(o, smoothed(l1(1e160, 2), N=50), 1.0, 50, RngStream(0), f),
+        lambda o, f: run_ssg(o, smoothed(l1(1e50, 2), mu=1e-300), 1.0, 50, RngStream(0), f),
+        lambda o, f: run_ssg(o, smoothed(l1(0.1, 2), N=50), 1e308, 50, RngStream(0), f),
         lambda o, f: run_acsa(o, l1(0.1, 2), 1.0, 50, 1e308, RngStream(0), f),
-    ], ids=["sg-L-1e308", "sg-L-1e-310", "ssg-lambda-1e150-mu-1e-8", "ssg-lambda-1e160",
+    ], ids=["sg-L-1e308", "sg-L-1e-310", "ssg-lambda-1e50-mu-1e-300", "ssg-L-1e308",
             "acsa-gamma-star-1e308"])
     def test_step_size_that_overflows_is_refused(self, run):
-        # eta(0) past the largest double, or ||A||^2 (lambda = 1e160): each of
-        # these ended at x = 0 or raised OverflowError before drawing a sample
+        # eta(0) past the largest double, from L, from ||A||^2 / mu or from
+        # gamma*, each with a penalty the library accepts: each of these ended
+        # at x = 0 or raised OverflowError before drawing a sample
         a, objective, _ = quadratic_problem(2)
         recorder = QueryRecorder(lambda v: v - a, 2)
         with pytest.raises(ParameterError):
