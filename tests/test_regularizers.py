@@ -585,7 +585,8 @@ class TestDualFista:
             out = _prox_dual_fista(group_norm(ENVELOPE[0], gs), u, 1.0)
         assert np.array_equal(out, u)
 
-    @pytest.mark.parametrize("entry, pen", [(1e200, "inf"), (math.inf, "inf"), (math.nan, "nan")])
+    @pytest.mark.parametrize("entry, pen", [(1e200, "inf"), (math.inf, "inf"), (math.nan, "nan")],
+                             ids=["1e200", "inf", "nan"])
     def test_centre_whose_penalty_is_not_finite_is_refused(self, monkeypatch, entry, pen):
         # sum_g c_g ||u_g|| is not finite (at 1e200, ||u_g||^2 overflows, with
         # a warning that is not under test): the prox refuses u before its
@@ -1001,7 +1002,7 @@ class TestDualScales:
     @pytest.mark.parametrize("make", [
         lambda v: l1(v, 4), lambda v: group_norm(v, build_hierarchical(2)),
         lambda v: group_norm(1.0, GroupStructure([0, 1, 1, 2, 2, 3], [2, 2, 2], [v] * 3, 4))],
-        ids=["l1", "tree", "overlapping-weight"])
+        ids=["l1", "tree", "weight"])
     def test_scales_past_the_envelope_are_refused(self, make, edge, outward):
         # at an edge of the envelope the scales, ||A||^2 and a prox are finite
         # and warn of nothing; one step past it lambda, or the weight, is
