@@ -42,6 +42,8 @@ TREE_BYTES_PER_INDEX = 96
 _TINY = np.array(np.finfo(np.float64).smallest_subnormal)
 _HUGE = np.array(np.finfo(np.float64).max)
 _ONE = np.array(1.0)
+# FISTA's t after a step with momentum beta = 0, from t = 1: (1 + sqrt(1 + 4)) / 2.
+_T_AFTER_RESTART = 0.5 * (1.0 + math.sqrt(5.0))
 
 
 class GroupIndexError(ParameterError):
@@ -350,7 +352,9 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
     index, offsets, owner = st.flat_index, st.offsets, st.owner
     radii = reg.a_weights.take(offsets)  # c_g, A's entries at the groups' first slots
     step = eta / st.max_cover
-    pen_u = float(radii.dot(st.block_norms(u[index])))
+    xf = u[index]
+    with np.errstate(over="ignore"):  # an overflowing ||u_g||^2 is refused just below
+        pen_u = float(radii.dot(st.block_norms(xf)))
     if not math.isfinite(pen_u):
         raise ParameterError(f"overlapping prox: sum_g c_g ||u_g|| is {pen_u} at the centre u")
     # At k = 0, b = 0 and x = u: the gap is pen_u and the target
@@ -359,39 +363,38 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
     if pen_u == 0.0:
         return u.copy()
     # The loop costs numpy calls on a few hundred floats, not arithmetic, so it
-    # allocates what it can avoid allocating: b, b_prev, y, v and a scratch
-    # array are work buffers of this call, written in place with the same
-    # operations in the same order as fresh arrays would be (every iterate
-    # keeps its bits), and b and b_prev swap by name. x stays fresh, since it
-    # is what the call returns or the error carries; so do the gather
-    # xf = x[index] and the per-group reduceat sums, which are slower written
-    # into a buffer. ndarray.dot runs the same BLAS ddot as @, with less
-    # overhead per call. beta, the step and eta are ufunc operands as 0-d
-    # registers, which numpy takes faster than Python floats: each value is
-    # computed as a float and written in.
-    b, b_prev, y, v, work = (np.zeros(index.size) for _ in range(5))
+    # makes and allocates as few as it can. b, b_prev, y, v and a scratch
+    # array are work buffers of this call, written in place, and b and b_prev
+    # swap by name. x stays fresh, since it is what the call returns or the
+    # error carries; so do the gather xf = x[index] and the per-group reduceat
+    # sums, which are slower written into a buffer. ndarray.dot runs the same
+    # BLAS ddot as @, with less overhead per call. beta, the step and eta are
+    # ufunc operands as 0-d registers, which numpy takes faster than Python
+    # floats: each value is computed as a float and written in.
+    #
+    # Each iteration projects v, tests the gap, then forms the next v. A step
+    # with beta = 0, the first and each restart, takes the closed form
+    # v = b + step * xf, one call for the first (b = 0). The general form
+    # also adds beta * db and beta * (xf - xf_prev), which are +-0 there as
+    # every operand is finite: b and b_prev are wherever the restart test
+    # passes (a NaN fails it, and ||b_g|| is c_g at most, up to rounding),
+    # u's grouped entries are (pen_u is), and so is xf, the gather of
+    # u - A^T b / eta, for any eta a solver passes, whose c_g / eta keeps
+    # max_cover c_g / eta finite. Adding +-0 changes at most the sign of a
+    # zero, so v and b keep every bit but such signs, and x keeps all of its:
+    # np.bincount starts each bin at +0.0, and +0.0 + -0.0 = +0.0. The gap's
+    # sums do not see zero signs either. The general form's y = b + 0 * db
+    # is b_prev one step later, so the next restart test would read
+    # ||db||^2 < 0, never true: that step skips it, and y goes unused.
+    b = np.zeros(index.size)  # the others are written before they are read
+    b_prev, y, v, work = np.empty((4, index.size))
     beta_0d, step_0d, eta_0d = np.empty(()), np.array(step), np.array(float(eta))
     x = u
-    xf = xf_prev = u[index]
     gap = pen_u
     target = DUAL_GAP_RTOL * (pen_u + pen_u)
-    t = 1.0
+    np.multiply(xf, step_0d, out=v)
+    t, may_restart = _T_AFTER_RESTART, False
     for _ in range(DUAL_MAX_ITER):
-        # Restart when the last step's ascent direction b - y opposes the
-        # momentum db = b - b_prev.
-        db = np.subtract(b, b_prev, out=work)
-        if np.subtract(b, y, out=v).dot(db) < 0.0:
-            t = 1.0
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta_0d[()] = (t - 1.0) / t_next
-        t = t_next
-        # y = b + beta * db, v = y + step * (xf + beta * (xf - xf_prev))
-        np.add(b, np.multiply(db, beta_0d, out=y), out=y)
-        np.subtract(xf, xf_prev, out=v)
-        v *= beta_0d
-        np.add(xf, v, out=v)
-        v *= step_0d
-        np.add(y, v, out=v)
         nrm = np.add.reduceat(np.multiply(v, v, out=work), offsets)
         np.sqrt(nrm, out=nrm)
         scale = np.divide(radii, np.maximum(nrm, radii, out=nrm), out=nrm)
@@ -407,6 +410,23 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
         target = DUAL_GAP_RTOL * (pen_x + pen_u)
         if gap <= target:
             return x
+        # Restart when the last step's ascent direction b - y opposes the
+        # momentum db = b - b_prev.
+        db = np.subtract(b, b_prev, out=work)
+        if may_restart and np.subtract(b, y, out=v).dot(db) < 0.0:
+            t, may_restart = _T_AFTER_RESTART, False
+            np.add(b, np.multiply(xf, step_0d, out=v), out=v)
+            continue
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta_0d[()] = (t - 1.0) / t_next
+        t, may_restart = t_next, True
+        # y = b + beta * db, v = y + step * (xf + beta * (xf - xf_prev))
+        np.add(b, np.multiply(db, beta_0d, out=y), out=y)
+        np.subtract(xf, xf_prev, out=v)
+        v *= beta_0d
+        np.add(xf, v, out=v)
+        v *= step_0d
+        np.add(y, v, out=v)
     raise ConvergenceError(
         f"overlapping prox: dual gap {gap:.3e} above target {target:.3e} "
         f"after {DUAL_MAX_ITER} dual iterations",

@@ -265,10 +265,13 @@ def prox_laminar_masked(st, lam, u, eta):
     return x
 
 
-def prox_dual_fista_repeat(st, lam, u, eta, max_iter=DUAL_MAX_ITER):
+def prox_dual_fista_repeat(st, lam, u, eta, max_iter=DUAL_MAX_ITER, restarts=None):
     """The overlapping prox's restarted dual FISTA, spreading each group's
     projection scale over its block with ``np.repeat`` over the block sizes,
-    with fresh arrays at every step; ``max_iter`` ascent steps are the budget."""
+    with fresh arrays and the general momentum step at every step;
+    ``max_iter`` ascent steps are the budget, and an exhausted one raises
+    the prox's message. ``restarts``, a list if given, collects the number
+    (from 1) of each ascent step whose momentum the gradient test resets."""
     index, offsets, sizes = st.flat_index, st.offsets, st.sizes
     radii = lam * st.weights
     step = eta / st.max_cover
@@ -281,13 +284,16 @@ def prox_dual_fista_repeat(st, lam, u, eta, max_iter=DUAL_MAX_ITER):
     for k in range(max_iter + 1):
         pen_x = radii @ st.block_norms(xf)
         gap = pen_x - b @ xf
-        if gap <= DUAL_GAP_RTOL * (pen_x + pen_u):
+        target = DUAL_GAP_RTOL * (pen_x + pen_u)
+        if gap <= target:
             return x
         if k == max_iter:
             break
         db = b - b_prev
         if (b - y) @ db < 0.0:
             t = 1.0
+            if restarts is not None:
+                restarts.append(k + 1)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         t = t_next
@@ -299,7 +305,11 @@ def prox_dual_fista_repeat(st, lam, u, eta, max_iter=DUAL_MAX_ITER):
         b = v * np.repeat(scale, sizes)
         x = u - np.bincount(index, weights=b, minlength=st.p) / eta
         xf = x[index]
-    raise ConvergenceError("reference dual FISTA did not converge", last_iterate=x)
+    raise ConvergenceError(
+        f"overlapping prox: dual gap {gap:.3e} above target {target:.3e} "
+        f"after {max_iter} dual iterations",
+        last_iterate=x,
+    )
 
 
 def prox_dual_ascent_loop(u, lam, eta, groups, weights, tol=1e-15, max_sweeps=100_000):

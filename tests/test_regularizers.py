@@ -515,11 +515,12 @@ def overlapping_instances(draw):
 
 
 def dual_ascent_outcome(solve):
-    """(iterate, raised): the returned iterate, or the one ConvergenceError carries."""
+    """(iterate, message): the returned iterate and None, or the iterate a
+    ConvergenceError carries and its message."""
     try:
-        return solve(), False
+        return solve(), None
     except ConvergenceError as exc:
-        return exc.last_iterate, True
+        return exc.last_iterate, str(exc)
 
 
 def certified_radius(lam, eta, groups, weights, x, u):
@@ -533,7 +534,9 @@ def certified_radius(lam, eta, groups, weights, x, u):
 
 def truncation_instance(case):
     """(structure, lam, u, eta) on which the overlapping prox needs more than
-    five ascent steps: the crossing pair, or six groups of four over p = 12."""
+    five ascent steps: the crossing pair, which restarts at ascent steps 4, 6
+    and 8 and returns after step 9, or six groups of four over p = 12, which
+    first restarts at steps 17 and 29."""
     if case == "crossing":
         return crossing_structure(), 0.4, np.array([1.0, -2.0, 0.5]), 1.0
     groups = [[2, 5, 8, 10], [2, 4, 10, 11], [5, 8, 9, 10], [2, 4, 5, 8], [0, 1, 6, 9], [0, 3, 7, 11]]
@@ -576,6 +579,16 @@ class TestDualFista:
         assert raised == ref_raised
         assert out.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("case, restarts", [("crossing", [4, 6, 8]), ("random", [17, 29])],
+                             ids=["crossing", "random"])
+    def test_truncation_restarts_where_pinned(self, case, restarts):
+        # the budgets of test_truncated_iterate_equals_repeat_form stop just
+        # before, at and just after these restarts
+        gs, lam, u, eta = truncation_instance(case)
+        seen = []
+        prox_dual_fista_repeat(gs, lam, u, eta, restarts=seen)
+        assert seen[:len(restarts)] == restarts
+
     def test_radii_at_the_envelope_floor_leave_u(self):
         # c_g = 1e-100 for {0, 1}, the least a penalty gives: the zero block
         # {0, 1} is projected with no 0/0, and the shrinks round to nothing
@@ -588,16 +601,16 @@ class TestDualFista:
     @pytest.mark.parametrize("entry, pen", [(1e200, "inf"), (math.inf, "inf"), (math.nan, "nan")],
                              ids=["1e200", "inf", "nan"])
     def test_centre_whose_penalty_is_not_finite_is_refused(self, monkeypatch, entry, pen):
-        # sum_g c_g ||u_g|| is not finite (at 1e200, ||u_g||^2 overflows, with
-        # a warning that is not under test): the prox refuses u before its
-        # first ascent step (with no budget, a later refusal would be a
-        # ConvergenceError) rather than return NaN
+        # sum_g c_g ||u_g|| is not finite (at 1e200, ||u_g||^2 overflows,
+        # with no warning, so RuntimeWarnings as errors do not pre-empt the
+        # refusal): the prox refuses u before its first ascent step (with no
+        # budget, a later refusal would be a ConvergenceError) rather than
+        # return NaN
         from composite_sgd import regularizers as rg
 
         gs = GroupStructure(*flat_family([[0, 1], [1, 2], [2, 3]], [ENVELOPE[1]] * 3, 4))
         monkeypatch.setattr(rg, "DUAL_MAX_ITER", 0)
-        with np.errstate(over="ignore"), pytest.raises(ParameterError,
-                                                       match=f"is {pen} at the centre u$"):
+        with pytest.raises(ParameterError, match=f"is {pen} at the centre u$"):
             prox(group_norm(ENVELOPE[1], gs), np.zeros(4), np.array([1.0, 2.0, entry, 4.0]), 1.0)
 
     def test_iterate_does_not_alias_input(self, monkeypatch):
@@ -614,21 +627,47 @@ class TestDualFista:
         assert not np.shares_memory(err.value.last_iterate, u)
         assert np.array_equal(u, [1.0, -2.0, 0.5])
 
-    @pytest.mark.parametrize("budget", [0, 1, 2, 5])
-    @pytest.mark.parametrize("case", ["crossing", "random"])
+    @pytest.mark.parametrize("case, budget", [("crossing", k) for k in range(10)]
+                             + [("random", k) for k in (0, 1, 2, 5, 16, 17, 18, 28, 29, 30)])
     def test_truncated_iterate_equals_repeat_form(self, monkeypatch, case, budget):
-        # both instances need more than 5 ascent steps, so each budget runs out
-        # and the iterate carried must be the reference's after as many steps
+        # The prox takes the first step and each restart step in closed form
+        # and skips the restart test on the step after either; the reference
+        # takes the general step with beta = 0. Every budget but the crossing
+        # pair's 9 runs out, and the iterate and message must be the
+        # reference's after as many steps.
         from composite_sgd import regularizers as rg
 
         gs, lam, u, eta = truncation_instance(case)
         monkeypatch.setattr(rg, "DUAL_MAX_ITER", budget)
-        with pytest.raises(ConvergenceError) as err:
-            _prox_dual_fista(group_norm(lam, gs), u, eta)
-        with pytest.raises(ConvergenceError) as ref:
-            prox_dual_fista_repeat(gs, lam, u, eta, max_iter=budget)
-        assert_same_bytes(err.value.last_iterate, ref.value.last_iterate)
-        assert f"after {budget} dual iterations" in str(err.value)
+        out, message = dual_ascent_outcome(lambda: _prox_dual_fista(group_norm(lam, gs), u, eta))
+        ref, ref_message = dual_ascent_outcome(
+            lambda: prox_dual_fista_repeat(gs, lam, u, eta, max_iter=budget))
+        assert (message is None) == (case == "crossing" and budget == 9)
+        assert message == ref_message
+        assert_same_bytes(out, ref)
+        if message is not None:
+            assert message.endswith(f"after {budget} dual iterations")
+
+    @pytest.mark.parametrize("eta", [1e-300, 1e300], ids=["eta1e-300", "eta1e300"])
+    @pytest.mark.parametrize("edge", ENVELOPE, ids=["c1e-100", "c1e100"])
+    @pytest.mark.parametrize("centre", [1e-150, 1e150], ids=["u1e-150", "u1e150"])
+    def test_extremes_equal_repeat_form(self, monkeypatch, eta, edge, centre):
+        # lam and every weight at one edge of the envelope, so c_g = edge^2.
+        # At eta = 1e300 a first step overflows to inf and its projection
+        # makes NaN, with warnings that are not under test: outcome, message
+        # and bytes must still be the reference's.
+        from composite_sgd import regularizers as rg
+
+        gs, _, u, _ = truncation_instance("random")
+        gs = GroupStructure(*flat_family(groups_of(gs), np.full(len(gs), edge), gs.p))
+        u = centre * u
+        monkeypatch.setattr(rg, "DUAL_MAX_ITER", 30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, message = dual_ascent_outcome(lambda: _prox_dual_fista(group_norm(edge, gs), u, eta))
+            ref, ref_message = dual_ascent_outcome(
+                lambda: prox_dual_fista_repeat(gs, edge, u, eta, max_iter=30))
+        assert message == ref_message
+        assert_same_bytes(out, ref)
 
     @pytest.mark.parametrize("case", ["crossing", "random"])
     def test_budget_zero_names_the_gap_at_the_centre(self, monkeypatch, case):
