@@ -36,11 +36,7 @@ _MAX_TOTAL_INDICES = 2**28
 # 95.4 at n = 10, 93.3 at n = 14 and 92.4 at n = 18.
 TREE_BYTES_PER_INDEX = 96
 
-# Floor and ceiling of the laminar prox thresholds, and the 1 of its scale,
-# as 0-d arrays: a ufunc takes a 0-d operand faster than a Python float or
-# np.float64, with the same bits.
-_TINY = np.array(np.finfo(np.float64).smallest_subnormal)
-_HUGE = np.array(np.finfo(np.float64).max)
+# The laminar prox's 1, 0-d: a ufunc takes it faster than a float, same bits.
 _ONE = np.array(1.0)
 # FISTA's t after a step with momentum beta = 0, from t = 1: (1 + sqrt(1 + 4)) / 2.
 _T_AFTER_RESTART = 0.5 * (1.0 + math.sqrt(5.0))
@@ -277,7 +273,10 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
     """Minimizer of <x, g> + (eta/2) ||x - z||^2 + lam * Omega(x), exact or certified.
 
     With u = z - g / eta this is the minimizer x* of
-    P(x) = (eta/2) ||x - u||^2 + sum_g c_g ||x_g||, where c_g = lam * w_g.
+    P(x) = (eta/2) ||x - u||^2 + sum_g c_g ||x_g||, where c_g = lam * w_g. An
+    eta outside [1e-100, 1e100], ``core.ENVELOPE`` squared, raises
+    ``ParameterError`` (NaN and inf too); every c_g > 0 and every eta of an sg
+    or acsa run lie in it (README "Numeric envelope"): c_g / eta is a normal double.
 
     l1 and laminar group structures are solved in closed form: for a laminar
     family the prox is the leaf-to-root composition of group shrinkages
@@ -301,11 +300,13 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
     term keeps the target above the gap's rounding level when x* is near 0.
     After ``DUAL_MAX_ITER = 10**5`` ascent steps it raises
     ``ConvergenceError``, naming the gap reached and carrying the last primal
-    iterate. A centre u whose penalty sum_g c_g ||u_g|| is not finite raises
-    ``ParameterError`` before the first step.
+    iterate; a centre u on which a step could overflow (eta / max_cover *
+    max_g ||u_g|| past about 2^510) gets a budget of 0. A centre whose penalty
+    sum_g c_g ||u_g|| is not finite raises ``ParameterError`` instead.
     """
-    if eta <= 0:
-        raise ParameterError(f"eta must be > 0, got {eta}")
+    lo, hi = ENVELOPE[0] ** 2, ENVELOPE[1] ** 2
+    if not lo <= eta <= hi:
+        raise ParameterError(f"eta must be in [{lo:g}, {hi:g}], got {float(eta)!r}")
     g, z = as_vector(g), as_vector(z)
     if g.shape[0] != reg.p or z.shape[0] != reg.p:
         raise DimensionError(
@@ -322,14 +323,9 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
 
 
 def _prox_laminar(reg: Regularizer, u: Array, eta: float) -> Array:
-    # Blocks with nrm <= thr get scale 1 - thr / thr = 0, exact zeros. The
-    # floor keeps a zero block free of 0/0: a nonzero block norm is at least
-    # sqrt(smallest_subnormal) = 2.2e-162, so where c_g / eta underflows,
-    # 1 - smallest_subnormal / nrm rounds to exactly 1 and the block is kept
-    # as it is. The ceiling keeps an overflowing threshold zeroing its block,
-    # not making inf / inf. A solver's eta keeps c_g / eta within both; they
-    # serve a caller's eta, which may be any positive double.
-    thr = np.minimum(np.maximum(reg.layer_scales / eta, _TINY), _HUGE)
+    # Blocks with nrm <= thr get scale 1 - thr / thr = 0, exact zeros. c_g and
+    # eta lie in [1e-100, 1e100], so no thr is 0 (0/0 on a zero block) or inf.
+    thr = reg.layer_scales / eta
     x = u.copy()
     for index, offsets, owner, lo, hi in reg.structure.layers:
         block = x[index]
@@ -354,14 +350,20 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
     step = eta / st.max_cover
     xf = u[index]
     with np.errstate(over="ignore"):  # an overflowing ||u_g||^2 is refused just below
-        pen_u = float(radii.dot(st.block_norms(xf)))
+        pen_u = float(radii.dot(norms := st.block_norms(xf)))
     if not math.isfinite(pen_u):
         raise ParameterError(f"overlapping prox: sum_g c_g ||u_g|| is {pen_u} at the centre u")
-    # At k = 0, b = 0 and x = u: the gap is pen_u and the target
-    # DUAL_GAP_RTOL * 2 pen_u, so the stop test passes there exactly when
-    # pen_u == 0, and the loop starts at the first ascent step.
+    # At k = 0, b = 0 and x = u: the gap is pen_u and the target 2e-15 pen_u, so
+    # the stop test passes there exactly when pen_u == 0 (u's grouped entries all
+    # 0 or below 1e-162, squares underflowing); the loop starts at the first step.
     if pen_u == 0.0:
         return u.copy()
+    # No step overflows v * v while step max_g ||u_g|| + (1 + sqrt(p)) ||A|| <= 2^510:
+    # ||v_g|| < 3 (c_g + step ||xf_g||) (||b_g|| <= c_g <= ||A||, beta < 1) and step
+    # ||xf_g|| <= step ||u_g|| + sqrt(p) c_max. Past it one may, the projection then
+    # zeroes b_g and the loop stalls: it gets no budget.
+    bound = step * float(norms.max()) + (1.0 + math.sqrt(st.p)) * reg.A_norm
+    budget = DUAL_MAX_ITER if bound <= 2.0**510 else 0
     # The loop costs numpy calls on a few hundred floats, not arithmetic, so it
     # makes and allocates as few as it can. b, b_prev, y, v and a scratch
     # array are work buffers of this call, written in place, and b and b_prev
@@ -379,9 +381,8 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
     # every operand is finite: b and b_prev are wherever the restart test
     # passes (a NaN fails it, and ||b_g|| is c_g at most, up to rounding),
     # u's grouped entries are (pen_u is), and so is xf, the gather of
-    # u - A^T b / eta, for any eta a solver passes, whose c_g / eta keeps
-    # max_cover c_g / eta finite. Adding +-0 changes at most the sign of a
-    # zero, so v and b keep every bit but such signs, and x keeps all of its:
+    # u - A^T b / eta with eta >= 1e-100. Adding +-0 changes at most the sign of
+    # a zero, so v and b keep every bit but such signs, and x keeps all of its:
     # np.bincount starts each bin at +0.0, and +0.0 + -0.0 = +0.0. The gap's
     # sums do not see zero signs either. The general form's y = b + 0 * db
     # is b_prev one step later, so the next restart test would read
@@ -389,12 +390,10 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
     b = np.zeros(index.size)  # the others are written before they are read
     b_prev, y, v, work = np.empty((4, index.size))
     beta_0d, step_0d, eta_0d = np.empty(()), np.array(step), np.array(float(eta))
-    x = u
-    gap = pen_u
-    target = DUAL_GAP_RTOL * (pen_u + pen_u)
+    x, gap, target = u, pen_u, DUAL_GAP_RTOL * (pen_u + pen_u)
     np.multiply(xf, step_0d, out=v)
     t, may_restart = _T_AFTER_RESTART, False
-    for _ in range(DUAL_MAX_ITER):
+    for _ in range(budget):
         nrm = np.add.reduceat(np.multiply(v, v, out=work), offsets)
         np.sqrt(nrm, out=nrm)
         scale = np.divide(radii, np.maximum(nrm, radii, out=nrm), out=nrm)
@@ -429,7 +428,7 @@ def _prox_dual_fista(reg: Regularizer, u: Array, eta: float) -> Array:
         np.add(y, v, out=v)
     raise ConvergenceError(
         f"overlapping prox: dual gap {gap:.3e} above target {target:.3e} "
-        f"after {DUAL_MAX_ITER} dual iterations",
+        f"after {budget} dual iterations",
         last_iterate=x.copy(),  # x is u itself when the budget is 0
     )
 

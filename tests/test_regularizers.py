@@ -322,6 +322,12 @@ EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
                 1e-162, -3e-161, 1e-150]
 
 
+# The ends of the range prox takes eta from, ENVELOPE squared, and one double
+# past each, which it refuses.
+ETA_EDGES = (ENVELOPE[0] ** 2, ENVELOPE[1] ** 2)
+PAST_ETA_EDGES = (math.nextafter(ETA_EDGES[0], 0.0), math.nextafter(ETA_EDGES[1], math.inf))
+
+
 # Laminar over the coordinate order 3, 0, 5, 1, 4, 2: the layers {1, 4} + {0}
 # and {0, 3} + {1, 4, 5} are int64 index arrays, and {0..5} a slice.
 SHUFFLED_LAMINAR = GroupStructure(*flat_family(
@@ -337,7 +343,8 @@ def laminar_prox_inputs(draw):
     starting at 0, with array layers) or a dyadic tree; u mixing ordinary
     entries with ``EDGE_ENTRIES`` and tiny ones, some groups zeroed outright;
     lam ordinary or near the envelope's floor 1e-50; eta over 8 decades, or
-    so large that lam * w / eta underflows for some or all groups."""
+    within 4 decades of either end of the prox's range [1e-100, 1e100], ends
+    included, where lam * w / eta runs from about 1e-151 to 3e101."""
     kind = draw(st.sampled_from(["shuffled", "ordered", "tree"]))
     if kind == "tree":
         gs = build_hierarchical(draw(st.integers(0, 5)))
@@ -350,7 +357,8 @@ def laminar_prox_inputs(draw):
     for k in draw(st.lists(st.integers(0, len(gs) - 1), max_size=3)):
         u[groups_of(gs)[k]] = draw(st.sampled_from([0.0, -0.0]))
     lam = draw(st.one_of(st.floats(0.01, 5.0), st.floats(ENVELOPE[0], 1e-40)))
-    eta = 10.0 ** draw(st.one_of(st.floats(-4.0, 4.0), st.floats(250.0, 308.0)))
+    exponent = st.one_of(st.floats(-4.0, 4.0), st.floats(96.0, 100.0), st.floats(-100.0, -96.0))
+    eta = draw(st.one_of(st.sampled_from(ETA_EDGES), exponent.map(lambda e: 10.0**e)))
     return gs, lam, u, eta
 
 
@@ -421,11 +429,11 @@ class TestDepthLayers:
             ref = prox_laminar_loop(u, 0.6, 1.3, groups, weights)
             assert np.allclose(out, ref, rtol=0.0, atol=loop_tolerance(u))
 
-    @pytest.mark.parametrize("lam, weight, eta", [(0.4, 1.0, 1.0), (1e-50, 1e-50, 1e300)],
+    @pytest.mark.parametrize("lam, weight, eta", [(0.4, 1.0, 1.0), (1e-50, 1e-50, 1e100)],
                              ids=["0.4-1.0", "1e-50-1e-50"])
     def test_zero_norm_blocks_come_out_exactly_zero(self, lam, weight, eta):
-        # with lam = w = 1e-50 and eta = 1e300, lam * w / eta underflows to 0,
-        # so zero-norm blocks meet a zero threshold
+        # with lam = w = 1e-50 and eta = 1e100, lam * w / eta = 1e-200, the
+        # least threshold the envelope lets a prox form, meets zero-norm blocks
         st3 = build_hierarchical(3)
         weights = np.full(len(st3), weight)
         reg = group_norm(lam, GroupStructure(*flat_family(groups_of(st3), weights, 8)))
@@ -443,6 +451,9 @@ class TestDepthLayers:
                                     np.array([1.0, 0.5, 2.0, 0.3]), 6)),
         0.4, np.array([0.7, -1.5, 0.2, 3.0, -0.1, 0.9]), 0.8,
     ))
+    @example((build_hierarchical(3), ENVELOPE[0], np.array(EDGE_ENTRIES[1:]), ETA_EDGES[1]))
+    @example((build_hierarchical(3), 5.0,
+              np.array([0.7, -1.5, 1e150, 3.0, -0.1, 0.9, 1e-300, -0.0]), ETA_EDGES[0]))
     def test_prox_equals_masked_form_bit_for_bit(self, inputs):
         # the bytes compare sign bits too; the masked form divides only where a
         # block is kept, so a 0/0 or x/0 in the layer plan would raise here
@@ -468,15 +479,16 @@ class TestDepthLayers:
                     ref = prox_laminar_masked(SHUFFLED_LAMINAR, lam, u, 1.3)
                 assert out.tobytes() == ref.tobytes()
 
-    def test_overflowing_thresholds_zero_blocks_like_masked_form(self):
-        # lam * w / eta overflows to inf for every group: the masked form
-        # zeroes every block (nrm > inf is false), the layer plan must too,
-        # with no inf / inf
-        gs = build_hierarchical(3)
+    def test_largest_thresholds_zero_blocks_like_masked_form(self):
+        # lam = w = 1e50 and eta = 1e-100 give every group lam * w / eta = 1e200,
+        # the largest threshold the envelope lets a prox form: the masked form
+        # zeroes every block, and so must the layer plan
+        tree = build_hierarchical(3)
+        gs = GroupStructure(*flat_family(groups_of(tree), np.full(len(tree), ENVELOPE[1]), 8))
         u = np.array([0.0, -0.0, 1.5, -2.0, 1e150, 5e-324, -3.0, 3.0])
-        with np.errstate(over="ignore", divide="raise", invalid="raise"):
-            out = _prox_laminar(group_norm(1e10, gs), u, 1e-300)
-            ref = prox_laminar_masked(gs, 1e10, u, 1e-300)
+        with np.errstate(divide="raise", invalid="raise"):
+            out = _prox_laminar(group_norm(ENVELOPE[1], gs), u, ETA_EDGES[0])
+            ref = prox_laminar_masked(gs, ENVELOPE[1], u, ETA_EDGES[0])
         assert out.tobytes() == ref.tobytes()
         assert not np.any(out)
 
@@ -648,26 +660,67 @@ class TestDualFista:
         if message is not None:
             assert message.endswith(f"after {budget} dual iterations")
 
-    @pytest.mark.parametrize("eta", [1e-300, 1e300], ids=["eta1e-300", "eta1e300"])
+    @pytest.mark.parametrize("refused, eta", [(1e-300, ETA_EDGES[0]), (1e300, ETA_EDGES[1])],
+                             ids=["eta1e-300", "eta1e300"])
     @pytest.mark.parametrize("edge", ENVELOPE, ids=["c1e-100", "c1e100"])
     @pytest.mark.parametrize("centre", [1e-150, 1e150], ids=["u1e-150", "u1e150"])
-    def test_extremes_equal_repeat_form(self, monkeypatch, eta, edge, centre):
+    def test_extremes_equal_repeat_form(self, monkeypatch, refused, eta, edge, centre):
         # lam and every weight at one edge of the envelope, so c_g = edge^2.
-        # At eta = 1e300 a first step overflows to inf and its projection
-        # makes NaN, with warnings that are not under test: outcome, message
-        # and bytes must still be the reference's.
+        # prox refuses eta = 1e-300 and 1e300; at the end of its range on that side,
+        # outcome, message and bytes must be the reference's. With eta = 1e100
+        # and u of 1e150 every first step's v * v overflows, the reference's
+        # projection zeroes b and it stalls at u, with overflow warnings that
+        # are not under test, until its budget runs out; the prox gives the
+        # same gap, target and iterate at once, with no budget.
         from composite_sgd import regularizers as rg
 
         gs, _, u, _ = truncation_instance("random")
         gs = GroupStructure(*flat_family(groups_of(gs), np.full(len(gs), edge), gs.p))
         u = centre * u
+        with pytest.raises(ParameterError, match="^eta must be in "):
+            prox(group_norm(edge, gs), np.zeros(gs.p), u, refused)
         monkeypatch.setattr(rg, "DUAL_MAX_ITER", 30)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out, message = dual_ascent_outcome(lambda: _prox_dual_fista(group_norm(edge, gs), u, eta))
+        out, message = dual_ascent_outcome(lambda: _prox_dual_fista(group_norm(edge, gs), u, eta))
+        with np.errstate(over="ignore"):
             ref, ref_message = dual_ascent_outcome(
                 lambda: prox_dual_fista_repeat(gs, edge, u, eta, max_iter=30))
+        if eta == ETA_EDGES[1] and centre == 1e150:
+            assert_same_bytes(ref, u)
+            ref_message = ref_message.replace("after 30 dual", "after 0 dual")
         assert message == ref_message
         assert_same_bytes(out, ref)
+
+    @pytest.mark.parametrize("scale", [1e50, 1e150], ids=["u1e50", "u1e150"])
+    def test_step_that_can_overflow_fails_at_once(self, scale):
+        # Four groups crossing over p = 4 at eta = 1e100: from a centre of 1e50
+        # the prox returns, while from 1e150 a step's v * v can overflow, and
+        # it raises the stalled loop's ConvergenceError before any step, not
+        # after spending its 10^5-step budget where nothing moves.
+        gs = GroupStructure([0, 1, 1, 2, 2, 3, 0, 3], [2, 2, 2, 2], [1.0, 1.5, 2.0, 0.5], 4)
+        u = scale * np.array([1.0, -2.0, 0.5, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, message = dual_ascent_outcome(
+                lambda: prox(group_norm(0.3, gs), np.zeros(4), u, ETA_EDGES[1]))
+        if scale == 1e50:
+            assert message is None and np.all(np.isfinite(out))
+            return
+        pen_u = 0.3 * sum(w * np.linalg.norm(u[g]) for g, w in zip(groups_of(gs), gs.weights))
+        assert message == (f"overlapping prox: dual gap {pen_u:.3e} above target "
+                           f"{2e-15 * pen_u:.3e} after 0 dual iterations")
+        assert_same_bytes(out, u)
+        assert not np.shares_memory(out, u)
+
+    def test_centre_below_the_squares_underflow_is_returned(self):
+        # u's grouped squares all underflow, so sum_g c_g ||u_g|| is 0 for a
+        # nonzero u: the stop test passes at b = 0 and u comes back, as in
+        # the reference, where one ascent step would have moved it
+        gs = crossing_structure()
+        u = np.array([1e-170, -1e-170, 3e-200])
+        out = _prox_dual_fista(group_norm(0.3, gs), u, 1.0)
+        assert_same_bytes(out, prox_dual_fista_repeat(gs, 0.3, u, 1.0))
+        assert_same_bytes(out, u)
+        assert not np.shares_memory(out, u)
 
     @pytest.mark.parametrize("case", ["crossing", "random"])
     def test_budget_zero_names_the_gap_at_the_centre(self, monkeypatch, case):
@@ -760,6 +813,27 @@ class TestProx:
     def test_eta_must_be_positive(self):
         with pytest.raises(ParameterError):
             prox(l1(0.1, 2), np.zeros(2), np.zeros(2), 0.0)
+
+    PENALTIES = [l1(0.3, 4), group_norm(0.3, build_hierarchical(2)),
+                 group_norm(0.3, GroupStructure([0, 1, 1, 2, 2, 3], [2, 2, 2], [1.0, 1.5, 2.0], 4))]
+
+    @pytest.mark.parametrize(
+        "eta", [*PAST_ETA_EDGES, 1e-101, 1e101, 0.0, -1.0, math.nan, math.inf],
+        ids=["past-floor", "past-ceiling", "1e-101", "1e101", "0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("reg", PENALTIES, ids=["l1", "tree", "overlapping"])
+    def test_eta_outside_the_envelope_squared_is_refused(self, reg, eta):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"eta must be in [1e-100, 1e+100], got {eta!r}")):
+            prox(reg, np.zeros(4), np.ones(4), eta)
+
+    @pytest.mark.parametrize("eta", [1e-100, 1e100], ids=["1e-100", "1e100"])
+    @pytest.mark.parametrize("reg", PENALTIES, ids=["l1", "tree", "overlapping"])
+    def test_eta_at_the_envelope_squared_edges_is_taken(self, reg, eta):
+        # the ends of the range, with RuntimeWarnings as errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox(reg, np.linspace(-1.0, 1.0, 4), np.array([1.0, -2.0, 0.5, 3.0]), eta)
+        assert out.shape == (4,) and np.all(np.isfinite(out))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

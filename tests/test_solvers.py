@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _reference import PhiloxStream, flat_family, minibatch_gradient_linear, two_sequence_loop
 from composite_sgd.core import (
+    ENVELOPE,
     ConvergenceError,
     DivergenceError,
     ParameterError,
@@ -38,6 +39,8 @@ from composite_sgd.smoothing import smoothed
 from composite_sgd import solvers
 from composite_sgd.solvers import (
     OVERFLOW_LIMIT,
+    acsa_eta,
+    horizon_eta,
     pilot_sigma_sq,
     resolve_acsa_params,
     run_acsa,
@@ -140,6 +143,20 @@ class TestSchedule:
                 run_ssg(oracle, smoothed(reg, N=N), L, N, RngStream(0), objective)
             with pytest.raises(ParameterError):
                 run_acsa(oracle, reg, L, N, 2.0, RngStream(0), objective)
+
+    @pytest.mark.parametrize("N", [1, 2**53], ids=["N1", "N2^53"])
+    @pytest.mark.parametrize("L", ENVELOPE, ids=["L1e-50", "L1e50"])
+    def test_prox_weights_of_accepted_configs_lie_in_the_prox_range(self, N, L):
+        # README "Numeric envelope": with L, acsa_d and sigma^2 (or 0) in the
+        # envelope and N <= 2^53, sg's and acsa's eta(t), which fall with t,
+        # lie in [4.4e-66, 1.4e99] at t = 0 and t = N, inside the range
+        # [1e-100, 1e100] that prox takes eta from
+        etas = [horizon_eta(N, L)] + [acsa_eta(N, L, resolve_acsa_params(L, N, sigma_sq, d))
+                                      for d in ENVELOPE for sigma_sq in (0.0, ENVELOPE[1])]
+        for eta in etas:
+            for t in (0, N):
+                assert 4.4e-66 <= eta(t) <= 1.4e99
+                assert ENVELOPE[0] ** 2 <= eta(t) <= ENVELOPE[1] ** 2
 
     @pytest.mark.parametrize("run", [
         lambda o, f: run_sg(o, l1(0.1, 2), 1e308, 50, RngStream(0), f),
