@@ -62,10 +62,15 @@ def envelope_fault(value: float, zero: bool = False, hi: float = ENVELOPE[1]) ->
     return f"must be {zero}in [{ENVELOPE[0]:g}, {hi:g}], got {float(value)!r}"
 
 
-def as_vector(values) -> Array:
+def as_vector(values, p: int | None = None, name: str = "x") -> Array:
+    """The library's one rule for a vector argument: ``values`` as a float64
+    vector, of length ``p`` when given; ``DimensionError`` naming ``name``
+    otherwise."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-d vector, got shape {arr.shape}")
+        raise DimensionError(f"{name} must be a 1-d vector, got shape {arr.shape}")
+    if p is not None and arr.shape[0] != p:
+        raise DimensionError(f"{name} has length {arr.shape[0]}, expected {p}")
     return arr
 
 

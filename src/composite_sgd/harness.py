@@ -255,9 +255,9 @@ def execute_run(runs: dict[str, tuple[RunConfig, str]]) -> list[list[tuple]]:
 
 
 def write_summary(path, summaries: list[dict]) -> None:
-    payload = summaries[0] if len(summaries) == 1 else {"runs": summaries}
+    """``{"runs": [...]}``, one entry per job, whatever the number of jobs."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({"runs": summaries}, fh, indent=2)
         fh.write("\n")
 
 

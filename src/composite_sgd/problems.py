@@ -130,7 +130,8 @@ def gen_logistic_dataset(K: int, p: int, rng: RngStream, beta_hat=None) -> Datas
     """Unit-normalized Gaussian rows with Bernoulli labels from the logistic model."""
     if K < 1 or p < 1:
         raise ParameterError(f"need K, p >= 1, got K={K} p={p}")
-    beta = ground_truth("logistic", p) if beta_hat is None else as_vector(beta_hat)
+    # Checked before any draw, so a refused beta_hat leaves rng where it was.
+    beta = ground_truth("logistic", p) if beta_hat is None else as_vector(beta_hat, p, "beta_hat")
     X = rng.normal(K * p).reshape(K, p)
     norms = _row_norms(X)
     while np.any(norms == 0.0):  # probability-zero draw; resample those rows
@@ -164,13 +165,6 @@ def _log1p_exp(t: Array) -> Array:
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-def _check_beta(d: Dataset, beta) -> Array:
-    beta = as_vector(beta)
-    if beta.shape[0] != d.p:
-        raise DimensionError(f"beta has length {beta.shape[0]}, expected {d.p}")
-    return beta
-
-
 def exact_objective_linear(d: Dataset, beta) -> float:
     """(1 / 2K) ||X beta - y||^2 over the full dataset.
 
@@ -180,9 +174,10 @@ def exact_objective_linear(d: Dataset, beta) -> float:
     ``lipschitz_linear`` already has. At beta = 0 this is bit-equal to the
     residual form; elsewhere the two differ by at most
     (K + 2p + 4) eps || |X| |beta| + |y| ||^2 / K, the rounding of either
-    form. A wide design (K < p) evaluates the residual, at O(Kp) per call.
+    form, plus subnormal roundings where that underflows. A wide design
+    (K < p) evaluates the residual, at O(Kp) per call.
     """
-    beta = _check_beta(d, beta)
+    beta = as_vector(beta, d.p, "beta")
     if d.K < d.p:
         r = d.X @ beta - d.y
         return float((r @ r) / (2.0 * d.K))
@@ -192,7 +187,7 @@ def exact_objective_linear(d: Dataset, beta) -> float:
 
 def exact_objective_logistic(d: Dataset, beta) -> float:
     """Average negative log-likelihood (1/K) sum log(1 + e^{t_i}) - y_i t_i."""
-    beta = _check_beta(d, beta)
+    beta = as_vector(beta, d.p, "beta")
     t = d.X @ beta
     return float(np.mean(_log1p_exp(t) - d.y * t))
 
@@ -207,7 +202,7 @@ def exact_gradient(d: Dataset, beta) -> Array:
     """Full-data gradient (1/K) X^T (link(X beta) - y) of the dataset's loss:
     the link is the identity for a linear dataset, the sigmoid for a logistic
     one."""
-    beta = _check_beta(d, beta)
+    beta = as_vector(beta, d.p, "beta")
     return d.X.T @ (_link(d, d.X @ beta) - d.y) / d.K
 
 
@@ -216,18 +211,16 @@ def continuous_objective(beta, beta_hat) -> float:
 
     Equals (1/2) (beta^T beta - 2 beta^T beta_hat + ||beta_hat||^2 + 1).
     """
-    beta, beta_hat = as_vector(beta), as_vector(beta_hat)
-    if beta.shape[0] != beta_hat.shape[0]:
-        raise DimensionError("beta and beta_hat lengths differ")
+    beta_hat = as_vector(beta_hat, name="beta_hat")
+    beta = as_vector(beta, beta_hat.shape[0], "beta")
     diff = beta - beta_hat
     return float(0.5 * (diff @ diff + 1.0))
 
 
 def continuous_gradient(beta, beta_hat) -> Array:
     """beta - beta_hat; Lipschitz with constant 1."""
-    beta, beta_hat = as_vector(beta), as_vector(beta_hat)
-    if beta.shape[0] != beta_hat.shape[0]:
-        raise DimensionError("beta and beta_hat lengths differ")
+    beta_hat = as_vector(beta_hat, name="beta_hat")
+    beta = as_vector(beta, beta_hat.shape[0], "beta")
     return beta - beta_hat
 
 
@@ -247,11 +240,13 @@ class MinibatchLinearOracle:
 
     def sample(self, x: Array, rng: RngStream) -> Array:
         # The minibatch gradient (1/|S|) X_S^T (link(X_S x) - y_S); rng.indices
-        # draws S in range, so only x needs a check. ndarray.dot gives the bits
-        # of @ at about half its per-call cost; X.take copies the rows X[S] does
-        # at about a third of its cost, while y[S] is the cheaper 1-D gather.
-        if x.shape != (self.dim,):
-            raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
+        # draws S in range, so only x needs a check: inline for an ndarray of
+        # the right shape, which is all the solvers pass, as_vector otherwise.
+        # ndarray.dot gives the bits of @ at about half its per-call cost;
+        # X.take copies the rows X[S] does at about a third of its cost, while
+        # y[S] is the cheaper 1-D gather.
+        if not isinstance(x, np.ndarray) or x.shape != (self.dim,):
+            x = as_vector(x, self.dim)
         S = rng.indices(self.batch, self.dataset.K)
         XS = self.dataset.X.take(S, axis=0)
         return XS.T.dot(_link(self.dataset, XS.dot(x)) - self.dataset.y[S]) / self._divisor
@@ -266,14 +261,14 @@ class ContinuousLinearOracle:
     def __init__(self, beta_hat, batch: int):
         if batch < 1:
             raise ParameterError(f"batch must be >= 1, got {batch}")
-        self.beta_hat = as_vector(beta_hat)
+        self.beta_hat = as_vector(beta_hat, name="beta_hat")
         self.batch = batch
         self.dim = self.beta_hat.shape[0]
         self._divisor = np.array(float(batch))  # 0-d, as in MinibatchLinearOracle
 
     def sample(self, x: Array, rng: RngStream) -> Array:
-        if x.shape != (self.dim,):
-            raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
+        if not isinstance(x, np.ndarray) or x.shape != (self.dim,):  # as above
+            x = as_vector(x, self.dim)
         X = rng.normal(self.batch * self.dim).reshape(self.batch, self.dim)
         eps = rng.normal(self.batch)
         y = X.dot(self.beta_hat) + eps

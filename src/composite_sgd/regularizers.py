@@ -97,11 +97,7 @@ class GroupStructure:
             raise ParameterError(f"p must be >= 1, got {p}")
         index = np.asarray(index, dtype=np.int64)
         sizes = np.array(sizes, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if sizes.shape[0] != weights.shape[0]:
-            raise DimensionError(
-                f"{sizes.shape[0]} groups but {weights.shape[0]} weights"
-            )
+        weights = as_vector(weights, sizes.shape[0], "weights")  # one per group
         if sizes.shape[0] == 0:
             raise ParameterError("need at least one group")
         bad = np.flatnonzero(~((weights >= ENVELOPE[0]) & (weights <= ENVELOPE[1])))
@@ -246,9 +242,7 @@ def group_norm(lam: float, structure: GroupStructure) -> Regularizer:
 
 def evaluate(reg: Regularizer, beta) -> float:
     """lam * Omega(beta)."""
-    beta = as_vector(beta)
-    if beta.shape[0] != reg.p:
-        raise DimensionError(f"beta has length {beta.shape[0]}, expected {reg.p}")
+    beta = as_vector(beta, reg.p, "beta")
     if reg.structure is None:
         return float(reg.lam * np.abs(beta).sum())
     st = reg.structure
@@ -307,11 +301,7 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
     lo, hi = ENVELOPE[0] ** 2, ENVELOPE[1] ** 2
     if not lo <= eta <= hi:
         raise ParameterError(f"eta must be in [{lo:g}, {hi:g}], got {float(eta)!r}")
-    g, z = as_vector(g), as_vector(z)
-    if g.shape[0] != reg.p or z.shape[0] != reg.p:
-        raise DimensionError(
-            f"g/z lengths ({g.shape[0]}, {z.shape[0]}) do not match p={reg.p}"
-        )
+    g, z = as_vector(g, reg.p, "g"), as_vector(z, reg.p, "z")
     u = z - g / eta
     if reg.lam == 0.0:
         return soft_threshold(u, 0.0)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, DimensionError, ParameterError, as_vector
+from .core import Array, ParameterError, as_vector
 from .regularizers import Regularizer
 
 # Substitute for mu when the schedule ||A|| / (N+2) is 0, as it is when the
@@ -79,11 +79,8 @@ def smoothed(reg: Regularizer, mu: float | None = None, N: int | None = None) ->
 
 def _apply(s: SmoothedRegularizer, x) -> Array:
     # A x, after checking that x is a vector of length p.
-    x = as_vector(x)
-    reg = s.base
-    if x.shape[0] != reg.p:
-        raise DimensionError(f"x has length {x.shape[0]}, expected {reg.p}")
-    st = reg.structure
+    x = as_vector(x, s.base.p)
+    st = s.base.structure
     if st is None:
         return s.a_weights * x
     if st.covers:

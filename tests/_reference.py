@@ -30,8 +30,8 @@ import math
 import numpy as np
 
 from composite_sgd.core import (ENVELOPE, ConvergenceError, DimensionError, DivergenceError,
-                                ParameterError, RngStream, envelope_fault)
-from composite_sgd.problems import _check_beta, ground_truth, sigmoid
+                                ParameterError, RngStream, as_vector, envelope_fault)
+from composite_sgd.problems import ground_truth, sigmoid
 from composite_sgd.regularizers import (
     DUAL_GAP_RTOL,
     DUAL_MAX_ITER,
@@ -446,7 +446,7 @@ def objective_residual(d, beta) -> float:
 
 def minibatch_gradient_linear(d, beta, S) -> np.ndarray:
     """(1/|S|) X_S^T (X_S beta - y_S) for an index multiset S (with replacement)."""
-    beta = _check_beta(d, beta)
+    beta = as_vector(beta, d.p, "beta")
     S = np.asarray(S, dtype=np.int64)
     if S.size == 0:
         raise ParameterError("minibatch S must be nonempty")
@@ -458,7 +458,7 @@ def minibatch_gradient_linear(d, beta, S) -> np.ndarray:
 
 def minibatch_gradient_logistic(d, beta, S) -> np.ndarray:
     """(1/|S|) sum_{i in S} (sigmoid(beta^T x_i) - y_i) x_i."""
-    beta = _check_beta(d, beta)
+    beta = as_vector(beta, d.p, "beta")
     S = np.asarray(S, dtype=np.int64)
     if S.size == 0:
         raise ParameterError("minibatch S must be nonempty")

@@ -225,7 +225,7 @@ class TestRunCommand:
         assert header == ["iteration", "elapsed_seconds", "objective"]
         assert rows[0][0] == "0"
         assert rows[-1][0] == "151"
-        summary = json.loads((out / "summary.json").read_text())
+        (summary,) = json.loads((out / "summary.json").read_text())["runs"]
         assert summary["config"]["K"] == 40
         assert summary["trace_file"].endswith("trace_sg_3.csv")
 
@@ -258,7 +258,7 @@ class TestRunCommand:
         cfg_path = write_cfg(tmp_path, SMALL_RUN)
         out = tmp_path / "out"
         main(["run", str(cfg_path), "--out", str(out)])
-        summary = json.loads((out / "summary.json").read_text())
+        (summary,) = json.loads((out / "summary.json").read_text())["runs"]
         cfg = parse_run_config(SMALL_RUN)
         sigma = float(np.sqrt(summary["sigma_sq_pilot"]))
         from composite_sgd.harness import build_problem
@@ -278,12 +278,12 @@ class TestRunCommand:
         scheduled = summary["theorem_bound_smoothed"]
         text = SMALL_RUN.replace("solver = sg", "solver = ssg") + "mu_override = 0.05\n"
         main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)])
-        summary = json.loads((out / "summary.json").read_text())
+        (summary,) = json.loads((out / "summary.json").read_text())["runs"]
         assert summary["config"]["mu_override"] == 0.05
         assert summary["theorem_bound_smoothed"] == scheduled
         text = SMALL_RUN + "acsa_d = 2.5\n"
         main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)])
-        summary = json.loads((out / "summary.json").read_text())
+        (summary,) = json.loads((out / "summary.json").read_text())["runs"]
         assert summary["theorem_bound_D"] == 2.5
         assert summary["theorem_bound"] == theorem_bound(2.5, sigma, setup.L, cfg.N)
 
@@ -479,7 +479,7 @@ mu_override = 0.01
         cfg_path = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert main(["run", str(cfg_path), "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        (summary,) = json.loads((out / "summary.json").read_text())["runs"]
         assert summary["config"]["mu_override"] == 0.01
         assert np.isfinite(summary["final_objective"])
 
@@ -1341,7 +1341,8 @@ def test_acsa_d_whose_square_underflows_exits_2_naming_acsa_d(tmp_path, capsys):
     assert not out.exists()
     argv[1] = str(write_cfg(tmp_path, SMALL_RUN + "acsa_d = 1e-50\n"))
     assert main(argv) == 0
-    assert json.loads((out / "summary.json").read_text())["theorem_bound_D"] == 1e-50
+    (summary,) = json.loads((out / "summary.json").read_text())["runs"]
+    assert summary["theorem_bound_D"] == 1e-50
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "verify-bounds", "gen-data"])

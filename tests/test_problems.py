@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -79,6 +79,12 @@ class TestLogisticDataset:
     def test_figure_scale_shape(self):
         d = gen_logistic_dataset(1000, 20, RngStream(5))
         assert d.X.shape == (1000, 20) and d.kind == "logistic"
+
+    def test_wrong_length_beta_hat_is_refused_before_any_draw(self):
+        rng = RngStream(6)
+        with pytest.raises(DimensionError, match=r"^beta_hat has length 2, expected 3$"):
+            gen_logistic_dataset(5, 3, rng, beta_hat=[1.0, 1.0])
+        assert rng.uniform(1)[0] == RngStream(6).uniform(1)[0]
 
     def test_label_frequency_with_zero_coefficients(self):
         d = gen_logistic_dataset(100_000, 3, RngStream(6), beta_hat=np.zeros(3))
@@ -165,6 +171,8 @@ class TestMomentForm:
 
     @pytest.mark.deep
     @given(_design(tall=True))
+    # ||a||^2 underflows to 0, yet the residual form rounds to a subnormal.
+    @example((Dataset(np.array([[1.96e-164]]), np.zeros(1), "linear"), np.array([140.0])))
     def test_moment_form_within_rounding_of_residual_form(self, case):
         # Each form of ||X beta - y||^2 rounds by at most about
         # (K + 2p + 2) u ||a||^2, with a = |X| |beta| + |y| and u = eps / 2:
@@ -172,9 +180,29 @@ class TestMomentForm:
         # with beta. The objectives, over 2K, then differ by at most
         # (K + 2p + 2) eps ||a||^2 / 2K; the tolerance doubles that and
         # rounds the count up to K + 2p + 4, fixed before any run.
+        #
+        # That relative part is 0 once ||a||^2 underflows, but the forms can
+        # still differ by subnormals. With gradual underflow a product (or
+        # fused multiply-add) rounds to x (1 + d) + h with |h| <= s / 2, s the
+        # smallest subnormal, and a sum adds no h. Each h is then scaled by
+        # what later multiplies it. Moment form, with b = ||beta||_1: the K
+        # products of each entry of X^T X are scaled by |beta_j| |beta_k|,
+        # the K of each entry of X^T y by 2 |beta_j|, the p of each entry of
+        # G beta by |beta_j|; beta^T G beta, (X^T y)^T beta and y^T y add p,
+        # 2p and K. That is (K (1 + b)^2 + p (b + 3)) s / 2, at most
+        # (K + 3p) (1 + b)^2 s / 2. Residual form: the p products of each r_i
+        # move it by p s / 2, so r_i^2 by p a_i s + (p s / 2)^2, and r^T r
+        # adds K s / 2: at most (p ||a||_1 + K) s. Both sums are over 2K, and
+        # the two divisions by 2K add s / 2 each. Doubling the sums covers
+        # the factors (1 + d) they pass through and the tolerance's own
+        # rounding, so the absolute part is
+        # ((K + 3p) (1 + b)^2 + 2p ||a||_1 + 4K) s / 2K.
         d, beta = case
         a = np.abs(d.X) @ np.abs(beta) + np.abs(d.y)
         tol = (d.K + 2 * d.p + 4) * np.finfo(float).eps * (a @ a) / d.K
+        b = np.abs(beta).sum()
+        count = (d.K + 3 * d.p) * (1.0 + b) ** 2 + 2 * d.p * a.sum() + 4 * d.K
+        tol += count * np.finfo(float).smallest_subnormal / (2 * d.K)
         assert abs(exact_objective_linear(d, beta) - objective_residual(d, beta)) <= tol
 
     @given(_design(tall=False))
@@ -412,8 +440,10 @@ class TestOracles:
         g2 = oracle.sample(np.zeros(4), rng2)
         assert np.array_equal(g1, g2)
 
-    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(5), np.zeros((4, 1))],
-                             ids=["short", "long", "column"])
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(5), np.zeros((4, 1)),
+                                   [0.0] * 3, [0.0] * 5, [[0.0]] * 4],
+                             ids=["short", "long", "column",
+                                  "short-list", "long-list", "column-list"])
     @pytest.mark.parametrize("kind", ["linear", "logistic", "continuous"])
     def test_minibatch_oracle_rejects_wrong_shape(self, kind, x):
         if kind == "linear":
