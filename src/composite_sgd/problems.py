@@ -51,8 +51,10 @@ class Dataset:
     """K observations: rows of X with responses (linear) or 0/1 labels (logistic).
 
     Logistic datasets must have unit-norm rows (to within 1e-12) and 0/1 labels.
-    X and y are made read-only at construction, so ``moments``, formed on first
-    use and kept, always describes them.
+    X and y are taken as float64 arrays (a float64 ndarray as the same object,
+    anything else as a new array the dataset owns) and made read-only at
+    construction, so ``moments``, formed on first use and kept, always
+    describes them.
     """
 
     X: Array
@@ -62,6 +64,8 @@ class Dataset:
     def __post_init__(self):
         if self.kind not in ("linear", "logistic"):
             raise ParameterError(f"unknown dataset kind {self.kind!r}")
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
         if self.X.ndim != 2 or self.y.ndim != 1:
             raise DimensionError("X must be K x p and y length K")
         if self.X.shape[0] != self.y.shape[0]:

@@ -29,6 +29,9 @@ from .core import (
 DUAL_GAP_RTOL = 1e-15
 DUAL_MAX_ITER = 100_000
 
+# The prox weights eta that ``prox`` takes: ``core.ENVELOPE`` squared.
+ETA_RANGE = (ENVELOPE[0] ** 2, ENVELOPE[1] ** 2)
+
 # Refuse hierarchical structures whose index storage would exceed this.
 _MAX_TOTAL_INDICES = 2**28
 # Bytes of memory that building a tree may take per index, p (n + 1) of them:
@@ -97,6 +100,8 @@ class GroupStructure:
             raise ParameterError(f"p must be >= 1, got {p}")
         index = np.asarray(index, dtype=np.int64)
         sizes = np.array(sizes, dtype=np.int64)
+        if sizes.ndim != 1:
+            raise DimensionError(f"sizes must be a 1-d vector, got shape {sizes.shape}")
         weights = as_vector(weights, sizes.shape[0], "weights")  # one per group
         if sizes.shape[0] == 0:
             raise ParameterError("need at least one group")
@@ -268,9 +273,9 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
 
     With u = z - g / eta this is the minimizer x* of
     P(x) = (eta/2) ||x - u||^2 + sum_g c_g ||x_g||, where c_g = lam * w_g. An
-    eta outside [1e-100, 1e100], ``core.ENVELOPE`` squared, raises
-    ``ParameterError`` (NaN and inf too); every c_g > 0 and every eta of an sg
-    or acsa run lie in it (README "Numeric envelope"): c_g / eta is a normal double.
+    eta outside ``ETA_RANGE`` = [1e-100, 1e100] raises ``ParameterError`` (NaN
+    and inf too). Every c_g > 0 lies in it (README "Numeric envelope"), and sg's
+    and acsa's step map checks its eta(t) against it: c_g / eta is a normal double.
 
     l1 and laminar group structures are solved in closed form: for a laminar
     family the prox is the leaf-to-root composition of group shrinkages
@@ -298,7 +303,7 @@ def prox(reg: Regularizer, g, z, eta: float) -> Array:
     max_g ||u_g|| past about 2^510) gets a budget of 0. A centre whose penalty
     sum_g c_g ||u_g|| is not finite raises ``ParameterError`` instead.
     """
-    lo, hi = ENVELOPE[0] ** 2, ENVELOPE[1] ** 2
+    lo, hi = ETA_RANGE
     if not lo <= eta <= hi:
         raise ParameterError(f"eta must be in [{lo:g}, {hi:g}], got {float(eta)!r}")
     g, z = as_vector(g, reg.p, "g"), as_vector(z, reg.p, "z")

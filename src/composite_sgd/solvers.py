@@ -7,7 +7,7 @@ stochastic gradient oracle G with E G(x, .) = grad f(x):
     z_{t+1} = argmin_x { <x, d_t> + (eta(t) / 2) ||x - z_t||^2 + h(x) }
     x_{t+1} = (1 - theta_t) x_t + theta_t z_{t+1}
 
-They differ only in the step map and in the prox weight eta(t) = gamma_t L_eff:
+They differ only in the step map, which owns its prox weight eta(t) = gamma_t L_eff:
 
 ``sg``   takes d_t = G(y_t), h = the penalty, solves the prox exactly, and uses
          eta(t) = gamma_t L with gamma_t = (2/(t+2)) (N^{3/2}/L + 2).
@@ -20,13 +20,14 @@ They differ only in the step map and in the prox weight eta(t) = gamma_t L_eff:
 from __future__ import annotations
 
 import math
+import sys
 import time
 from typing import Callable, List, Protocol, Tuple
 
 import numpy as np
 
 from .core import Array, DivergenceError, ParameterError, RngStream, TraceRecord
-from .regularizers import ConvergenceError, Regularizer, evaluate, prox
+from .regularizers import ETA_RANGE, ConvergenceError, Regularizer, evaluate, prox
 from .smoothing import SmoothedRegularizer, lipschitz_mu, smoothed_gradient
 
 # Abort when any iterate coordinate exceeds this; a mis-set Lipschitz constant
@@ -124,34 +125,36 @@ def _require_horizon(N: int, L_eff: float) -> None:
         raise ParameterError(f"the Lipschitz constant must be > 0, got {L_eff}")
 
 
-def _checked(eta: Callable[[int], float], N: int) -> Callable[[int], float]:
-    # eta falls with t, so eta(0) and eta(N) bound every step.
-    if not (math.isfinite(eta(0)) and eta(N) > 0):
-        raise ParameterError(f"its step size eta(t) must be finite at t = 0 and positive at "
+def _checked(eta, N: int, lo=math.ulp(0.0), hi=sys.float_info.max) -> Callable[[int], float]:
+    # eta falls with t, so eta(0) and eta(N) bound every step; by default, a positive double.
+    if not (eta(0) <= hi and eta(N) >= lo):
+        raise ParameterError(f"its step size eta(t) must be in [{lo:g}, {hi:g}] at t = 0 and "
                              f"t = N, but eta(0) = {eta(0):g} and eta(N) = {eta(N):g}")
     return eta
 
 
 def horizon_eta(N: int, L_eff: float) -> Callable[[int], float]:
-    """sg's and ssg's prox weight eta(t) = gamma_t L_eff with
-    gamma_t = (2/(t+2)) (N^{3/2}/L_eff + 2), which satisfies gamma_t > theta_t
-    and the telescoping inequality
-    (1 - theta_{t+1}) / (theta_{t+1} gamma_{t+1}) <= 1 / (theta_t gamma_t).
-    Raises ParameterError when eta(0) is not finite or eta(N) not positive."""
+    """sg's and ssg's prox weight eta(t) = gamma_t L_eff, where
+    gamma_t = (2/(t+2)) (N^{3/2}/L_eff + 2) satisfies gamma_t > theta_t and the telescoping
+    inequality (1 - theta_{t+1}) / (theta_{t+1} gamma_{t+1}) <= 1 / (theta_t gamma_t)."""
     _require_horizon(N, L_eff)
     scale = N**1.5 / L_eff + 2.0
-    return _checked(lambda t: (2.0 / (t + 2.0)) * scale * L_eff, N)
+    return lambda t: (2.0 / (t + 2.0)) * scale * L_eff
 
 
 def acsa_eta(N: int, L: float, gamma_star: float) -> Callable[[int], float]:
-    """acsa's prox weight eta(t) = gamma_t L with gamma_t = 2 gamma* / (L (t+1)).
-    Raises ParameterError when eta(0) is not finite or eta(N) not positive."""
+    """acsa's prox weight eta(t) = gamma_t L with gamma_t = 2 gamma* / (L (t+1))."""
     _require_horizon(N, L)
-    return _checked(lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L, N)
+    return lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L
 
 
-def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_every):
-    # The one recursion; ``step(y, g, z, eta(t))`` maps to z_{t+1}. Every
+def _prox_step(reg: Regularizer, eta, N: int):  # sg's and acsa's: the exact prox at eta(t)
+    _checked(eta, N, *ETA_RANGE)  # in the range prox takes eta from
+    return lambda t, y, g, z: prox(reg, g, z, eta(t))
+
+
+def _run_two_sequence(oracle, step, N, reg, rng, smooth_objective, trace_every):
+    # The one recursion; ``step(t, y, g, z)`` maps to z_{t+1}. Every
     # ``trace_every`` iterations (and after the last) a row records the exact
     # objective smooth_objective + the penalty ``reg`` at x. The rows' clock
     # measures the solver: it stops while a row evaluates the objective.
@@ -182,7 +185,7 @@ def _run_two_sequence(oracle, step, eta, N, reg, rng, smooth_objective, trace_ev
         y = x_part + theta_0d * z
         g = oracle.sample(y, rng)
         try:
-            z = step(y, g, z, eta(t))
+            z = step(t, y, g, z)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"prox failed at iteration {t}: {exc}", last_iterate=exc.last_iterate
@@ -203,8 +206,7 @@ def run_sg(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
     with trace rows of the exact objective smooth_objective + penalty, sampled
     every ``trace_every`` iterations (0 disables tracing).
     """
-    step = lambda y, g, z, eta: prox(reg, g, z, eta)
-    return _run_two_sequence(oracle, step, horizon_eta(N, L), N, reg, rng,
+    return _run_two_sequence(oracle, _prox_step(reg, horizon_eta(N, L), N), N, reg, rng,
                              smooth_objective, trace_every)
 
 
@@ -214,9 +216,8 @@ def run_acsa(oracle: StochasticOracle, reg: Regularizer, L: float, N: int,
              trace_every: int = 1) -> Tuple[Array, List[TraceRecord]]:
     """Baseline: the sg loop with step sizes gamma_t = 2 gamma* / (L (t+1)),
     where ``gamma_star`` is gamma* from ``resolve_acsa_params``."""
-    step = lambda y, g, z, eta: prox(reg, g, z, eta)
-    return _run_two_sequence(oracle, step, acsa_eta(N, L, gamma_star), N, reg, rng,
-                             smooth_objective, trace_every)
+    return _run_two_sequence(oracle, _prox_step(reg, acsa_eta(N, L, gamma_star), N), N, reg,
+                             rng, smooth_objective, trace_every)
 
 
 def run_ssg(oracle: StochasticOracle, sreg: SmoothedRegularizer, L: float, N: int,
@@ -228,11 +229,10 @@ def run_ssg(oracle: StochasticOracle, sreg: SmoothedRegularizer, L: float, N: in
     The effective Lipschitz constant is L_mu = L + ||A||^2 / mu. A zero
     penalty (A = 0) needs no special case: L_mu = L and A^T v_mu = 0.
     """
-    eta_0d = np.empty(())  # eta as a 0-d operand, as in _run_two_sequence
+    eta, eta_0d = _checked(horizon_eta(N, lipschitz_mu(L, sreg)), N), np.empty(())
 
-    def step(y, g, z, eta):  # h = 0: the prox step is closed-form
-        eta_0d[()] = eta
+    def step(t, y, g, z):  # h = 0: closed form, with eta(t) a 0-d operand as theta_t is
+        eta_0d[()] = eta(t)
         return z - (g + smoothed_gradient(sreg, y)) / eta_0d
 
-    return _run_two_sequence(oracle, step, horizon_eta(N, lipschitz_mu(L, sreg)), N,
-                             sreg.base, rng, smooth_objective, trace_every)
+    return _run_two_sequence(oracle, step, N, sreg.base, rng, smooth_objective, trace_every)

@@ -1137,11 +1137,11 @@ def test_acsa_d_whose_gamma_star_overflows_exits_2_naming_acsa_d(tmp_path, capsy
     ("acsa", 0.1, 6e307, "past the largest double at t = 0"),
     ("acsa", 0.1, 1e307, "not positive at t = N"),
     ("sg", 0.1, 1e-300, None),
-    ("sg", 0.1, 1e307, None),
+    ("sg", 0.1, 1e307, "None in the range prox takes eta from"),
     ("ssg", 0.1, 1e-300, None),
     ("ssg", 0.1, 1e307, None),
     ("acsa", 0.1, 1e-300, None),
-    ("acsa", 0.1, 1e300, None),
+    ("acsa", 0.1, 1e300, "None in the range prox takes eta from"),
 ])
 def test_lipschitz_override_whose_step_size_overflows_exits_2_naming_it(
         tmp_path, capsys, solver, lam, L, where):
@@ -1149,7 +1149,8 @@ def test_lipschitz_override_whose_step_size_overflows_exits_2_naming_it(
     # parsing, whether or not its step size overflows. ``where`` is what the
     # library's own check in run_* finds at N = 150 (acsa's gamma* at
     # sigma^2 = 1): eta(0) past the largest double, eta(N) = 0 as L (N+1)
-    # overflows, or None, step sizes that are doubles.
+    # overflows, no eta(t) in [1e-100, 1e100], where prox takes it from, or
+    # None, step sizes that its step map takes.
     text = (SMALL_RUN.replace("solver = sg", f"solver = {solver}")
             .replace("lambda = 0.1", f"lambda = {lam}") + f"lipschitz_override = {L}\n")
     out = tmp_path / "out"
@@ -1168,8 +1169,10 @@ def test_lipschitz_override_whose_step_size_overflows_exits_2_naming_it(
             return
         with pytest.raises(ParameterError) as err:
             run()
-    assert str(err.value).startswith("its step size eta(t) must be finite at t = 0")
-    if where.endswith("t = 0"):
+    assert str(err.value).startswith("its step size eta(t) must be in [")
+    if where.startswith("None in"):
+        assert str(err.value).startswith("its step size eta(t) must be in [1e-100, 1e+100] ")
+    elif where.endswith("t = 0"):
         assert "eta(0) = inf and " in str(err.value)
     else:
         assert str(err.value).endswith(" and eta(N) = 0") and "inf" not in str(err.value)
@@ -1255,9 +1258,17 @@ def test_every_config_in_the_envelope_sets_up_finite_steps_and_bounds(
         np.zeros(copies), np.ones(copies), np.full(copies, weight), 1))
     inst = harness.Instance(None, reg, cfg.lipschitz_override, lambda batch: ExactOracle(None, 1))
     oracle, sreg, gamma_star, bounds = harness.configure(inst, cfg, cfg.seeds[0])
-    built = []  # the step sizes run_* hands to the loop, which does not start
-    with mock.patch.object(solvers, "_run_two_sequence",
-                           lambda oracle, step, eta, *rest: built.append(eta)):
+    built = []  # the step sizes run_* builds for its step map; the loop does not start
+
+    def recorded(build):
+        def record(*args):
+            built.append(build(*args))
+            return built[-1]
+        return record
+
+    with (mock.patch.object(solvers, "horizon_eta", recorded(solvers.horizon_eta)),
+          mock.patch.object(solvers, "acsa_eta", recorded(solvers.acsa_eta)),
+          mock.patch.object(solvers, "_run_two_sequence", lambda *args: None)):
         harness.solve(solver, inst, oracle, sreg, gamma_star, N, None, 0)
     eta, = built
     assert math.isfinite(eta(0)) and eta(N) > 0

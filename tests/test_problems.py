@@ -129,6 +129,23 @@ class TestLogisticDataset:
         with pytest.raises(ValueError):
             d.y[0] = 1.0
 
+    def test_arrays_are_taken_as_float64(self):
+        # A list or another dtype becomes a float64 array the dataset owns, with
+        # moments in float64; a float64 ndarray is kept as the same object.
+        d = Dataset([[1.0, 2.0], [3.0, 5.0]], [1.0, 0.0], "linear")
+        assert d.X.dtype == d.y.dtype == np.float64 and (d.X.shape, d.y.shape) == ((2, 2), (2,))
+        X_int, X_32 = np.array([[1, 2], [3, 5]]), np.array([[1, 2], [3, 5]], dtype=np.float32)
+        for X in (X_int, X_32):
+            owned = Dataset(X, np.array([1.0, 0.0]), "linear")
+            assert owned.X.dtype == owned.moments.gram.dtype == np.float64
+            assert np.array_equal(owned.X, d.X) and X.flags.writeable
+            assert owned.moments.gram.tobytes() == d.moments.gram.tobytes()
+        X, y = np.array([[1.0, 2.0], [3.0, 5.0]]), np.array([1.0, 0.0])
+        kept = Dataset(X, y, "linear")
+        assert kept.X is X and kept.y is y and not X.flags.writeable
+        with pytest.raises(DimensionError):
+            Dataset([1.0, 2.0], [1.0], "linear")
+
 
 class TestLinearObjective:
     def test_hand_value(self):

@@ -109,6 +109,11 @@ class TestGroupStructure:
         with pytest.raises(ParameterError, match=r"^group 1 has indices outside \[0, 4\)$"):
             GroupStructure(*flat_family([[0], [3, 3, 4], []], np.ones(3), 4))
 
+    @pytest.mark.parametrize("sizes", [1, [[1]]], ids=["scalar", "2-d"])
+    def test_sizes_not_1d_are_refused_naming_sizes(self, sizes):
+        with pytest.raises(DimensionError, match=r"^sizes must be a 1-d vector, got shape"):
+            GroupStructure([0], sizes, [1.0], 1)
+
     def test_laminar_flag(self):
         nested = GroupStructure(*flat_family(
             [np.array([0, 1, 2, 3]), np.array([0, 1]), np.array([2, 3])],

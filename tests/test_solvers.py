@@ -164,12 +164,17 @@ class TestSchedule:
         lambda o, f: run_ssg(o, smoothed(l1(1e50, 2), mu=1e-300), 1.0, 50, RngStream(0), f),
         lambda o, f: run_ssg(o, smoothed(l1(0.1, 2), N=50), 1e308, 50, RngStream(0), f),
         lambda o, f: run_acsa(o, l1(0.1, 2), 1.0, 50, 1e308, RngStream(0), f),
+        lambda o, f: run_sg(o, l1(0.1, 2), 1e300, 5, RngStream(0), f),
+        lambda o, f: run_acsa(o, l1(0.1, 2), 1.0, 5000, 1e-97, RngStream(0), f),
     ], ids=["sg-L-1e308", "sg-L-1e-310", "ssg-lambda-1e50-mu-1e-300", "ssg-L-1e308",
-            "acsa-gamma-star-1e308"])
+            "acsa-gamma-star-1e308", "sg-L-1e300", "acsa-gamma-star-1e-97"])
     def test_step_size_that_overflows_is_refused(self, run):
         # eta(0) past the largest double, from L, from ||A||^2 / mu or from
         # gamma*, each with a penalty the library accepts: each of these ended
-        # at x = 0 or raised OverflowError before drawing a sample
+        # at x = 0 or raised OverflowError before drawing a sample. The last
+        # two are sg's eta(0) = 2e300 and acsa's eta(N) = 4e-101, doubles
+        # outside the range prox takes eta from: prox refused them after the
+        # first and the 2001st draw.
         a, objective, _ = quadratic_problem(2)
         recorder = QueryRecorder(lambda v: v - a, 2)
         with pytest.raises(ParameterError):
@@ -393,8 +398,8 @@ def test_guard_on_z_keeps_x_within_rounding_of_the_limit(steps):
 
     def run():
         return solvers._run_two_sequence(
-            ExactOracle(lambda x: np.zeros(p), p), lambda y, g, z, eta: next(drawn),
-            lambda t: 1.0, len(zs) - 1, l1(0.0, p), RngStream(0), smooth_objective, 1)
+            ExactOracle(lambda x: np.zeros(p), p), lambda t, y, g, z: next(drawn),
+            len(zs) - 1, l1(0.0, p), RngStream(0), smooth_objective, 1)
 
     if bad_at is None:
         run()
