@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +75,30 @@ def as_vector(values, p: int | None = None, name: str = "x") -> Array:
     if p is not None and arr.shape[0] != p:
         raise DimensionError(f"{name} has length {arr.shape[0]}, expected {p}")
     return arr
+
+
+def as_count(value, name: str, least: int = 0) -> int:
+    """The library's one rule for a count argument: ``value`` as an int when it
+    is an integer (``operator.index`` takes it: a Python or NumPy int, not 2.0)
+    of at least ``least``; ``ParameterError`` naming ``name`` otherwise."""
+    try:
+        if operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def as_real(value, name: str, positive: bool = False) -> float:
+    """The library's one rule for a real parameter: ``value`` as a float when it
+    is a finite real number >= 0, or > 0 when ``positive``; ``ParameterError``
+    naming ``name`` otherwise, NaN, +-inf and a string included."""
+    finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    real = float(value) if finite else math.nan  # NaN fails both tests below
+    if real > 0 or real == 0 and not positive:
+        return real
+    raise ParameterError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                         f"got {value!r}")
 
 
 class RngStream:
@@ -152,16 +179,13 @@ class RngStream:
 
     def uniform(self, n: int) -> Array:
         """n i.i.d. draws from [0, 1)."""
-        if n < 0:
-            raise ParameterError(f"n must be >= 0, got {n}")
-        return self._take(int(n))
+        return self._take(as_count(n, "n"))
 
     def normal(self, n: int) -> Array:
         """n i.i.d. standard normal draws via Box-Muller, NORMAL_CHUNK_PAIRS
         pairs at a time so the temporaries stay a few MB for any n."""
-        if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}")
-        pairs = (int(n) + 1) // 2
+        n = as_count(n, "n", 1)
+        pairs = (n + 1) // 2
         z = np.empty(2 * pairs)
         for lo in range(0, pairs, NORMAL_CHUNK_PAIRS):
             hi = min(lo + NORMAL_CHUNK_PAIRS, pairs)

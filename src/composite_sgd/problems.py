@@ -22,6 +22,8 @@ from .core import (
     DimensionError,
     ParameterError,
     RngStream,
+    as_count,
+    as_real,
     as_vector,
 )
 from .regularizers import soft_threshold
@@ -121,8 +123,7 @@ def ground_truth(kind: str, p: int) -> Array:
 
 def gen_linear_dataset(K: int, p: int, rng: RngStream) -> Dataset:
     """Standard normal design, responses y = X beta + eps / 10, eps ~ N(0, 1)."""
-    if K < 1:
-        raise ParameterError(f"K must be >= 1, got {K}")
+    K, p = as_count(K, "K", 1), as_count(p, "p", 1)
     beta = ground_truth("linear", p)
     X = rng.normal(K * p).reshape(K, p)
     eps = rng.normal(K)
@@ -132,8 +133,7 @@ def gen_linear_dataset(K: int, p: int, rng: RngStream) -> Dataset:
 
 def gen_logistic_dataset(K: int, p: int, rng: RngStream, beta_hat=None) -> Dataset:
     """Unit-normalized Gaussian rows with Bernoulli labels from the logistic model."""
-    if K < 1 or p < 1:
-        raise ParameterError(f"need K, p >= 1, got K={K} p={p}")
+    K, p = as_count(K, "K", 1), as_count(p, "p", 1)
     # Checked before any draw, so a refused beta_hat leaves rng where it was.
     beta = ground_truth("logistic", p) if beta_hat is None else as_vector(beta_hat, p, "beta_hat")
     X = rng.normal(K * p).reshape(K, p)
@@ -234,13 +234,11 @@ class MinibatchLinearOracle:
     a logistic one. They differ only in the link applied to X_S x."""
 
     def __init__(self, dataset: Dataset, batch: int):
-        if batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {batch}")
         self.dataset = dataset
-        self.batch = batch
+        self.batch = as_count(batch, "batch", 1)
         self.dim = dataset.p
         # 0-d: numpy converts a Python int operand on every call, not a 0-d array
-        self._divisor = np.array(float(batch))
+        self._divisor = np.array(float(self.batch))
 
     def sample(self, x: Array, rng: RngStream) -> Array:
         # The minibatch gradient (1/|S|) X_S^T (link(X_S x) - y_S); rng.indices
@@ -263,12 +261,10 @@ class ContinuousLinearOracle:
     """
 
     def __init__(self, beta_hat, batch: int):
-        if batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {batch}")
         self.beta_hat = as_vector(beta_hat, name="beta_hat")
-        self.batch = batch
+        self.batch = as_count(batch, "batch", 1)
         self.dim = self.beta_hat.shape[0]
-        self._divisor = np.array(float(batch))  # 0-d, as in MinibatchLinearOracle
+        self._divisor = np.array(float(self.batch))  # 0-d, as in MinibatchLinearOracle
 
     def sample(self, x: Array, rng: RngStream) -> Array:
         if not isinstance(x, np.ndarray) or x.shape != (self.dim,):  # as above
@@ -294,12 +290,10 @@ class GaussianNoiseOracle:
     """Adds isotropic Gaussian noise with E ||noise||^2 = sigma^2 to a base oracle."""
 
     def __init__(self, base, sigma: float):
-        if sigma < 0:
-            raise ParameterError(f"sigma must be >= 0, got {sigma}")
         self.base = base
-        self.sigma = sigma
+        self.sigma = as_real(sigma, "sigma")
         self.dim = base.dim
-        self._scale = np.array(sigma / np.sqrt(self.dim))  # 0-d, as the batch divisors
+        self._scale = np.array(self.sigma / np.sqrt(self.dim))  # 0-d, as the batch divisors
 
     def sample(self, x: Array, rng: RngStream) -> Array:
         g = self.base.sample(x, rng)
@@ -349,8 +343,7 @@ def ortho_lasso_instance(p: int, lam: float, rng: RngStream):
     constant is exactly 1 and the objective is (1/2) ||beta - b||^2 + const with
     b = Q^T y / sqrt(p). Returns (dataset, x_star).
     """
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    p = as_count(p, "p", 1)
     G = rng.normal(p * p).reshape(p, p)
     Q, R = np.linalg.qr(G)
     Q = Q * np.sign(np.diag(R))  # fix the sign convention so Q is deterministic

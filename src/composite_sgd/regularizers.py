@@ -18,6 +18,7 @@ from .core import (
     ConvergenceError,
     DimensionError,
     ParameterError,
+    as_count,
     as_vector,
     envelope_fault,
 )
@@ -95,20 +96,15 @@ class GroupStructure:
     """
 
     def __init__(self, index, sizes, weights, p: int):
-        p = int(p)
-        if p < 1:
-            raise ParameterError(f"p must be >= 1, got {p}")
-        index = np.asarray(index, dtype=np.int64)
-        sizes = np.array(sizes, dtype=np.int64)
-        if sizes.ndim != 1:
-            raise DimensionError(f"sizes must be a 1-d vector, got shape {sizes.shape}")
+        p = as_count(p, "p", 1)
+        index, sizes = _as_integers(index, "index"), _as_integers(sizes, "sizes").copy()
         weights = as_vector(weights, sizes.shape[0], "weights")  # one per group
         if sizes.shape[0] == 0:
             raise ParameterError("need at least one group")
         bad = np.flatnonzero(~((weights >= ENVELOPE[0]) & (weights <= ENVELOPE[1])))
         if bad.size:
             raise ParameterError(f"group {bad[0]} weight {envelope_fault(weights[bad[0]])}")
-        if sizes.min() < 0 or index.shape != (sizes.sum(),):
+        if sizes.min() < 0 or index.size != sizes.sum():
             raise DimensionError(f"group sizes must be >= 0 and sum to {index.size} indices")
 
         self.p, self.weights, self.sizes = p, weights, sizes
@@ -183,15 +179,27 @@ class GroupStructure:
         return np.sqrt(np.add.reduceat(flat * flat, self.offsets))
 
 
+def _as_integers(values, name: str) -> Array:
+    # values as a 1-d int64 vector, not copied when it is one. A float entry
+    # that is no integer (NaN, inf and past int64 too) raises, where the cast
+    # would truncate it.
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise DimensionError(f"{name} must be a 1-d vector, got shape {arr.shape}")
+    with np.errstate(invalid="ignore"):
+        ints = arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "f" and (bad := np.flatnonzero(ints != arr)).size:
+        raise ParameterError(f"{name}[{bad[0]}] must be an integer, got {float(arr[bad[0]])!r}")
+    return ints
+
+
 def build_hierarchical(n: int) -> GroupStructure:
     """Dyadic tree of groups over p = 2**n coordinates, weights sqrt(|g|).
 
     Level i contributes the contiguous blocks of size 2**i, for i = 0..n,
     giving 2**(n+1) - 1 groups in total.
     """
-    n = int(n)
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    n = as_count(n, "n")
     p = 2**n
     if p * (n + 1) > _MAX_TOTAL_INDICES:
         raise ParameterError(f"hierarchical structure with n={n} is too large")
@@ -218,12 +226,11 @@ class Regularizer:
         fault = envelope_fault(self.lam, zero=True)
         if fault:
             raise ParameterError(f"lambda {fault}")
-        if self.p < 1:
-            raise ParameterError(f"p must be >= 1, got {self.p}")
+        put = lambda name, value: object.__setattr__(self, name, value)
+        put("p", as_count(self.p, "p", 1))
         st, lam = self.structure, self.lam
         if st is not None and st.p != self.p:
             raise DimensionError(f"structure dimension {st.p} != p {self.p}")
-        put = lambda name, value: object.__setattr__(self, name, value)
         a = np.array(float(lam)) if st is None else lam * st.weights[st.owner]
         put("a_weights", a.reshape(st.covers, st.p) if st is not None and st.covers else a)
         put("layer_scales", lam * st.layer_weights if st is not None and st.is_laminar else None)

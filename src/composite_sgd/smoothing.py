@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, ParameterError, as_vector
+from .core import Array, as_count, as_real, as_vector
 from .regularizers import Regularizer
 
 # Substitute for mu when the schedule ||A|| / (N+2) is 0, as it is when the
@@ -53,28 +53,21 @@ class SmoothedRegularizer:
     mu_0d: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.mu > 0:  # NaN included
-            raise ParameterError(f"mu must be > 0, got {self.mu}")
+        object.__setattr__(self, "mu", as_real(self.mu, "mu", positive=True))
         object.__setattr__(self, "a_weights", self.base.a_weights)
-        object.__setattr__(self, "mu_0d", np.array(float(self.mu)))
+        object.__setattr__(self, "mu_0d", np.array(self.mu))
 
 
 def mu_schedule(A_norm: float, N: int) -> float:
     """Horizon schedule mu = ||A|| / (N + 2); MU_FLOOR when that is 0, as it
     is for ||A|| = 0 (lam = 0)."""
-    if N < 0:
-        raise ParameterError(f"N must be >= 0, got {N}")
-    mu = A_norm / (N + 2)
+    mu = as_real(A_norm, "A_norm") / (as_count(N, "N") + 2)
     return MU_FLOOR if mu == 0.0 else mu
 
 
 def smoothed(reg: Regularizer, mu: float | None = None, N: int | None = None) -> SmoothedRegularizer:
-    """Wrap a regularizer for smoothing; defaults mu to the horizon schedule."""
-    if mu is None:
-        if N is None:
-            raise ParameterError("pass either mu or the iteration count N")
-        mu = mu_schedule(reg.A_norm, N)
-    return SmoothedRegularizer(reg, float(mu))
+    """Wrap a regularizer for smoothing; without mu, the horizon schedule at N."""
+    return SmoothedRegularizer(reg, mu_schedule(reg.A_norm, N) if mu is None else mu)
 
 
 def _apply(s: SmoothedRegularizer, x) -> Array:
@@ -132,6 +125,4 @@ def smoothed_gradient(s: SmoothedRegularizer, x) -> Array:
 def lipschitz_mu(L: float, s: SmoothedRegularizer) -> float:
     """Gradient Lipschitz constant of the smoothed composite: L + ||A||^2 / mu.
     ||A||^2 is a double for every penalty (see ``Regularizer``)."""
-    if L < 0:
-        raise ParameterError(f"L must be >= 0, got {L}")
-    return float(L + s.base.A_norm**2 / s.mu)
+    return as_real(L, "L") + s.base.A_norm**2 / s.mu

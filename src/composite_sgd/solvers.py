@@ -26,7 +26,7 @@ from typing import Callable, List, Protocol, Tuple
 
 import numpy as np
 
-from .core import Array, DivergenceError, ParameterError, RngStream, TraceRecord
+from .core import Array, DivergenceError, ParameterError, RngStream, TraceRecord, as_count, as_real
 from .regularizers import ETA_RANGE, ConvergenceError, Regularizer, evaluate, prox
 from .smoothing import SmoothedRegularizer, lipschitz_mu, smoothed_gradient
 
@@ -47,8 +47,7 @@ class StochasticOracle(Protocol):
 def pilot_sigma_sq(oracle: StochasticOracle, x0: Array, rng: RngStream,
                    draws: int = ACSA_PILOT_DRAWS) -> float:
     """Unbiased estimate of E ||G(x0) - grad f(x0)||^2 from repeated draws."""
-    if draws < 2:
-        raise ParameterError(f"need >= 2 pilot draws, got {draws}")
+    draws = as_count(draws, "draws", 2)
     samples = np.stack([oracle.sample(x0, rng) for _ in range(draws)])
     centered = samples - samples.mean(axis=0)
     return float((centered**2).sum() / (draws - 1))
@@ -58,10 +57,8 @@ def resolve_acsa_params(L: float, N: int, sigma_sq: float, D: float = 1.0) -> fl
     """The baseline step-size scale
     gamma* = max(2L, sqrt(2 sigma^2 N(N+1)(N+2) / (3 D^2))), which ``run_acsa``
     takes; ``sigma_sq`` is the oracle's variance, e.g. from ``pilot_sigma_sq``."""
-    if D <= 0:
-        raise ParameterError(f"D must be > 0, got {D}")
-    if sigma_sq < 0:
-        raise ParameterError(f"sigma_sq must be >= 0, got {sigma_sq}")
+    L, N, sigma_sq = as_real(L, "L"), as_count(N, "N"), as_real(sigma_sq, "sigma_sq")
+    D = as_real(D, "D", positive=True)
     return max(
         2.0 * L,
         math.sqrt(2.0 * sigma_sq * N * (N + 1) * (N + 2) / (3.0 * D * D)),
@@ -73,7 +70,7 @@ def theorem_bound(D: float, sigma: float, L: float, N: int) -> float:
 
     (2 D^2 + sigma^2) / (N+2)^{1/2} + L (4 D^2 + 2 sigma^2) / (N+2)^2.
     """
-    _require_nonnegative(D=D, sigma=sigma, L=L, N=N)
+    D, sigma, L, N = as_real(D, "D"), as_real(sigma, "sigma"), as_real(L, "L"), as_count(N, "N")
     return (2.0 * D * D + sigma * sigma) / math.sqrt(N + 2.0) + L * (
         4.0 * D * D + 2.0 * sigma * sigma
     ) / (N + 2.0) ** 2
@@ -83,16 +80,10 @@ def theorem_bound_smoothed(D: float, sigma: float, L: float, A_norm: float,
                            M: float, N: int) -> float:
     """Guarantee for the smoothed loop under mu = ||A|| / (N+2); adds the
     smoothing penalty (||A|| / (N+2)) (M + 4 D^2 + 2 sigma^2)."""
-    _require_nonnegative(D=D, sigma=sigma, L=L, A_norm=A_norm, M=M, N=N)
+    A_norm, M = as_real(A_norm, "A_norm"), as_real(M, "M")
     return theorem_bound(D, sigma, L, N) + (A_norm / (N + 2.0)) * (
         M + (4.0 * D * D + 2.0 * sigma * sigma)
     )
-
-
-def _require_nonnegative(**kwargs):
-    for name, value in kwargs.items():
-        if value < 0:
-            raise ParameterError(f"{name} must be >= 0, got {value}")
 
 
 def _check_overflow(z: Array, t: int) -> None:
@@ -118,13 +109,6 @@ def _check_overflow(z: Array, t: int) -> None:
         )
 
 
-def _require_horizon(N: int, L_eff: float) -> None:
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
-    if L_eff <= 0:
-        raise ParameterError(f"the Lipschitz constant must be > 0, got {L_eff}")
-
-
 def _checked(eta, N: int, lo=math.ulp(0.0), hi=sys.float_info.max) -> Callable[[int], float]:
     # eta falls with t, so eta(0) and eta(N) bound every step; by default, a positive double.
     if not (eta(0) <= hi and eta(N) >= lo):
@@ -133,18 +117,19 @@ def _checked(eta, N: int, lo=math.ulp(0.0), hi=sys.float_info.max) -> Callable[[
     return eta
 
 
-def horizon_eta(N: int, L_eff: float) -> Callable[[int], float]:
-    """sg's and ssg's prox weight eta(t) = gamma_t L_eff, where
-    gamma_t = (2/(t+2)) (N^{3/2}/L_eff + 2) satisfies gamma_t > theta_t and the telescoping
+def horizon_eta(N: int, L: float) -> Callable[[int], float]:
+    """sg's and ssg's prox weight eta(t) = gamma_t L (ssg's L is L_mu), where
+    gamma_t = (2/(t+2)) (N^{3/2}/L + 2) satisfies gamma_t > theta_t and the telescoping
     inequality (1 - theta_{t+1}) / (theta_{t+1} gamma_{t+1}) <= 1 / (theta_t gamma_t)."""
-    _require_horizon(N, L_eff)
-    scale = N**1.5 / L_eff + 2.0
-    return lambda t: (2.0 / (t + 2.0)) * scale * L_eff
+    N, L = as_count(N, "N", 1), as_real(L, "L", positive=True)
+    scale = N**1.5 / L + 2.0
+    return lambda t: (2.0 / (t + 2.0)) * scale * L
 
 
 def acsa_eta(N: int, L: float, gamma_star: float) -> Callable[[int], float]:
     """acsa's prox weight eta(t) = gamma_t L with gamma_t = 2 gamma* / (L (t+1))."""
-    _require_horizon(N, L)
+    N, L = as_count(N, "N", 1), as_real(L, "L", positive=True)
+    gamma_star = as_real(gamma_star, "gamma_star", positive=True)
     return lambda t: 2.0 * gamma_star / (L * (t + 1.0)) * L
 
 

@@ -114,6 +114,31 @@ class TestGroupStructure:
         with pytest.raises(DimensionError, match=r"^sizes must be a 1-d vector, got shape"):
             GroupStructure([0], sizes, [1.0], 1)
 
+    def test_index_not_1d_is_refused_naming_index(self):
+        # was blamed on sizes, which do sum to its one index
+        message = r"^index must be a 1-d vector, got shape \(1, 1\)$"
+        with pytest.raises(DimensionError, match=message):
+            GroupStructure([[0]], [1], [1.0], 1)
+
+    @pytest.mark.parametrize("index, sizes, fault", [
+        ([0.5, 1.7], [2], "index[0] must be an integer, got 0.5"),
+        ([0, 1], [1, 1.9], "sizes[1] must be an integer, got 1.9"),
+        ([0, math.nan], [2], "index[1] must be an integer, got nan"),
+        ([0, 1], [math.inf, 1], "sizes[0] must be an integer, got inf"),
+        ([0, 2.0**63], [2], "index[1] must be an integer, got 9.223372036854776e+18"),
+    ], ids=["index", "sizes", "nan", "inf", "past-int64"])
+    def test_non_integral_entry_is_refused(self, index, sizes, fault):
+        # a cast to int64 truncated these, or raised ValueError on NaN: [0.5, 1.7]
+        # built the group {0, 1}
+        with pytest.raises(ParameterError, match=f"^{re.escape(fault)}$"):
+            GroupStructure(index, sizes, np.ones(len(sizes)), 2)
+
+    def test_float_entries_holding_integers_are_taken(self):
+        got = GroupStructure([1.0, 0.0, 1.0], np.array([2.0, 1.0]), [1.0, 2.0], 2)
+        want = GroupStructure([1, 0, 1], [2, 1], [1.0, 2.0], 2)
+        for name in ("flat_index", "sizes", "offsets", "owner"):
+            assert_same_bytes(getattr(got, name), getattr(want, name))
+
     def test_laminar_flag(self):
         nested = GroupStructure(*flat_family(
             [np.array([0, 1, 2, 3]), np.array([0, 1]), np.array([2, 3])],

@@ -451,7 +451,7 @@ class TestConstants:
 
     def test_nan_mu_is_refused(self):
         for reg in (l1(0.1, 2), group_norm(0.1, build_hierarchical(2))):
-            with pytest.raises(ParameterError, match="^mu must be > 0, got nan$"):
+            with pytest.raises(ParameterError, match="^mu must be a finite number > 0, got nan$"):
                 smoothed(reg, mu=math.nan)
 
     def test_smoothing_adds_only_mu(self):
