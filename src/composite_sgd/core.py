@@ -135,11 +135,11 @@ class RngStream:
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        seed = int(seed)
-        if not 0 <= seed <= _MAX_SEED:
+        seed = as_count(seed, "seed")
+        if seed > _MAX_SEED:
             raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
         self.seed = seed
-        self.stream_path = tuple(int(s) for s in _path)
+        self.stream_path = _path
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=self.stream_path))
         )
@@ -155,7 +155,7 @@ class RngStream:
 
     def split(self, stream_id: int) -> "RngStream":
         """Independent substream keyed by (seed, ..., stream_id)."""
-        return RngStream(self.seed, self.stream_path + (int(stream_id),))
+        return RngStream(self.seed, self.stream_path + (as_count(stream_id, "stream_id"),))
 
     def _take(self, n: int) -> Array:
         # The next n uniforms of the stream: a view into the block when they
@@ -198,20 +198,25 @@ class RngStream:
 
     def indices(self, n: int, upper: int) -> Array:
         """n indices drawn uniformly with replacement from {0, ..., upper-1}."""
-        if upper < 1:
-            raise ParameterError(f"upper must be >= 1, got {upper}")
-        if n < 0:
-            raise ParameterError(f"n must be >= 0, got {n}")
-        n = int(n)
+        # The fast path, a slice of the mapped block, tests its arguments with
+        # no call but operator.index: an int n whose slice fits, and an int
+        # upper equal to the mapped one, which as_count already took. Anything
+        # else goes through as_count before any draw.
         pos = self._pos
-        if pos + n <= self._block.size:
-            if self._upper is None:
+        try:
+            end = pos + operator.index(n)
+        except TypeError:
+            end = -1
+        fits = pos <= end <= self._block.size
+        if not (fits and upper.__class__ is int and upper == self._upper):
+            n, upper = as_count(n, "n"), as_count(upper, "upper", 1)
+            if fits and self._upper is None:
                 self._idx = _to_indices(self._block, upper)
                 self._upper = upper
-            if upper == self._upper:
-                self._pos = pos + n
-                return self._idx[pos:pos + n]
-        return _to_indices(self._take(n), upper)
+            if not fits or upper != self._upper:
+                return _to_indices(self._take(n), upper)
+        self._pos = end
+        return self._idx[pos:end]
 
 
 def _to_indices(u: Array, upper: int) -> Array:

@@ -43,9 +43,11 @@ def thread_cap() -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            if int(env) >= 1:
+                return int(env)
         except ValueError:
-            raise ConfigError(THREADS_ENV, f"expected an integer, got {env!r}") from None
+            pass
+        raise ConfigError(THREADS_ENV, f"expected an integer >= 1, got {env!r}")
     return os.cpu_count() or 1
 
 

@@ -110,6 +110,7 @@ class Dataset:
 
 def ground_truth(kind: str, p: int) -> Array:
     """The generating coefficients: half ones then zeros (linear), all ones (logistic)."""
+    p = as_count(p, "p", 1)
     if kind == "linear":
         if p % 2 != 0:
             raise ParameterError(f"linear ground truth needs even p, got {p}")
@@ -123,9 +124,9 @@ def ground_truth(kind: str, p: int) -> Array:
 
 def gen_linear_dataset(K: int, p: int, rng: RngStream) -> Dataset:
     """Standard normal design, responses y = X beta + eps / 10, eps ~ N(0, 1)."""
-    K, p = as_count(K, "K", 1), as_count(p, "p", 1)
+    K = as_count(K, "K", 1)
     beta = ground_truth("linear", p)
-    X = rng.normal(K * p).reshape(K, p)
+    X = rng.normal(K * beta.size).reshape(K, beta.size)
     eps = rng.normal(K)
     y = X @ beta + eps / 10.0
     return Dataset(X, y, "linear")
@@ -280,7 +281,7 @@ class ExactOracle:
 
     def __init__(self, grad_fn, dim: int):
         self.grad_fn = grad_fn
-        self.dim = dim
+        self.dim = as_count(dim, "dim", 1)
 
     def sample(self, x: Array, rng: RngStream) -> Array:
         return self.grad_fn(x)

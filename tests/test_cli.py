@@ -489,6 +489,15 @@ mu_override = 0.01
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: COMPOSITE_SGD_THREADS:")
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_1_exits_2(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("COMPOSITE_SGD_THREADS", threads)
+        cfg_path = write_cfg(tmp_path, SMALL_RUN)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: COMPOSITE_SGD_THREADS: expected an integer >= 1, got '{threads}'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_custom_structure_missing_file_exits_2(self, tmp_path, capsys):
         text = SMALL_RUN.replace("regularizer = l1", "regularizer = custom")
         text += "structure_file = /nonexistent/groups.txt\n"

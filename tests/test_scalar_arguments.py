@@ -2,8 +2,9 @@
 at every setup function that takes one: a count is an integer (a Python or
 NumPy int, not 2.0) of at least its least value, a real parameter a finite
 number >= 0, or > 0 where the function needs it positive, and anything else
-raises ``ParameterError`` naming the argument. The per-iteration code keeps
-its inline checks and calls neither helper."""
+raises ``ParameterError`` naming the argument. A minibatch run's iterations
+call neither helper: ``RngStream.indices`` tests its arguments on its fast
+path with no call."""
 
 import math
 
@@ -19,6 +20,7 @@ from composite_sgd.problems import (
     MinibatchLinearOracle,
     gen_linear_dataset,
     gen_logistic_dataset,
+    ground_truth,
     ortho_lasso_instance,
 )
 from composite_sgd.regularizers import (
@@ -68,6 +70,15 @@ def _sample(oracle):
     return oracle.sample(V, RngStream(2))
 
 
+def _mapped():
+    # a stream whose block is mapped to indices for upper 2, so indices(n, 2)
+    # takes the fast path
+    rng = RngStream(1)
+    rng.indices(1, 2)
+    rng.indices(1, 2)
+    return rng
+
+
 def _at(eta):
     return [eta(t) for t in range(7)]
 
@@ -90,8 +101,14 @@ def _by_keyword(entry, fn, rules):
 def _cases():
     # (entry point, argument, its rule, a valid value, the call passing v as
     # that argument and valid values elsewhere, returning numbers to compare)
+    yield "RngStream", "seed", COUNT0, 7, lambda v: RngStream(v).uniform(3)
+    yield "RngStream.split", "stream_id", COUNT0, 2, lambda v: RngStream(1).split(v).uniform(3)
     yield "RngStream.uniform", "n", COUNT0, 3, lambda v: RngStream(1).uniform(v)
     yield "RngStream.normal", "n", COUNT1, 3, lambda v: RngStream(1).normal(v)
+    yield from _by_keyword("RngStream.indices", lambda **kw: _mapped().indices(**kw),
+                           {"n": (COUNT0, 3), "upper": (COUNT1, 2)})
+    yield ("ground_truth", "p", COUNT1, 4,
+           lambda v: np.concatenate([ground_truth("linear", v), ground_truth("logistic", v)]))
     yield from _by_keyword("gen_linear_dataset",
                            lambda **kw: gen_linear_dataset(rng=RngStream(1), **kw).X,
                            {"K": (COUNT1, 6), "p": (COUNT1, 4)})
@@ -104,6 +121,8 @@ def _cases():
            lambda v: _sample(ContinuousLinearOracle(V, v)))
     yield ("GaussianNoiseOracle", "sigma", REAL, 0.5,
            lambda v: _sample(GaussianNoiseOracle(ExactOracle(lambda x: x - V, 4), v)))
+    yield ("ExactOracle", "dim", COUNT1, 4,
+           lambda v: _sample(GaussianNoiseOracle(ExactOracle(lambda x: x - V, v), 0.5)))
     yield ("ortho_lasso_instance", "p", COUNT1, 4,
            lambda v: ortho_lasso_instance(v, 0.1, RngStream(1))[1])
     yield ("GroupStructure", "p", COUNT1, 4,
@@ -177,7 +196,9 @@ def test_numpy_scalar_same_bytes(name, rule, valid, call):
 # Each of these was accepted and gave a wrong result: a batch of 2.5 drew 2
 # rows and divided by 2.5, 0.8 times the batch-2 gradient; a NaN sigma^2 or D
 # gave gamma* = 2L, as max(2L, nan) drops the NaN; n = 2.7 built the n = 2
-# tree; a NaN sigma gave NaN gradients; N = 2.5 was taken as a horizon.
+# tree; a NaN sigma gave NaN gradients; N = 2.5 was taken as a horizon; seed
+# 7.9 drew seed 7's stream and stream id 2.7 stream 2; upper = 2.5 drew the
+# index 1.5; the logistic ground truth of p = 0 was an empty vector.
 SILENT = {
     "minibatch-batch-2.5-was-0.8x-gradient":
         lambda: _sample(MinibatchLinearOracle(LINEAR, 2.5)),
@@ -187,6 +208,10 @@ SILENT = {
     "noise-sigma-nan-was-nan-gradients":
         lambda: _sample(GaussianNoiseOracle(ExactOracle(lambda x: x - V, 4), math.nan)),
     "smoothed-N-2.5-was-accepted": lambda: smoothed(l1(0.1, 4), N=2.5),
+    "rng-seed-7.9-was-seed-7": lambda: RngStream(7.9),
+    "split-2.7-was-stream-2": lambda: RngStream(1).split(2.7),
+    "indices-upper-2.5-drew-index-1.5": lambda: RngStream(1).indices(3, 2.5),
+    "ground-truth-logistic-p-0-was-empty": lambda: ground_truth("logistic", 0),
 }
 
 
@@ -194,6 +219,15 @@ SILENT = {
 def test_silent_case_is_refused(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("stream", [lambda: RngStream(1), _mapped], ids=["fresh", "mapped"])
+@pytest.mark.parametrize("n, upper", [(2.5, 2), (3, 2.0), (math.nan, 2)])
+def test_refused_indices_draws_nothing(stream, n, upper):
+    rng, untouched = stream(), stream()
+    with pytest.raises(ParameterError):
+        rng.indices(n, upper)
+    assert rng.indices(3, 2).tobytes() == untouched.indices(3, 2).tobytes()
 
 
 @pytest.mark.parametrize("reg", PENALTIES.values(), ids=PENALTIES.keys())
