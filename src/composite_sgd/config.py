@@ -13,7 +13,8 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .core import _MAX_SEED, ENVELOPE, envelope_fault
-from .regularizers import TREE_BYTES_PER_INDEX
+from .problems import ORTHO_LASSO_BYTES_PER_ENTRY
+from .regularizers import MAX_TREE_N, TREE_BYTES_PER_INDEX
 from .solvers import OVERFLOW_LIMIT
 
 PROBLEMS = ("linear-discrete", "linear-continuous", "logistic")
@@ -199,9 +200,6 @@ _INSTANCE_KEYS = (
     "problem", "regularizer", "K", "p", "n", "lambda", "lipschitz_convention",
     "lipschitz_override", "seed", "structure_file",
 )
-# The deepest tree a config may name: p = 2^n must fit a signed 64-bit index.
-# Checked before 2^n is formed, which for a huge n is itself a huge allocation.
-_MAX_N = 62
 # The most iterations a config may ask for: up to 2^53, float(N) is exact and
 # every step-size formula finite (at 1 us per iteration, over 280 years).
 _MAX_ITERATIONS = 2**53
@@ -219,24 +217,12 @@ def parse_run_config(text: str) -> RunConfig:
     else:
         K = _number(pairs, "K", int, 1)
 
-    # Dimension: l1/custom take p directly; hierarchical takes n (or a power-of-two p).
+    # Dimension: l1/custom take p directly; hierarchical takes n, and p = 2^n.
     if regularizer == "hierarchical":
         _forbid(pairs, "structure_file", "only valid with the custom regularizer")
-        if "n" in pairs:
-            n = _number(pairs, "n", int, 0)
-            if n > _MAX_N:
-                raise ConfigError("n", f"must be <= {_MAX_N}, so that p = 2^n fits "
-                                       f"a 64-bit index, got {n}")
-            p = 2**n
-            if "p" in pairs and _number(pairs, "p", int, 1) != p:
-                raise ConfigError("p", f"inconsistent with n={n} (expected {p})")
-        elif "p" in pairs:
-            p = _number(pairs, "p", int, 1)
-            if p & (p - 1) != 0:
-                raise ConfigError("p", f"hierarchical regularizer requires p = 2^n, got {p}")
-            n = p.bit_length() - 1
-        else:
-            raise ConfigError("n", "required field is missing (hierarchical regularizer)")
+        _forbid(pairs, "p", "derived from n as p = 2^n for the hierarchical regularizer")
+        n = _number(pairs, "n", int, 0, maximum=MAX_TREE_N)
+        p = 2**n
         check_memory("n", f"{p * (n + 1)} tree indices at {TREE_BYTES_PER_INDEX} bytes "
                      "each to build", TREE_BYTES_PER_INDEX * p * (n + 1))
     else:
@@ -315,8 +301,8 @@ def parse_bounds_config(text: str) -> BoundsConfig:
         _forbid(pairs, "D", "derived from the closed-form optimum for ortho-lasso")
         if p % 2 != 0:
             raise ConfigError("p", f"ortho-lasso requires even p, got {p}")
-        # The instance is a design of K = p rows and its kept Gram, 8 p^2 bytes each.
-        check_memory("p", f"K={p} rows of p={p}", 16 * p * p)
+        check_memory("p", f"{p}^2 design entries at {ORTHO_LASSO_BYTES_PER_ENTRY} bytes each "
+                     "to build", ORTHO_LASSO_BYTES_PER_ENTRY * p * p)
     else:
         _forbid(pairs, "lambda", "quadratic instance has no penalty")
         # The iterates overshoot the optimum at distance D by up to about 1.4 D,

@@ -90,11 +90,7 @@ def build_problem(cfg: RunConfig, seed: int) -> Instance:
     if cfg.regularizer == "l1":
         reg = rg.l1(cfg.lam, cfg.p)
     elif cfg.regularizer == "hierarchical":
-        try:
-            structure = rg.build_hierarchical(cfg.n)
-        except ParameterError as exc:
-            raise ConfigError("n", str(exc)) from exc
-        reg = rg.group_norm(cfg.lam, structure)
+        reg = rg.group_norm(cfg.lam, rg.build_hierarchical(cfg.n))
     else:
         if not Path(cfg.structure_file).is_file():
             raise ConfigError("structure_file", f"file not found: {cfg.structure_file}")
@@ -182,12 +178,12 @@ def configure(inst: Instance, cfg: RunConfig, seed: int):
 
 
 def run_seed(pairs, seed: int, jobs) -> list[tuple[dict, list]]:
-    """Build one seed's instance once, set up every config ``pairs[r] =
-    (cfg, out_dir)`` on it, then run each ``(r, solver)`` of ``jobs`` under
-    config ``r``, writing its trace; returns (summary, trace rows) per job, in
-    ``jobs`` order. A refused config stops the unit before its first job."""
+    """Build one seed's instance once, set up on it each config ``pairs[r] =
+    (cfg, out_dir)`` that ``jobs`` uses, then run each ``(r, solver)`` of
+    ``jobs`` under config ``r``, writing its trace; returns (summary, trace
+    rows) per job, in ``jobs`` order."""
     inst = build_problem(pairs[0][0], seed)
-    setups = [configure(inst, cfg, seed) for cfg, _ in pairs]
+    setups = {r: configure(inst, pairs[r][0], seed) for r in dict.fromkeys(r for r, _ in jobs)}
     results = []
     for r, solver in jobs:
         (cfg, out_dir), (oracle, sreg, gamma_star, bounds) = pairs[r], setups[r]

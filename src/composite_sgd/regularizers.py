@@ -33,8 +33,9 @@ DUAL_MAX_ITER = 100_000
 # The prox weights eta that ``prox`` takes: ``core.ENVELOPE`` squared.
 ETA_RANGE = (ENVELOPE[0] ** 2, ENVELOPE[1] ** 2)
 
-# Refuse hierarchical structures whose index storage would exceed this.
-_MAX_TOTAL_INDICES = 2**28
+# The deepest tree ``build_hierarchical`` builds: p (n + 1) = 2^23 * 24 indices,
+# up to 18 GiB to build at TREE_BYTES_PER_INDEX. Checked before 2^n is formed.
+MAX_TREE_N = 23
 # Bytes of memory that building a tree may take per index, p (n + 1) of them:
 # rounded up from tracemalloc peaks of build_hierarchical(n) and group_norm,
 # 95.4 at n = 10, 93.3 at n = 14 and 92.4 at n = 18.
@@ -200,9 +201,9 @@ def build_hierarchical(n: int) -> GroupStructure:
     giving 2**(n+1) - 1 groups in total.
     """
     n = as_count(n, "n")
+    if n > MAX_TREE_N:
+        raise ParameterError(f"n must be <= {MAX_TREE_N}, got {n}")
     p = 2**n
-    if p * (n + 1) > _MAX_TOTAL_INDICES:
-        raise ParameterError(f"hierarchical structure with n={n} is too large")
     levels = np.arange(n + 1)
     sizes = np.repeat(2**levels, 2 ** (n - levels))
     return GroupStructure(np.tile(np.arange(p), n + 1), sizes, np.sqrt(sizes), p)

@@ -122,11 +122,13 @@ class TestConfigParsing:
         assert cfg.K == 40
 
     def test_hierarchical_requires_power_of_two(self):
+        # A tree's size is n alone: p = 2^n is derived, so a p is refused
         text = SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
         text = text.replace("p = 4", "p = 12")
         with pytest.raises(ConfigError) as err:
             parse_run_config(text)
-        assert "2^n" in str(err.value)
+        assert err.value.key == "p" and "p = 2^n" in err.value.message
+        assert "from n" in err.value.message
 
     def test_hierarchical_n_derives_p(self):
         text = SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
@@ -205,13 +207,15 @@ class TestConfigParsing:
             assert getattr(cfg, f.name) == f.default, f.name
 
     def test_ortho_lasso_preflight_names_p(self, monkeypatch):
-        # p=100: 80000 B of p x p design plus 80000 B of its Gram
-        monkeypatch.setattr(config, "physical_memory", lambda: 100_000)
+        # p=100: the design and its Gram are 160000 B, but the QR that makes the
+        # design holds about five p x p arrays at once: 48 B per entry, 480000 B
+        monkeypatch.setattr(config, "physical_memory", lambda: 300_000)
         text = "problem = ortho-lasso\nsolver = sg\np = 100\nN = 10\nlambda = 0.1\n"
         with pytest.raises(ConfigError) as err:
             parse_bounds_config(text)
-        assert err.value.key == "p" and "physical memory" in err.value.message
-        assert parse_bounds_config(text.replace("p = 100", "p = 50")).p == 50
+        assert err.value.key == "p"
+        assert err.value.message.startswith("100^2 design entries at 48 bytes each to build")
+        assert parse_bounds_config(text.replace("p = 100", "p = 78")).p == 78
         assert parse_bounds_config(text.replace("ortho-lasso", "quadratic").replace(
             "lambda = 0.1\n", "")).p == 100
 
@@ -564,7 +568,7 @@ lipschitz_override = 1e-9
     @pytest.mark.parametrize("command, text, line", [
         ("run", SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
                          .replace("p = 4", "n = 2000"),
-         "n: must be <= 62, so that p = 2^n fits a 64-bit index, got 2000"),
+         "n: must be <= 23, got 2000"),
         ("gen-data", f"problem = logistic\nK = 10\np = {10**400}\nseed = 0\n",
          f"K: K=10 rows of p={10**400} need 7.45e+392 GiB, more than the 8 GiB "
          "of physical memory"),
@@ -592,20 +596,30 @@ lipschitz_override = 1e-9
         assert not out.exists()
 
     def test_oversized_tree_exits_2_naming_n(self, tmp_path, capsys, monkeypatch):
-        # 2^30 coordinates in 31 levels: refused while parsing, or, where the
-        # operating system reports no memory, before the structure is built
+        # n = 24, one past the deepest tree: refused while parsing, before any
+        # instance is built, also where the operating system reports no memory
+        built = []
+        monkeypatch.setattr(harness, "build_problem", lambda *args: built.append(args))
         text = SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
-        text = text.replace("p = 4", "n = 30").replace("linear-discrete", "linear-continuous")
-        argv = ["run", str(write_cfg(tmp_path, text.replace("K = 40\n", ""))),
-                "--out", str(tmp_path / "out")]
-        for memory, line in [
-            (2**33, "33285996544 tree indices at 96 bytes each to build need 2.98e+3 GiB, "
-                    "more than the 8 GiB of physical memory"),
-            (None, "hierarchical structure with n=30 is too large"),
-        ]:
+        text = text.replace("p = 4", "n = 24").replace("linear-discrete", "linear-continuous")
+        out = tmp_path / "out"
+        argv = ["run", str(write_cfg(tmp_path, text.replace("K = 40\n", ""))), "--out", str(out)]
+        for memory in [2**33, None]:
             monkeypatch.setattr(config, "physical_memory", lambda: memory)
             assert main(argv) == 2
-            assert capsys.readouterr().err == f"config error: n: {line}\n"
+            assert capsys.readouterr().err == "config error: n: must be <= 23, got 24\n"
+        assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize("size", ["p = 8", "n = 3\np = 8"], ids=["p", "n-and-p"])
+    def test_tree_given_p_exits_2_naming_p(self, tmp_path, capsys, size):
+        # p = 2^n is derived from n, so a tree takes no p, even a matching one
+        text = SMALL_RUN.replace("regularizer = l1", "regularizer = hierarchical")
+        out = tmp_path / "out"
+        argv = ["run", str(write_cfg(tmp_path, text.replace("p = 4", size))), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("config error: p: derived from n as p = 2^n for "
+                                           "the hierarchical regularizer\n")
+        assert not out.exists()
 
     def test_tree_past_physical_memory_is_refused_before_its_draws(self, monkeypatch):
         # n = 22: 9.6e7 tree indices need 8.62 GiB, and one draw of 1e5 rows
@@ -1316,6 +1330,23 @@ def test_nan_smoothed_gradient_on_a_tree_ends_ssg_as_a_divergence(tmp_path, caps
         f"diverged: iterate is not finite or exceeded 1e+12 at iteration {k}; "
         "is the Lipschitz constant set too small?\n")
     assert not list(out.glob("*"))
+
+
+def test_unit_sets_up_only_the_configs_its_jobs_run(tmp_path, monkeypatch):
+    # Two configs, and jobs from the first alone: the second is not set up
+    configured, real_configure = [], harness.configure
+
+    def configure(inst, cfg, seed):
+        configured.append(cfg)
+        return real_configure(inst, cfg, seed)
+
+    monkeypatch.setattr(harness, "configure", configure)
+    a = parse_run_config(SMALL_RUN)
+    b = parse_run_config(SMALL_RUN.replace("batch_size = 5", "batch_size = 2"))
+    pairs = [(a, tmp_path / "a_out"), (b, tmp_path / "b_out")]
+    (summary, _), = harness.run_seed(pairs, 3, [(0, "sg")])
+    assert configured == [a] and summary["config"] == a.echo()
+    assert not (tmp_path / "b_out").exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from composite_sgd.core import (ENVELOPE, ConvergenceError, DimensionError, ParameterError,
                                 RngStream)
 from composite_sgd.regularizers import (
+    MAX_TREE_N,
     GroupStructure,
     build_hierarchical,
     evaluate,
@@ -220,6 +222,17 @@ class TestBuildHierarchical:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             build_hierarchical(-1)
+
+    def test_past_the_deepest_tree_raises_before_forming_2_to_the_n(self):
+        # n = 10^8 is refused before 2^n, a 12.5 MB integer, is formed
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=rf"^n must be <= {MAX_TREE_N}, got 10+$"):
+                build_hierarchical(10**8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_equals_per_group_reference(self):
         for n in range(11):
