@@ -12,10 +12,9 @@ import numpy as np
 
 Array = np.ndarray
 
-_TWO_PI = 2.0 * math.pi
 _MAX_SEED = 2**64 - 1
 # Box-Muller pairs transformed per chunk in RngStream.normal.
-NORMAL_CHUNK_PAIRS = 2**16
+NORMAL_CHUNK_PAIRS = 2**15
 # Uniforms each RngStream pre-draws at a time (32 KB, plus 32 KB of indices).
 UNIFORM_BLOCK = 4096
 # The numeric envelope: every penalty level lambda, group weight and positive
@@ -105,8 +104,10 @@ class RngStream:
     """Deterministic counter-based random stream with derivable substreams.
 
     Backed by Philox keyed on (seed, stream path): the same seed reproduces the
-    same draw sequence on any platform, and ``split(stream_id)`` derives an
-    independent stream from the pair (seed, stream-id).
+    same uniforms, bit for bit, on any platform, and ``split(stream_id)``
+    derives an independent stream from the pair (seed, stream-id). The last
+    bits of a normal draw also depend on numpy's ``log1p`` and ``tan`` kernels,
+    so normals are bitwise reproducible on one machine and numpy build.
 
     Every draw reads the stream's one sequence of uniforms in order. The
     stream pre-draws them UNIFORM_BLOCK at a time and serves small requests
@@ -121,17 +122,23 @@ class RngStream:
     ``upper`` drawn from it, and every request with that ``upper`` is a slice
     of the result; a request with another ``upper`` maps only its own slice.
 
-    Normal draws use the Box-Muller transform. Uniforms are consumed two per
-    pair of normals, taken from one batch in (even, odd) index order:
+    Normal draws use the Box-Muller transform, with the angle
+    2 * pi * u_odd taken through the tangent t of its half. Uniforms are
+    consumed two per pair of normals, taken from one batch in (even, odd)
+    index order:
 
-        r  = sqrt(-2 * log(1 - u_even))
-        z0 = r * cos(2 * pi * u_odd)
-        z1 = r * sin(2 * pi * u_odd)
+        r  = sqrt(-2 * log1p(-u_even))
+        t  = tan(pi * u_odd)
+        w  = r / (1 + t * t)
+        z0 = w * (1 - t * t)    # r * cos(2 * pi * u_odd)
+        z1 = w * (2 * t)        # r * sin(2 * pi * u_odd)
 
-    An odd-sized request still consumes both uniforms of the final pair and
-    discards the trailing sine normal. The transform runs in chunks of
-    NORMAL_CHUNK_PAIRS pairs; being element-wise, the chunked draws equal the
-    one-shot transform bit for bit.
+    With numpy's AVX512 kernels float64 ``tan`` is a SIMD loop, where ``cos``
+    and ``sin`` are scalar libm calls. |t| is at most tan(fl(pi) / 2), about
+    1.6e16, so t * t is finite. An odd-sized request still consumes both
+    uniforms of the final pair and discards the trailing sine normal. The
+    transform runs in chunks of NORMAL_CHUNK_PAIRS pairs; being element-wise,
+    the chunked draws equal the one-shot transform bit for bit.
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
@@ -183,32 +190,45 @@ class RngStream:
 
     def normal(self, n: int) -> Array:
         """n i.i.d. standard normal draws via Box-Muller, NORMAL_CHUNK_PAIRS
-        pairs at a time so the temporaries stay a few MB for any n."""
+        pairs at a time so the temporaries stay under 1.5 MB for any n."""
         n = as_count(n, "n", 1)
         pairs = (n + 1) // 2
         z = np.empty(2 * pairs)
         for lo in range(0, pairs, NORMAL_CHUNK_PAIRS):
             hi = min(lo + NORMAL_CHUNK_PAIRS, pairs)
             u = self._take(2 * (hi - lo))
-            r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-            angle = _TWO_PI * u[1::2]
-            np.multiply(r, np.cos(angle), out=z[2 * lo:2 * hi:2])
-            np.multiply(r, np.sin(angle), out=z[2 * lo + 1:2 * hi:2])
+            z0, z1 = z[2 * lo:2 * hi:2], z[2 * lo + 1:2 * hi:2]
+            r = np.log1p(-u[0::2])
+            r *= -2.0
+            np.sqrt(r, out=r)
+            t = np.multiply(u[1::2], math.pi)
+            np.tan(t, out=t)
+            # The class docstring's steps, in place: 1 + t * t waits in z0
+            # until z0 is written, and r becomes w.
+            q = t * t
+            np.add(q, 1.0, out=z0)
+            np.divide(r, z0, out=r)
+            np.subtract(1.0, q, out=q)
+            np.multiply(r, q, out=z0)
+            t *= 2.0
+            np.multiply(r, t, out=z1)
         return z[:n]
 
     def indices(self, n: int, upper: int) -> Array:
         """n indices drawn uniformly with replacement from {0, ..., upper-1}."""
         # The fast path, a slice of the mapped block, tests its arguments with
         # no call but operator.index: an int n whose slice fits, and an int
-        # upper equal to the mapped one, which as_count already took. Anything
-        # else goes through as_count before any draw.
+        # upper equal to the mapped one, which as_count already took (a NumPy
+        # integer upper also passes, through isinstance after the int test).
+        # Anything else goes through as_count before any draw.
         pos = self._pos
         try:
             end = pos + operator.index(n)
         except TypeError:
             end = -1
         fits = pos <= end <= self._block.size
-        if not (fits and upper.__class__ is int and upper == self._upper):
+        if not (fits and (upper.__class__ is int or isinstance(upper, np.integer))
+                and upper == self._upper):
             n, upper = as_count(n, "n"), as_count(upper, "upper", 1)
             if fits and self._upper is None:
                 self._idx = _to_indices(self._block, upper)

@@ -427,14 +427,17 @@ def sigmoid_masked(t) -> np.ndarray:
 
 def normal_one_shot(rng, n: int) -> np.ndarray:
     """n Box-Muller normals from one batch of uniforms: r from the even-index
-    uniforms, the angle from the odd ones, cosine normals at even positions."""
+    uniforms, the angle from the odd ones through the tangent t of its half,
+    cosine normals r (1 - t^2) / (1 + t^2) at even positions and sine normals
+    r 2t / (1 + t^2) at odd ones."""
     pairs = (n + 1) // 2
     u = rng.uniform(2 * pairs)
     r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    angle = 2.0 * np.pi * u[1::2]
+    t = np.tan(np.pi * u[1::2])
+    w = r / (1.0 + t * t)
     z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(angle)
-    z[1::2] = r * np.sin(angle)
+    z[0::2] = w * (1.0 - t * t)
+    z[1::2] = w * (2.0 * t)
     return z[:n]
 
 

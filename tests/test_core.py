@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,46 @@ from composite_sgd.problems import gen_linear_dataset, ground_truth
 from _reference import PhiloxStream, normal_one_shot
 
 CHUNK = NORMAL_CHUNK_PAIRS
+
+EPS = 2.0**-53  # float64 unit roundoff: |fl(x) - x| <= EPS |x|
+# numpy checks its float64 tan to 1 ulp on its validation set, and glibc's
+# tan, numpy's path without the AVX512 kernel, is within 1 ulp too.
+TAN_ULPS = 1
+EXT = np.longdouble
+PI_EXT = EXT("3.14159265358979323846264338327950288")
+EPS_EXT = float(np.finfo(EXT).eps)
+
+
+def _transform_errors(u, z):
+    """|z - r trig(2 pi u_odd)| per normal, with trig(2 pi u) = cos(2 pi u)
+    at even positions and sin(2 pi u) at odd ones in extended precision from
+    the float64 r, and its bound r B(u_odd) from the roundings. With a =
+    fl(fl(pi) u) and t = tan(a) (1 + d), |d| <= 2 TAN_ULPS EPS (an ulp is at
+    most 2 EPS of the value):
+
+    - a is off pi u by at most u (|fl(pi) - pi| + EPS fl(pi)), and t is
+      tan(a + e) with |e| <= TAN_ULPS EPS (d t / (1 + t^2) = d sin(2a) / 2).
+      The angle 2a is off by twice both; cos and sin are 1-Lipschitz.
+    - The roundings of w = r / (1 + t^2), w (1 - t^2) and w (2t) at that
+      angle: t^2's moves (1 - q) / (1 + q) by at most 2 EPS q / (1 + q)^2
+      <= EPS / 2 and 2t / (1 + q) by EPS relative; 1 + q, the divide, 1 - q
+      and the last product add EPS relative each, so 4.5 EPS at most.
+    - 64 EPS^2 covers the products of these terms, and 8 EPS_EXT the
+      extended-precision reference's own roundings of 2 pi u, cos or sin
+      and the product.
+    """
+    u_even, u_odd = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log1p(-u_even))
+    theta = 2 * PI_EXT * u_odd.astype(EXT)
+    r_ext = r.astype(EXT)
+    exact = np.empty(u.size, dtype=EXT)
+    exact[0::2] = r_ext * np.cos(theta)
+    exact[1::2] = r_ext * np.sin(theta)
+    err = np.abs(z.astype(EXT) - exact).astype(np.float64)
+    pi_err = abs(float(PI_EXT - EXT(np.pi)))
+    angle = 2 * (u_odd * (pi_err + EPS * np.pi) + TAN_ULPS * EPS)
+    bound = r * (angle + 4.5 * EPS + 64 * EPS**2 + 8 * EPS_EXT)
+    return err, np.repeat(bound, 2)
 
 
 class TestRngStream:
@@ -60,8 +101,11 @@ class TestRngStream:
         assert z.shape == (7,)
         assert np.all(np.isfinite(z))
 
+    # one and two chunks' worth of normals and either side of each, and
+    # ragged tails past two and four chunks
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, CHUNK * 2 - 1, CHUNK * 2, CHUNK * 2 + 1, 2 * CHUNK * 2 + 3])
+        "n", [1, 2, 3, CHUNK * 2 - 1, CHUNK * 2, CHUNK * 2 + 1, CHUNK * 4 - 1, CHUNK * 4,
+              CHUNK * 4 + 1, 2 * CHUNK * 2 + 3, 4 * CHUNK * 2 + 3])
     def test_chunked_normal_equals_one_shot_transform(self, n):
         z = RngStream(41).split(1).normal(n)
         assert z.shape == (n,)
@@ -74,6 +118,31 @@ class TestRngStream:
         y = X @ ground_truth("linear", 64) + normal_one_shot(ref, 2000) / 10.0
         assert d.X.tobytes() == X.tobytes()
         assert d.y.tobytes() == y.tobytes()
+
+    def test_normals_within_derived_bound_of_extended_precision_transform(self):
+        # 2 * 10^5 draws over four chunks, each against r cos(2 pi u) and
+        # r sin(2 pi u) in extended precision, from the same float64 r
+        n = 2 * 10**5
+        u = RngStream(43).uniform(n)
+        z = RngStream(43).normal(n)
+        err, bound = _transform_errors(u, z)
+        assert np.all(err <= bound)
+
+    def test_extreme_uniforms_give_finite_normals_below_the_readme_bound(self):
+        # u_even 0 and 1 - 2^-53 give the least and largest radius (0 and
+        # 8.5717); u_odd puts t at 0, about 1, 1.6e16, about -1 and -1.2e-16.
+        u_even = [0.0, 1.0 - 2.0**-53]
+        u_odd = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+        u = np.array([[a, b] for a in u_even for b in u_odd]).ravel()
+        rng = RngStream(0)
+        rng._take = lambda m: u[:m]
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            z = rng.normal(u.size)
+        assert np.all(np.isfinite(z)) and np.abs(z).max() < 8.6
+        assert np.all(z[:10] == 0.0)
+        err, bound = _transform_errors(u, z)
+        assert np.all(err <= bound)
 
     def test_indices_with_replacement(self):
         idx = RngStream(11).indices(1000, 13)

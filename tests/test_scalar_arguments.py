@@ -230,6 +230,28 @@ def test_refused_indices_draws_nothing(stream, n, upper):
     assert rng.indices(3, 2).tobytes() == untouched.indices(3, 2).tobytes()
 
 
+@pytest.mark.parametrize("upper", [np.int64(1000), np.int32(1000), np.uint64(1000)],
+                         ids=["int64", "int32", "uint64"])
+def test_numpy_upper_takes_the_fast_path(monkeypatch, upper):
+    # On a block mapped for upper = 1000 (the first call draws the block, the
+    # second maps it), a NumPy integer equal to it slices the map as the int
+    # does: the same bytes, and no as_count call.
+    rng, ref = RngStream(1), RngStream(1)
+    for stream in (rng, ref):
+        stream.indices(10, 1000)
+        stream.indices(10, 1000)
+    want = ref.indices(10, 1000).tobytes()
+    calls = []
+
+    def counted(*args, helper=core.as_count, **kwargs):
+        calls.append(args)
+        return helper(*args, **kwargs)
+
+    monkeypatch.setattr(core, "as_count", counted)
+    assert rng.indices(10, upper).tobytes() == want
+    assert calls == []
+
+
 @pytest.mark.parametrize("reg", PENALTIES.values(), ids=PENALTIES.keys())
 def test_no_iteration_calls_the_scalar_rule(monkeypatch, reg):
     # Every call of either helper, from any module, is counted: a run's
